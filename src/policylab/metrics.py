@@ -3,8 +3,11 @@
 All three policy kinds encode into one labeled directed multigraph type,
 the substrate for graph edit distance, cyclomatic complexity and element
 counting. The exact edit distance is a best-first search over partial
-vertex mappings with an admissible bound; a tiny exhaustive solver
-serves as its ground-truth oracle on small graphs.
+vertex mappings with an admissible bound, started from the anchored
+mapping (identity on shared ids) as its incumbent; an incomplete result
+returns the best mapping's cost, at worst the incumbent's, as an upper
+bound. A tiny exhaustive solver serves as its ground-truth oracle on
+small graphs.
 """
 
 from __future__ import annotations
@@ -48,9 +51,6 @@ class PolicyGraph:
 
     def size(self) -> int:
         return len(self.edges)
-
-    def edge_labels(self, source, target) -> list:
-        return [label for s, t, label in self.edges if s == source and t == target]
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +144,12 @@ class GedCostModel:
         return 0.0 if label1 == label2 else self.node_substitute
 
     def edge_group_cost(self, labels1, labels2) -> float:
-        """Cost of reconciling parallel edges between one mapped pair."""
-        c1, c2 = Counter(labels1), Counter(labels2)
-        matched = sum((c1 & c2).values())
+        """Cost of reconciling parallel edges between one mapped pair.
+
+        Each side lists distinct labels: an edge set holds a (source,
+        target, label) triple at most once.
+        """
+        matched = len(set(labels1).intersection(labels2))
         rest1 = len(labels1) - matched
         rest2 = len(labels2) - matched
         substitutions = min(rest1, rest2)
@@ -248,10 +251,8 @@ def _script_for_mapping(g1: PolicyGraph, g2: PolicyGraph, mapping: dict,
         if source in inverse and target in inverse:
             pairs.setdefault((inverse[source], inverse[target]), ([], []))[1].append(label)
     for (source, target), (labels1, labels2) in sorted(pairs.items()):
-        c1, c2 = Counter(labels1), Counter(labels2)
-        shared = c1 & c2
-        rest1 = sorted((c1 - shared).elements())
-        rest2 = sorted((c2 - shared).elements())
+        rest1 = sorted(set(labels1).difference(labels2))
+        rest2 = sorted(set(labels2).difference(labels1))
         while rest1 and rest2:
             old, new = rest1.pop(), rest2.pop()
             ops.append(("substitute_edge", source, target, old, new))
@@ -281,10 +282,15 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
               budget: float = DEFAULT_GED_BUDGET) -> GedResult:
     """Optimal edit distance via best-first search over vertex mappings.
 
-    The admissible bound combines the vertex count difference with the
-    not-yet-reconciled edge count difference. When the time budget runs
-    out the best mapping found so far is returned as an upper bound with
-    ``complete`` set to False; the result is never silently wrong.
+    The search starts from the anchored incumbent, the identity mapping
+    on shared ids costed under ``cost``, and expands only nodes whose
+    admissible bound (the vertex count difference plus the
+    not-yet-reconciled edge count difference) stays below the best cost
+    known. When the root bound meets the incumbent, the incumbent is
+    proven optimal without any expansion. When the time budget runs out
+    the best mapping known, at worst the incumbent, is returned with its
+    cost as an upper bound and ``complete`` set to False; the result is
+    never silently wrong.
     """
     cost = cost or GedCostModel()
     deadline = time.monotonic() + budget
@@ -353,8 +359,8 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
         dangling = sum(1 for s, t, _ in g2.edges if s in unused_set or t in unused_set)
         return extra + dangling * cost.edge_insert
 
-    best_cost = float("inf")
-    best_mapping: Optional[dict] = None
+    best_mapping = {v: v if v in g2.vertices else None for v in g1.vertices}
+    best_cost = _script_for_mapping(g1, g2, best_mapping, cost).cost
     complete = True
 
     root_h = heuristic(0, frozenset(), 0, 0)
@@ -392,14 +398,7 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
                 assigned + (candidate,), new_used, ns1, ns2,
             ))
 
-    if best_mapping is None:
-        # budget exhausted before any complete mapping: fall back to the
-        # identity-flavored greedy script as a crude upper bound
-        best_mapping = _greedy_mapping(g1, g2)
-        complete = False
     script = _script_for_mapping(g1, g2, best_mapping, cost)
-    if best_cost == float("inf"):
-        best_cost = script.cost
     return GedResult(distance=best_cost, complete=complete, script=script,
                      mapping=best_mapping)
 
@@ -413,27 +412,6 @@ def _pair_index(graph: PolicyGraph) -> dict:
     for source, target, label in graph.edges:
         index.setdefault((source, target), []).append(label)
     return index
-
-
-def _greedy_mapping(g1: PolicyGraph, g2: PolicyGraph) -> dict:
-    mapping: dict = {}
-    used = set()
-    for v1 in sorted(g1.vertices):
-        if v1 in g2.vertices and v1 not in used:
-            mapping[v1] = v1
-            used.add(v1)
-            continue
-        match = next(
-            (v2 for v2 in sorted(g2.vertices)
-             if v2 not in used and g2.vertices[v2] == g1.vertices[v1]),
-            None,
-        )
-        if match is None:
-            match = next((v2 for v2 in sorted(g2.vertices) if v2 not in used), None)
-        mapping[v1] = match
-        if match is not None:
-            used.add(match)
-    return mapping
 
 
 # ---------------------------------------------------------------------------

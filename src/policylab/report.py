@@ -244,10 +244,9 @@ def experiment_table_report(base: Path | None = None,
             {"cc": [1, 68], "graphical": [153, 114], "active": [77, 114]})
 
     ed_scalability = [
-        int(metrics.ged_anchored(metrics.bt_to_graph(scal_bt),
-                                 metrics.bt_to_graph(scal_bt_recharge)).distance),
-        int(metrics.ged_anchored(metrics.fsm_to_graph(scal_fsm),
-                                 metrics.fsm_to_graph(scal_fsm_recharge)).distance),
+        _exact(metrics.bt_to_graph(scal_bt), metrics.bt_to_graph(scal_bt_recharge), budget),
+        _exact(metrics.fsm_to_graph(scal_fsm), metrics.fsm_to_graph(scal_fsm_recharge),
+               budget),
     ]
     add_row("scalability/recharge", scal_bt_recharge, scal_fsm_recharge,
             {"cc": [1, 92], "ed": [6, 26], "graphical": [159, 140], "active": [80, 140]},

@@ -113,7 +113,8 @@ class TestMetrics:
 
     def test_ged_budget_exhaustion_exits_four(self, capsys, monkeypatch):
         monkeypatch.setenv("POLICYLAB_GED_BUDGET", "0")
-        code = cli.main(["metrics", "--ged", data("fetch_bt"), data("fetch_bt_tuck")])
+        # a pair whose root bound (5) stays below the anchored incumbent (7)
+        code = cli.main(["metrics", "--ged", data("fetch_fsm"), data("fetch_fsm_tuck")])
         out = capsys.readouterr().out
         assert code == 4
         assert "INCOMPLETE" in out

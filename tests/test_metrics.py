@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from policylab import experiments, hfsm, metrics
+from policylab import experiments, fixtures, hfsm, metrics
 from policylab.core import ValidationError
 from policylab.metrics import (
     GedCostModel,
@@ -112,12 +112,14 @@ class TestExactDistance:
             result = ged_exact(g1, g2)
             assert isomorphic(apply_script(g1, result.script), g2)
 
-    def test_budget_exhaustion_is_flagged_not_wrong(self, fetch_tree):
-        g1 = metrics.bt_to_graph(fetch_tree)
-        g2 = metrics.bt_to_graph(experiments.bt_with_tuck(experiments.fetch_bt()))
+    def test_budget_exhaustion_is_flagged_not_wrong(self, fetch_machine):
+        # the root bound (5) stays below the anchored incumbent (7) here,
+        # so a zero budget leaves a gap the search has not closed
+        g1 = metrics.fsm_to_graph(fetch_machine)
+        g2 = metrics.fsm_to_graph(experiments.fsm_with_tuck(experiments.fetch_fsm()))
         result = ged_exact(g1, g2, budget=0.0)
         assert not result.complete
-        assert result.distance >= 6  # an upper bound on the true distance
+        assert result.distance >= 5  # an upper bound on the true distance
 
     def test_label_sensitive_model_charges_substitutions(self):
         g1 = PolicyGraph(vertices={0: "a"}, edges=set())
@@ -128,6 +130,60 @@ class TestExactDistance:
     def test_negative_costs_rejected(self):
         with pytest.raises(ValidationError):
             GedCostModel(node_insert=-1)
+
+
+REFERENCE_DISTANCES = {  # table 2: (bt, fsm, hfsm)
+    "tuck": (6, 5, 12),
+    "safe_move": (2, 4, 4),
+    "dock": (8, 5, 17),
+    "recharge": (8, 8, 17),
+}
+ROOT_GAP_PAIRS = {("fsm", "tuck"), ("fsm", "dock")}  # root bound 5, incumbent 7
+
+
+def reference_pairs():
+    base_bt = fixtures.load_policy("fetch_bt")
+    base_fsm = fixtures.load_policy("fetch_fsm")
+    for name, (want_bt, want_fsm, want_h) in REFERENCE_DISTANCES.items():
+        tree = fixtures.load_policy(f"fetch_bt_{name}")
+        machine = fixtures.load_policy(f"fetch_fsm_{name}")
+        yield "bt", name, metrics.bt_to_graph(base_bt), metrics.bt_to_graph(tree), want_bt
+        yield ("fsm", name, metrics.fsm_to_graph(base_fsm),
+               metrics.fsm_to_graph(machine), want_fsm)
+        yield ("hfsm", name, metrics.hfsm_to_graph(hfsm.from_bt(base_bt)),
+               metrics.hfsm_to_graph(hfsm.from_bt(tree)), want_h)
+
+
+class TestSeededSearch:
+    def test_root_bound_proves_the_anchored_incumbent(self):
+        proven = 0
+        for kind, name, g1, g2, want in reference_pairs():
+            if (kind, name) in ROOT_GAP_PAIRS:
+                continue
+            result = ged_exact(g1, g2, budget=0.0)
+            assert result.complete, (kind, name)
+            assert result.distance == want, (kind, name)
+            proven += 1
+        assert proven == 10
+
+    def test_gap_pairs_return_the_incumbent_at_zero_budget(self):
+        for kind, name, g1, g2, want in reference_pairs():
+            if (kind, name) not in ROOT_GAP_PAIRS:
+                continue
+            result = ged_exact(g1, g2, budget=0.0)
+            assert not result.complete, name
+            assert result.distance == 7 > want, name
+            assert isomorphic(apply_script(g1, result.script), g2), name
+
+    def test_incumbent_is_costed_with_the_callers_model(self):
+        rng = random.Random(23)
+        for index in range(150):
+            g1, g2 = random_graph(rng, max_vertices=6), random_graph(rng, max_vertices=6)
+            result = ged_exact(g1, g2, cost=metrics.LABEL_SENSITIVE)
+            assert result.complete, index
+            assert result.distance == brute_force_ged(g1, g2, metrics.LABEL_SENSITIVE), index
+            assert result.script.cost == result.distance, index
+            assert isomorphic(apply_script(g1, result.script), g2), index
 
 
 class TestAnchoredDistance:

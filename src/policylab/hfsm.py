@@ -32,8 +32,11 @@ class HfsmContainer:
     skill: str = ""
     args: tuple = ()
     literal: Optional[ConditionLiteral] = None
-    # engine bookkeeping, meaningful on the root container only
-    active_leaves: set = field(default_factory=set)
+    # engine bookkeeping, meaningful on the root container only: the
+    # action leaves whose skills were started and not yet seen finished,
+    # by id, and the ids the latest step visited
+    active_leaves: dict[int, "HfsmContainer"] = field(
+        default_factory=dict, compare=False, repr=False)
     last_visited: set = field(default_factory=set)
 
     def skill_key(self) -> tuple:
@@ -43,16 +46,6 @@ class HfsmContainer:
         yield self
         for child in self.children:
             yield from child.walk()
-
-    def census(self) -> dict:
-        """Counts per node role: conditions, actions, control containers."""
-        counts = {"condition": 0, "action": 0, "control": 0}
-        for node in self.walk():
-            if node.kind in CONTAINER_KINDS:
-                counts["control"] += 1
-            else:
-                counts[node.kind] += 1
-        return counts
 
     def reset_runtime(self) -> None:
         self.active_leaves.clear()
@@ -133,11 +126,11 @@ def _run(machine: HfsmContainer, node: HfsmContainer, world: TickWorld,
         if node.id in machine.active_leaves:
             if world.skill_running(*key):
                 return Status.RUNNING
-            machine.active_leaves.discard(node.id)
+            del machine.active_leaves[node.id]
             result = world.skill_result(*key)
             return result if result is not None else Status.FAILURE
         world.request_start(*key)
-        machine.active_leaves.add(node.id)
+        machine.active_leaves[node.id] = node
         return Status.RUNNING
 
     wiring = _SEQUENCE_WIRING if node.kind == "sequence_container" else _FALLBACK_WIRING
@@ -154,14 +147,15 @@ def _run(machine: HfsmContainer, node: HfsmContainer, world: TickWorld,
 
 
 def halt_unvisited(machine: HfsmContainer, world: TickWorld) -> set[tuple]:
-    """Cancel skills of action leaves preempted by the latest step."""
+    """Cancel skills of action leaves preempted by the latest step.
+
+    Only the active leaves the step did not visit are looked at, so the
+    cost follows the number of running leaves, not the machine's size.
+    """
     cancelled: set[tuple] = set()
-    leaves = {node.id: node for node in machine.walk() if node.kind == "action"}
-    for leaf_id in sorted(machine.active_leaves - machine.last_visited):
-        node = leaves[leaf_id]
-        key = node.skill_key()
+    for leaf_id in sorted(machine.active_leaves.keys() - machine.last_visited):
+        key = machine.active_leaves.pop(leaf_id).skill_key()
         if world.skill_running(*key):
             world.request_cancel(*key)
             cancelled.add(key)
-        machine.active_leaves.discard(leaf_id)
     return cancelled

@@ -295,7 +295,8 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     cost = cost or GedCostModel()
     deadline = time.monotonic() + budget
 
-    order = sorted(g1.vertices, key=lambda v: (-_degree(g1, v), v))
+    degree = _degrees(g1)
+    order = sorted(g1.vertices, key=lambda v: (-degree[v], v))
     g2_ids = sorted(g2.vertices)
     n1 = len(order)
 
@@ -360,7 +361,8 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
         return extra + dangling * cost.edge_insert
 
     best_mapping = {v: v if v in g2.vertices else None for v in g1.vertices}
-    best_cost = _script_for_mapping(g1, g2, best_mapping, cost).cost
+    script = _script_for_mapping(g1, g2, best_mapping, cost)
+    best_cost = script.cost
     complete = True
 
     root_h = heuristic(0, frozenset(), 0, 0)
@@ -375,6 +377,7 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
             if total < best_cost:
                 best_cost = total
                 best_mapping = dict(zip(order, assigned))
+                script = None
             continue
         if time.monotonic() > deadline:
             complete = False
@@ -398,13 +401,20 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
                 assigned + (candidate,), new_used, ns1, ns2,
             ))
 
-    script = _script_for_mapping(g1, g2, best_mapping, cost)
+    if script is None:  # the search replaced the seed mapping
+        script = _script_for_mapping(g1, g2, best_mapping, cost)
     return GedResult(distance=best_cost, complete=complete, script=script,
                      mapping=best_mapping)
 
 
-def _degree(graph: PolicyGraph, vertex) -> int:
-    return sum(1 for s, t, _ in graph.edges if s == vertex or t == vertex)
+def _degrees(graph: PolicyGraph) -> Counter:
+    """Edges incident to each vertex; a self-loop counts once."""
+    degree: Counter = Counter()
+    for source, target, _ in graph.edges:
+        degree[source] += 1
+        if target != source:
+            degree[target] += 1
+    return degree
 
 
 def _pair_index(graph: PolicyGraph) -> dict:
@@ -521,7 +531,8 @@ def isomorphic(g1: PolicyGraph, g2: PolicyGraph) -> bool:
         return False
     pair1 = {k: Counter(v) for k, v in _pair_index(g1).items()}
     pair2 = {k: Counter(v) for k, v in _pair_index(g2).items()}
-    order1 = sorted(g1.vertices, key=lambda v: (-_degree(g1, v), v))
+    degree = _degrees(g1)
+    order1 = sorted(g1.vertices, key=lambda v: (-degree[v], v))
     ids2 = sorted(g2.vertices)
 
     def consistent(v1, v2, mapping) -> bool:

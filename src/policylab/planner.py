@@ -338,13 +338,6 @@ def extract_plan(goal: Goal, library: ActionLibrary,
     return plan
 
 
-def backchain_with_plan(goal: Goal, library: ActionLibrary,
-                        ordering: str = "safe",
-                        depth_limit: int = DEFAULT_DEPTH_LIMIT):
-    """Tree and plan from one expansion; used by the experiment recipes."""
-    return _Expansion(goal, library, ordering, depth_limit).run()
-
-
 def order_preconditions(action: ActionSpec, plan: Plan,
                         initially=()) -> list[ConditionLiteral]:
     """Sort an action's preconditions by when the plan achieves them.

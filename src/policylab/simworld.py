@@ -46,8 +46,6 @@ DEFAULT_DURATIONS = {
     "search": 20,
 }
 
-PERTURBATION_EVENTS = ("set_item_location", "set_battery", "force_fail_next")
-
 
 @dataclass
 class WorldState:
@@ -84,6 +82,10 @@ class Perturbation:
     args: tuple = ()
 
 
+def _is_number(value, integer: bool = False) -> bool:
+    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class Scenario:
     """Everything that makes an episode reproducible."""
@@ -110,6 +112,20 @@ class Scenario:
     seed: int = 0
 
     def validate(self) -> None:
+        numbers = [(name, getattr(self, name), False)
+                   for name in ("battery", "drain_per_motion_tick", "battery_threshold")]
+        numbers += [(name, getattr(self, name), True)
+                    for name in ("max_ticks", "success_hold_ticks", "seed")]
+        numbers += [(f"durations.{skill}", duration, True)
+                    for skill, duration in self.durations.items()]
+        numbers += [(f"failures[{index}].invocation", nth, True)
+                    for index, (_, _, nth) in enumerate(self.failures)]
+        numbers += [(f"perturbations[{index}].tick", p.tick, True)
+                    for index, p in enumerate(self.perturbations)]
+        for path, value, integer in numbers:
+            if not _is_number(value, integer):
+                expected = "an integer" if integer else "a number"
+                raise DocumentError(f"{path}: expected {expected}, got {value!r}")
         if self.robot_location != TRANSIT and self.robot_location not in self.stations:
             raise DocumentError(f"robot_location {self.robot_location!r} not a station")
         if not 0 <= self.battery <= 100:
@@ -117,12 +133,28 @@ class Scenario:
         for item, station in self.items.items():
             if station not in self.stations:
                 raise DocumentError(f"item {item!r} placed at unknown station {station!r}")
+        for index, p in enumerate(self.perturbations):
+            self._validate_perturbation(f"perturbations[{index}]", p)
         ticks = [p.tick for p in self.perturbations]
         if any(b <= a for a, b in zip(ticks, ticks[1:])):
             raise DocumentError("perturbation ticks must be strictly increasing")
-        for p in self.perturbations:
-            if p.event not in PERTURBATION_EVENTS:
-                raise DocumentError(f"unknown perturbation event {p.event!r}")
+
+    def _validate_perturbation(self, path: str, p: Perturbation) -> None:
+        args = p.args
+        if p.event == "set_item_location":
+            valid = (len(args) == 2 and isinstance(args[0], str)
+                     and args[0] in self.items and args[1] in self.stations)
+            expected = "an item and a station of the scenario"
+        elif p.event == "set_battery":
+            valid = len(args) == 1 and _is_number(args[0])
+            expected = "one number"
+        elif p.event == "force_fail_next":
+            valid = len(args) == 1 and isinstance(args[0], str) and args[0] in KNOWN_SKILLS
+            expected = "one known skill"
+        else:
+            raise DocumentError(f"{path}.event: unknown perturbation event {p.event!r}")
+        if not valid:
+            raise DocumentError(f"{path}.args: {p.event} takes {expected}, got {list(args)!r}")
 
     def to_dict(self) -> dict:
         return {

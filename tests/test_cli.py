@@ -102,6 +102,16 @@ class TestRun:
         path.write_text("{]")
         assert cli.main(["run", data("fetch_bt"), str(path)]) == 1
 
+    def test_perturbation_without_args_exits_one(self, tmp_path, capsys):
+        scenario_doc = json.loads(fixtures.scenario_path("recharge").read_text())
+        scenario_doc["perturbations"][0].pop("args")
+        path = tmp_path / "no_args.json"
+        path.write_text(json.dumps(scenario_doc))
+        assert cli.main(["run", data("fetch_bt_recharge"), str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: perturbations[0].args")
+        assert "Traceback" not in err
+
 
 class TestMetrics:
     def test_ged_prints_distance_and_script(self, capsys):

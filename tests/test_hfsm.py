@@ -2,7 +2,7 @@
 
 import pytest
 
-from policylab import bt, experiments, hfsm, metrics
+from policylab import bt, experiments, hfsm, metrics, simworld
 from policylab.core import ConditionLiteral as L, Status, ValidationError
 
 
@@ -76,3 +76,55 @@ class TestStep:
         hfsm.step(machine, scripted_world)
         cancelled = hfsm.halt_unvisited(machine, scripted_world)
         assert cancelled == {("move_to", ("fetch1",))}
+
+    def test_active_leaves_map_ids_to_their_leaves(self, fetch_tree, scripted_world):
+        machine = hfsm.from_bt(fetch_tree)
+        hfsm.step(machine, scripted_world)
+        [(leaf_id, leaf)] = machine.active_leaves.items()
+        assert leaf.id == leaf_id and leaf.kind == "action"
+        assert leaf.skill_key() == ("move_to", ("fetch1",))
+
+    def test_finished_leaf_is_dropped_without_a_cancel(self, scripted_world):
+        machine = hfsm.from_bt(experiments.bt_with_recharge(experiments.fetch_bt()))
+        scripted_world.set_true("battery_above(20)")
+        hfsm.step(machine, scripted_world)
+        [move_leaf] = machine.active_leaves
+        scripted_world.advance(2)  # move_to finishes before the preempting step
+        scripted_world.set_false("battery_above(20)")
+        hfsm.step(machine, scripted_world)
+        assert move_leaf not in machine.last_visited
+        assert hfsm.halt_unvisited(machine, scripted_world) == set()
+        assert scripted_world.cancelled == []
+        assert move_leaf not in machine.active_leaves
+        assert [leaf.skill for leaf in machine.active_leaves.values()] == ["recharge"]
+
+    def test_step_without_preemption_keeps_the_active_leaves(self, fetch_tree,
+                                                            scripted_world):
+        machine = hfsm.from_bt(fetch_tree)
+        hfsm.step(machine, scripted_world)
+        active = dict(machine.active_leaves)
+        hfsm.step(machine, scripted_world)
+        assert hfsm.halt_unvisited(machine, scripted_world) == set()
+        assert machine.active_leaves == active
+        assert scripted_world.cancelled == []
+
+    def test_stepping_and_halting_never_walk_the_machine(self, monkeypatch):
+        machine = hfsm.from_bt(experiments.bt_with_recharge(experiments.fetch_bt()))
+
+        def refuse_walk(self):
+            raise AssertionError("the executor walked the machine")
+
+        monkeypatch.setattr(hfsm.HfsmContainer, "walk", refuse_walk)
+        trace = simworld.run_episode(machine, experiments.recharge_scenario())
+        assert trace.outcome == "SUCCESS"
+        assert trace.skill_events("skill_preempt")
+
+    def test_runtime_bookkeeping_stays_out_of_equality_and_repr(self, fetch_tree,
+                                                               scripted_world):
+        machine = hfsm.from_bt(fetch_tree)
+        hfsm.step(machine, scripted_world)
+        assert machine.active_leaves
+        fresh = hfsm.from_bt(fetch_tree)
+        fresh.last_visited = set(machine.last_visited)
+        assert machine == fresh
+        assert "active_leaves" not in repr(machine)

@@ -1,11 +1,13 @@
 """Simulator semantics: skills, conditions, episodes, traces."""
 
+import json
+import random
 from dataclasses import replace
 
 import pytest
 
-from policylab import experiments, hfsm, simworld
-from policylab.core import ConditionLiteral as L, Status, TRANSIT, WorldError
+from policylab import experiments, fixtures, hfsm, simworld
+from policylab.core import ConditionLiteral as L, DocumentError, Status, TRANSIT, WorldError
 from policylab.simworld import (
     Perturbation,
     Scenario,
@@ -216,6 +218,38 @@ class TestEquivalence:
         assert traces_equivalent(tree_trace, machine_trace)
 
 
+def _battery_drop(tick: int):
+    return replace(experiments.recharge_scenario(),
+                   perturbations=(Perturbation(tick, "set_battery", (15,)),))
+
+
+#: case -> (tree builder, scenario with one perturbation at a given tick)
+PREEMPTION_CASES = {
+    "recharge": (lambda: experiments.bt_with_recharge(experiments.fetch_bt()),
+                 _battery_drop),
+    "knocked_cube": (experiments.fetch_bt, experiments.relocation_scenario),
+}
+# perturbation ticks drawn within the 21-tick unperturbed fetch episode
+PREEMPTION_TICKS = sorted(random.Random(7).sample(range(1, 21), 12))
+
+
+class TestNestedMachineUnderPreemption:
+    @pytest.mark.parametrize("case", sorted(PREEMPTION_CASES))
+    def test_nested_machine_mirrors_the_tree(self, case):
+        build_tree, scenario_at = PREEMPTION_CASES[case]
+        preempted = 0
+        for tick in PREEMPTION_TICKS:
+            tree = build_tree()
+            nested = hfsm.from_bt(tree)
+            tree_trace = run_episode(tree, scenario_at(tick))
+            nested_trace = run_episode(nested, scenario_at(tick))
+            assert traces_equivalent(tree_trace, nested_trace), f"{case} @ tick {tick}"
+            assert nested_trace.outcome == tree_trace.outcome
+            preempted += len(nested_trace.skill_events("skill_preempt"))
+        # the sweep must actually exercise the preemption path
+        assert preempted > 0
+
+
 class TestChattering:
     def test_naive_ordering_chatters_forever(self):
         trace = run_episode(experiments.fetch_bt("naive"),
@@ -258,6 +292,44 @@ class TestScenarioDocuments:
     def test_unknown_perturbation_event(self):
         with pytest.raises(Exception, match="unknown perturbation"):
             Scenario(perturbations=(Perturbation(1, "teleport", ()),)).validate()
+
+    @staticmethod
+    def _baseline_with(**fields) -> str:
+        doc = experiments.baseline_scenario().to_dict()
+        doc.update(fields)
+        return json.dumps(doc)
+
+    def test_battery_must_be_a_number(self):
+        with pytest.raises(DocumentError, match="battery: expected a number"):
+            parse_scenario_document(self._baseline_with(battery="full"))
+
+    def test_max_ticks_must_be_an_integer(self):
+        with pytest.raises(DocumentError, match="max_ticks: expected an integer"):
+            parse_scenario_document(self._baseline_with(max_ticks="10"))
+
+    def test_set_battery_needs_its_argument(self):
+        text = self._baseline_with(perturbations=[{"tick": 3, "event": "set_battery"}])
+        with pytest.raises(DocumentError, match=r"perturbations\[0\]\.args: set_battery"):
+            parse_scenario_document(text)
+
+    @pytest.mark.parametrize("event, args", [
+        ("set_item_location", ["cube2"]),
+        ("set_item_location", ["cube2", "moon"]),
+        ("set_item_location", ["cube9", "fetch1"]),
+        ("set_battery", [True]),
+        ("force_fail_next", ["fly"]),
+        ("force_fail_next", []),
+    ])
+    def test_perturbation_arguments_are_checked(self, event, args):
+        text = self._baseline_with(
+            perturbations=[{"tick": 3, "event": event, "args": args}])
+        with pytest.raises(DocumentError, match=r"perturbations\[0\]\.args"):
+            parse_scenario_document(text)
+
+    def test_packaged_scenarios_still_parse_unchanged(self):
+        for name in sorted(experiments.SCENARIO_BUILDERS):
+            text = fixtures.scenario_path(name).read_text()
+            assert serialize_scenario(parse_scenario_document(text)) == text
 
     def test_trace_jsonl_has_stable_field_order(self, fetch_tree):
         trace = run_episode(fetch_tree, experiments.baseline_scenario())

@@ -51,13 +51,17 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _load_graph(path: str) -> metrics.PolicyGraph:
+def _graph_and_counts(path: str) -> tuple[metrics.PolicyGraph, dict]:
+    """The graph encoding and the element counts of a policy document."""
     policy = documents.parse_policy_document(_read(path))
     if isinstance(policy, bt.PolicyTree):
-        return metrics.bt_to_graph(policy)
+        return metrics.bt_to_graph(policy), bt.count_elements(policy)
     if isinstance(policy, fsm.StateMachine):
-        return metrics.fsm_to_graph(policy)
-    return metrics.hfsm_to_graph(policy)
+        return metrics.fsm_to_graph(policy), fsm.count_elements(policy)
+    graph = metrics.hfsm_to_graph(policy)
+    total = graph.order() + graph.size()
+    return graph, {"nodes": graph.order(), "edges": graph.size(),
+                   "graphical": total, "active": total}
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +112,8 @@ def cmd_run(args) -> int:
 
 def cmd_metrics(args) -> int:
     if args.ged:
-        result = metrics.ged_exact(_load_graph(args.ged[0]), _load_graph(args.ged[1]),
-                                   budget=_ged_budget())
+        (first, _), (second, _) = map(_graph_and_counts, args.ged)
+        result = metrics.ged_exact(first, second, budget=_ged_budget())
         marker = "" if result.complete else " INCOMPLETE (upper bound)"
         print(f"ged: {result.distance:g}{marker}")
         print(f"edit script ({len(result.script.ops)} ops, "
@@ -118,19 +122,11 @@ def cmd_metrics(args) -> int:
             print("  " + " ".join(str(part) for part in op))
         return EXIT_OK if result.complete else EXIT_INCOMPLETE
     if args.cc:
-        print(f"cyclomatic complexity: {metrics.cyclomatic(_load_graph(args.cc))}")
+        graph, _ = _graph_and_counts(args.cc)
+        print(f"cyclomatic complexity: {metrics.cyclomatic(graph)}")
         return EXIT_OK
     if args.counts:
-        policy = documents.parse_policy_document(_read(args.counts))
-        if isinstance(policy, bt.PolicyTree):
-            counts = bt.count_elements(policy)
-        elif isinstance(policy, fsm.StateMachine):
-            counts = fsm.count_elements(policy)
-        else:
-            graph = metrics.hfsm_to_graph(policy)
-            total = graph.order() + graph.size()
-            counts = {"nodes": graph.order(), "edges": graph.size(),
-                      "graphical": total, "active": total}
+        _, counts = _graph_and_counts(args.counts)
         for key in ("nodes", "edges", "graphical", "active"):
             print(f"{key}: {counts[key]}")
         return EXIT_OK
@@ -140,7 +136,12 @@ def cmd_metrics(args) -> int:
         return EXIT_OK
     if args.estimate:
         kind, actions, connected = args.estimate
-        estimate = metrics.formula_estimates(kind, int(actions), int(connected))
+        try:
+            actions, connected = int(actions), int(connected)
+        except ValueError:
+            raise PolicyError(f"--estimate: M and MFC must be integers, "
+                              f"got {actions!r} and {connected!r}") from None
+        estimate = metrics.formula_estimates(kind, actions, connected)
         print(f"graphical: ~{estimate['graphical']:g}")
         print(f"active: ~{estimate['active']:g}")
         return EXIT_OK

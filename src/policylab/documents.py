@@ -47,16 +47,19 @@ def _dump(doc: dict) -> str:
 
 
 def _require(mapping: dict, key: str, path: str):
+    if not isinstance(mapping, dict):
+        raise DocumentError(f"{path}: expected an object")
     if key not in mapping:
         raise DocumentError(f"{path}: missing field {key!r}")
     return mapping[key]
 
 
-def _literal_from(obj, path: str) -> ConditionLiteral:
+def _literal_from(obj, path: str, key: str = "pred") -> ConditionLiteral:
+    """A literal object; condition nodes name the predicate ``predicate``."""
     if not isinstance(obj, dict):
         raise DocumentError(f"{path}: expected a literal object")
     try:
-        return ConditionLiteral(_require(obj, "pred", path), tuple(obj.get("args", ())))
+        return ConditionLiteral(_require(obj, key, path), tuple(obj.get("args", ())))
     except ValidationError as exc:
         raise DocumentError(f"{path}: {exc}") from None
 
@@ -111,14 +114,6 @@ def _parse_bt(doc: dict) -> bt.PolicyTree:
         ntype = _require(entry, "type", path)
         if ntype not in bt.NODE_KINDS:
             raise DocumentError(f"{path}.type: unknown node kind {ntype!r}")
-        literal = None
-        if ntype == "condition":
-            try:
-                literal = ConditionLiteral(
-                    _require(entry, "predicate", path), tuple(entry.get("args", ()))
-                )
-            except ValidationError as exc:
-                raise DocumentError(f"{path}: {exc}") from None
         node = bt.BtNode(
             id=nid,
             kind=ntype,
@@ -126,7 +121,7 @@ def _parse_bt(doc: dict) -> bt.PolicyTree:
             children=list(entry.get("children", ())),
             skill=entry.get("skill", ""),
             args=tuple(entry.get("args", ())) if ntype == "action" else (),
-            literal=literal,
+            literal=_literal_from(entry, path, "predicate") if ntype == "condition" else None,
             threshold=entry.get("threshold", 0),
         )
         if nid in nodes:
@@ -144,22 +139,25 @@ def _parse_bt(doc: dict) -> bt.PolicyTree:
     return tree
 
 
+def _node_entry(node, children) -> dict:
+    """A tree or nested-machine node's entry; ``children`` is None on a leaf."""
+    entry: dict = {"id": node.id, "type": node.kind, "name": node.name}
+    if children is not None:
+        entry["children"] = children
+    if node.kind == "parallel":
+        entry["threshold"] = node.threshold
+    if node.kind == "action":
+        entry["skill"] = node.skill
+        entry["args"] = list(node.args)
+    if node.kind == "condition":
+        entry["predicate"] = node.literal.predicate
+        entry["args"] = list(node.literal.args)
+    return entry
+
+
 def _bt_doc(tree: bt.PolicyTree) -> dict:
-    nodes = []
-    for nid in sorted(tree.nodes):
-        node = tree.nodes[nid]
-        entry: dict = {"id": nid, "type": node.kind, "name": node.name}
-        if node.is_control():
-            entry["children"] = list(node.children)
-        if node.kind == "parallel":
-            entry["threshold"] = node.threshold
-        if node.kind == "action":
-            entry["skill"] = node.skill
-            entry["args"] = list(node.args)
-        if node.kind == "condition":
-            entry["predicate"] = node.literal.predicate
-            entry["args"] = list(node.literal.args)
-        nodes.append(entry)
+    nodes = [_node_entry(node, list(node.children) if node.is_control() else None)
+             for node in sorted(tree.nodes.values(), key=lambda n: n.id)]
     return {"version": VERSION, "kind": "bt", "root": tree.root, "nodes": nodes}
 
 
@@ -272,6 +270,10 @@ def _parse_hfsm(doc: dict) -> hfsm.HfsmContainer:
             raise DocumentError(f"{path}.type: unknown container kind {ntype!r}")
         if nid in entries:
             raise DocumentError(f"{path}.id: duplicate id {nid}")
+        if ntype in hfsm.LEAF_KINDS and entry.get("children"):
+            raise DocumentError(f"{path}: {ntype} leaves cannot have children")
+        if ntype in hfsm.CONTAINER_KINDS and not entry.get("children"):
+            raise DocumentError(f"{path}: {ntype} needs at least one child")
         entries[nid] = entry
     referenced: list = []
     for entry in entries.values():
@@ -287,15 +289,6 @@ def _parse_hfsm(doc: dict) -> hfsm.HfsmContainer:
             raise DocumentError(f"container {nid} nests itself")
         entry = entries[nid]
         ntype = entry["type"]
-        literal = None
-        if ntype == "condition":
-            try:
-                literal = ConditionLiteral(
-                    _require(entry, "predicate", f"node {nid}"),
-                    tuple(entry.get("args", ())),
-                )
-            except ValidationError as exc:
-                raise DocumentError(f"node {nid}: {exc}") from None
         return hfsm.HfsmContainer(
             id=nid,
             kind=ntype,
@@ -304,7 +297,8 @@ def _parse_hfsm(doc: dict) -> hfsm.HfsmContainer:
                       for child in entry.get("children", ())],
             skill=entry.get("skill", ""),
             args=tuple(entry.get("args", ())) if ntype == "action" else (),
-            literal=literal,
+            literal=(_literal_from(entry, f"node {nid}", "predicate")
+                     if ntype == "condition" else None),
         )
 
     root = build(_require(doc, "root", "top level"), ())
@@ -316,18 +310,9 @@ def _parse_hfsm(doc: dict) -> hfsm.HfsmContainer:
 
 
 def _hfsm_doc(root: hfsm.HfsmContainer) -> dict:
-    nodes = []
-    for node in sorted(root.walk(), key=lambda n: n.id):
-        entry: dict = {"id": node.id, "type": node.kind, "name": node.name}
-        if node.kind in hfsm.CONTAINER_KINDS:
-            entry["children"] = [child.id for child in node.children]
-        if node.kind == "action":
-            entry["skill"] = node.skill
-            entry["args"] = list(node.args)
-        if node.kind == "condition":
-            entry["predicate"] = node.literal.predicate
-            entry["args"] = list(node.literal.args)
-        nodes.append(entry)
+    nodes = [_node_entry(node, [child.id for child in node.children]
+                         if node.kind in hfsm.CONTAINER_KINDS else None)
+             for node in sorted(root.walk(), key=lambda n: n.id)]
     return {"version": VERSION, "kind": "hfsm", "root": root.id, "nodes": nodes}
 
 

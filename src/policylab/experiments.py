@@ -344,10 +344,6 @@ FIXTURE_BUILDERS = {
 # ---------------------------------------------------------------------------
 # scenarios
 
-EXPERIMENTS = ("baseline", "recharge", "docking", "scalability", "chattering",
-               "post_success")
-
-
 def _fetch_world(**overrides) -> dict:
     base = dict(
         items={CUBE: FETCH_STATION},

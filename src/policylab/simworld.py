@@ -16,10 +16,10 @@ chattering detection.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
-from . import bt, fsm, hfsm
+from . import bt, documents, fsm, hfsm
 from .core import ConditionLiteral, DocumentError, Status, TRANSIT, WorldError
 
 DEFAULT_STATIONS = (
@@ -126,6 +126,14 @@ class Scenario:
             if not _is_number(value, integer):
                 expected = "an integer" if integer else "a number"
                 raise DocumentError(f"{path}: expected {expected}, got {value!r}")
+        if self.max_ticks < 1:
+            raise DocumentError(f"max_ticks: must be at least 1, got {self.max_ticks}")
+        skills = [(f"failures[{index}].skill", skill)
+                  for index, (skill, _, _) in enumerate(self.failures)]
+        skills += [(f"durations.{skill}", skill) for skill in self.durations]
+        for path, skill in skills:
+            if not (isinstance(skill, str) and skill in KNOWN_SKILLS):
+                raise DocumentError(f"{path}: unknown skill {skill!r}")
         if self.robot_location != TRANSIT and self.robot_location not in self.stations:
             raise DocumentError(f"robot_location {self.robot_location!r} not a station")
         if not 0 <= self.battery <= 100:
@@ -157,85 +165,72 @@ class Scenario:
             raise DocumentError(f"{path}.args: {p.event} takes {expected}, got {list(args)!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "name": self.name,
-            "stations": list(self.stations),
-            "robot_location": self.robot_location,
-            "battery": self.battery,
-            "holding": self.holding,
-            "arm_tucked": self.arm_tucked,
-            "docked": self.docked,
-            "items": dict(self.items),
-            "markers": list(self.markers),
-            "durations": dict(self.durations),
-            "failures": [
-                {"skill": name, "args": list(args) if args is not None else None,
-                 "invocation": nth}
-                for name, args, nth in self.failures
-            ],
-            "drain_per_motion_tick": self.drain_per_motion_tick,
-            "battery_threshold": self.battery_threshold,
-            "perturbations": [
-                {"tick": p.tick, "event": p.event, "args": list(p.args)}
-                for p in self.perturbations
-            ],
-            "max_ticks": self.max_ticks,
-            "success_hold_ticks": self.success_hold_ticks,
-            "seed": self.seed,
-        }
+        doc: dict = {"version": documents.VERSION}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "failures":
+                value = [{"skill": skill, "args": None if args is None else list(args),
+                          "invocation": nth} for skill, args, nth in value]
+            elif f.name == "perturbations":
+                value = [{"tick": p.tick, "event": p.event, "args": list(p.args)}
+                         for p in value]
+            elif isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, dict):
+                value = dict(value)
+            doc[f.name] = value
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
-        try:
-            scenario = cls(
-                name=doc.get("name", "scenario"),
-                stations=tuple(doc.get("stations", DEFAULT_STATIONS)),
-                robot_location=doc.get("robot_location", "center"),
-                battery=doc.get("battery", 100.0),
-                holding=doc.get("holding"),
-                arm_tucked=doc.get("arm_tucked", True),
-                docked=doc.get("docked", False),
-                items=dict(doc.get("items", {})),
-                markers=tuple(doc.get("markers", ())),
-                durations=dict(doc.get("durations", {})),
-                failures=tuple(
-                    (entry["skill"],
-                     tuple(entry["args"]) if entry.get("args") is not None else None,
-                     entry.get("invocation", 1))
-                    for entry in doc.get("failures", ())
-                ),
-                drain_per_motion_tick=doc.get("drain_per_motion_tick", 2.0),
-                battery_threshold=doc.get("battery_threshold", 20.0),
-                perturbations=tuple(
-                    Perturbation(entry["tick"], entry["event"],
-                                 tuple(entry.get("args", ())))
-                    for entry in doc.get("perturbations", ())
-                ),
-                max_ticks=doc.get("max_ticks", 200),
-                success_hold_ticks=doc.get("success_hold_ticks", 5),
-                seed=doc.get("seed", 0),
-            )
-        except (KeyError, TypeError) as exc:
-            raise DocumentError(f"malformed scenario: {exc}") from None
+        """Build and validate a scenario; absent fields keep their defaults."""
+        values = {}
+        for f in fields(cls):
+            if f.name not in doc:
+                continue
+            value = doc[f.name]
+            if f.name == "failures":
+                value = tuple(_failure_from(entry, f"failures[{i}]")
+                              for i, entry in enumerate(_expect(value, list, f.name)))
+            elif f.name == "perturbations":
+                value = tuple(_perturbation_from(entry, f"perturbations[{i}]")
+                              for i, entry in enumerate(_expect(value, list, f.name)))
+            elif isinstance(f.default, tuple):
+                value = tuple(_expect(value, list, f.name))
+            elif f.default_factory is dict:
+                value = dict(_expect(value, dict, f.name))
+            values[f.name] = value
+        scenario = cls(**values)
         scenario.validate()
         return scenario
 
 
+def _expect(value, kind: type, path: str):
+    if not isinstance(value, kind):
+        expected = "a list" if kind is list else "an object"
+        raise DocumentError(f"{path}: expected {expected}, got {value!r}")
+    return value
+
+
+def _failure_from(entry, path: str) -> tuple:
+    skill = documents._require(entry, "skill", path)
+    args = entry.get("args")
+    return (skill, None if args is None else tuple(_expect(args, list, f"{path}.args")),
+            entry.get("invocation", 1))
+
+
+def _perturbation_from(entry, path: str) -> Perturbation:
+    return Perturbation(documents._require(entry, "tick", path),
+                        documents._require(entry, "event", path),
+                        tuple(_expect(entry.get("args", []), list, f"{path}.args")))
+
+
 def parse_scenario_document(data) -> Scenario:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise DocumentError("top level: expected an object")
-    return Scenario.from_dict(doc)
+    return Scenario.from_dict(documents._load(data))
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    return json.dumps(scenario.to_dict(), indent=2) + "\n"
+    return documents._dump(scenario.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -566,65 +561,20 @@ class World:
 # ---------------------------------------------------------------------------
 # episode runner
 
-AnyPolicy = Union[bt.PolicyTree, fsm.StateMachine, hfsm.HfsmContainer]
 
-
-class _TreeEngine:
-    terminated: Optional[Status] = None
-
-    def __init__(self, tree: bt.PolicyTree):
-        self.tree = tree
-        tree.reset_runtime()
-
-    def evaluate(self, world: World) -> Status:
-        return bt.tick(self.tree, world)
-
-    def preempt(self, world: World) -> None:
-        bt.halt_unvisited(self.tree, world)
-
-
-class _MachineEngine:
-    def __init__(self, machine: fsm.StateMachine):
-        self.machine = machine
-        machine.reset_runtime()
-
-    def evaluate(self, world: World) -> Status:
-        # transition exits cancel their skills inside step()
-        return fsm.step(self.machine, world)
-
-    def preempt(self, world: World) -> None:
-        pass
-
-    @property
-    def terminated(self) -> Optional[Status]:
-        return self.machine.terminated
-
-
-class _NestedEngine:
-    terminated: Optional[Status] = None
-
-    def __init__(self, machine: hfsm.HfsmContainer):
-        self.machine = machine
-        machine.reset_runtime()
-
-    def evaluate(self, world: World) -> Status:
-        return hfsm.step(self.machine, world)
-
-    def preempt(self, world: World) -> None:
-        hfsm.halt_unvisited(self.machine, world)
-
-
-def _engine_for(policy: AnyPolicy):
+def _engine(policy: documents.Policy):
+    """``(evaluate, preempt)`` for ``policy``, read off the engine modules
+    at each call. Machines cancel skills inside ``fsm.step``: no preempt."""
     if isinstance(policy, bt.PolicyTree):
-        return _TreeEngine(policy)
+        return bt.tick, bt.halt_unvisited
     if isinstance(policy, fsm.StateMachine):
-        return _MachineEngine(policy)
+        return fsm.step, None
     if isinstance(policy, hfsm.HfsmContainer):
-        return _NestedEngine(policy)
+        return hfsm.step, hfsm.halt_unvisited
     raise WorldError(f"cannot run a {type(policy).__name__}")
 
 
-def run_episode(policy: AnyPolicy, scenario: Scenario) -> Trace:
+def run_episode(policy: documents.Policy, scenario: Scenario) -> Trace:
     """Drive one policy through one scenario and collect the trace.
 
     Machines end the episode at their outcome. Trees keep being ticked
@@ -632,7 +582,8 @@ def run_episode(policy: AnyPolicy, scenario: Scenario) -> Trace:
     ``scenario.success_hold_ticks`` consecutive evaluations.
     """
     world = World(scenario)
-    engine = _engine_for(policy)
+    evaluate, preempt = _engine(policy)
+    policy.reset_runtime()
     last_status: Optional[Status] = None
     success_streak = 0
     outcome, timed_out = "TIMEOUT", True
@@ -641,16 +592,17 @@ def run_episode(policy: AnyPolicy, scenario: Scenario) -> Trace:
     for tick_index in range(scenario.max_ticks):
         ticks = tick_index + 1
         world.begin_tick(tick_index)
-        status = engine.evaluate(world)
-        engine.preempt(world)
+        status = evaluate(policy, world)
+        if preempt is not None:
+            preempt(policy, world)
         world.apply_starts()
         world.advance()
         if status is not last_status:
             world._log("policy_status", status=status.value)
             last_status = status
 
-        if engine.terminated is not None:
-            outcome, timed_out = engine.terminated.value, False
+        if preempt is None and policy.terminated is not None:  # machines only
+            outcome, timed_out = policy.terminated.value, False
             break
         if status is Status.SUCCESS:
             success_streak += 1

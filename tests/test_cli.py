@@ -3,6 +3,8 @@
 import json
 import shutil
 
+import pytest
+
 from policylab import cli, documents, fixtures, report
 from policylab.bt import PolicyTree
 from policylab.fsm import StateMachine
@@ -112,6 +114,13 @@ class TestRun:
         assert err.startswith("error: perturbations[0].args")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("ticks", ["0", "-5"])
+    def test_max_ticks_below_one_exits_one(self, ticks, capsys):
+        assert cli.main(["run", data("fetch_bt"), scenario("baseline"),
+                         "--max-ticks", ticks]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: max_ticks: must be at least 1")
+
 
 class TestMetrics:
     def test_ged_prints_distance_and_script(self, capsys):
@@ -138,6 +147,20 @@ class TestMetrics:
         assert "15" in capsys.readouterr().out
         assert cli.main(["metrics", "--estimate", "bt", "4", "0"]) == 0
         assert "~27" in capsys.readouterr().out
+
+    def test_estimate_with_a_non_integer_count_exits_one(self, capsys):
+        assert cli.main(["metrics", "--estimate", "bt", "x", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: --estimate: M and MFC must be")
+
+    @pytest.mark.parametrize("option", ["--cc", "--counts"])
+    def test_nested_machine_with_an_empty_container_exits_one(self, option, tmp_path,
+                                                              capsys):
+        doc = {"version": 1, "kind": "hfsm", "root": 0, "nodes": [
+            {"id": 0, "type": "sequence_container", "name": "root", "children": []}]}
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["metrics", option, str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: nodes[0]: sequence_container")
 
 
 class TestReport:

@@ -49,6 +49,26 @@ def test_unknown_node_kind():
         documents.parse_policy_document(json.dumps(doc))
 
 
+@pytest.mark.parametrize("node, message", [
+    ({"id": 1, "type": "sequence_container", "name": "empty", "children": []},
+     r"nodes\[1\]: sequence_container needs at least one child"),
+    ({"id": 1, "type": "action", "name": "tuck", "skill": "tuck", "args": [],
+      "children": [2]},
+     r"nodes\[1\]: action leaves cannot have children"),
+    ({"id": 1, "type": "condition", "name": "docked?", "predicate": "docked",
+      "args": [], "children": [2]},
+     r"nodes\[1\]: condition leaves cannot have children"),
+])
+def test_nested_machine_container_and_leaf_rules(node, message):
+    doc = {"version": 1, "kind": "hfsm", "root": 0, "nodes": [
+        {"id": 0, "type": "fallback_container", "name": "root", "children": [1]},
+        node,
+        {"id": 2, "type": "condition", "name": "docked?", "predicate": "docked", "args": []},
+    ]}
+    with pytest.raises(DocumentError, match=message):
+        documents.parse_policy_document(json.dumps(doc))
+
+
 def test_unknown_policy_kind():
     with pytest.raises(DocumentError, match="unknown policy kind"):
         documents.parse_policy_document(json.dumps({"kind": "petri", "nodes": []}))

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from policylab import experiments, fixtures, hfsm, simworld
+from policylab import bt, experiments, fixtures, fsm, hfsm, simworld
 from policylab.core import ConditionLiteral as L, DocumentError, Status, TRANSIT, WorldError
 from policylab.simworld import (
     Perturbation,
@@ -326,6 +326,27 @@ class TestScenarioDocuments:
         with pytest.raises(DocumentError, match=r"perturbations\[0\]\.args"):
             parse_scenario_document(text)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"failures": [{"skill": "fly", "invocation": 1}]},
+         r"failures\[0\]\.skill: unknown skill 'fly'"),
+        ({"failures": [{"invocation": 1}]}, r"failures\[0\]: missing field 'skill'"),
+        ({"items": "ab"}, r"items: expected an object"),
+        ({"durations": [["move_to"]]}, r"durations: expected an object"),
+        ({"durations": {"fly": 3}}, r"durations\.fly: unknown skill"),
+        ({"stations": "center"}, r"stations: expected a list"),
+        ({"perturbations": [{"event": "set_battery", "args": [5]}]},
+         r"perturbations\[0\]: missing field 'tick'"),
+        ({"max_ticks": 0}, r"max_ticks: must be at least 1"),
+        ({"max_ticks": -5}, r"max_ticks: must be at least 1"),
+        ({"version": 7}, r"version: unsupported value 7"),
+    ])
+    def test_malformed_fields_are_named(self, fields, message):
+        with pytest.raises(DocumentError, match=message):
+            parse_scenario_document(self._baseline_with(**fields))
+
+    def test_absent_fields_take_the_dataclass_defaults(self):
+        assert parse_scenario_document('{"version": 1}') == Scenario()
+
     def test_packaged_scenarios_still_parse_unchanged(self):
         for name in sorted(experiments.SCENARIO_BUILDERS):
             text = fixtures.scenario_path(name).read_text()
@@ -335,3 +356,32 @@ class TestScenarioDocuments:
         trace = run_episode(fetch_tree, experiments.baseline_scenario())
         first = trace.to_jsonl().splitlines()[0]
         assert first.startswith('{"tick": 0, "kind": "skill_start"')
+
+
+class TestEngineLookup:
+    """``run_episode`` calls the engine functions through their modules, so a
+    wrapper bound on the module (as the benchmark's tracer does) sees every call."""
+
+    def test_wrappers_bound_on_the_modules_see_every_call(self, monkeypatch):
+        calls = {}
+        for module, name in ((bt, "tick"), (bt, "halt_unvisited"), (fsm, "step"),
+                             (hfsm, "step"), (hfsm, "halt_unvisited")):
+            def counting(*args, _original=getattr(module, name),
+                         _key=f"{module.__name__.rsplit('.', 1)[-1]}.{name}"):
+                calls[_key] = calls.get(_key, 0) + 1
+                return _original(*args)
+            monkeypatch.setattr(module, name, counting)
+
+        scenario = experiments.recharge_scenario()
+        tree = experiments.bt_with_recharge(experiments.fetch_bt())
+        ticks = {
+            "bt": run_episode(tree, scenario).ticks,
+            "fsm": run_episode(experiments.fsm_with_recharge(experiments.fetch_fsm()),
+                               scenario).ticks,
+            "hfsm": run_episode(hfsm.from_bt(tree), scenario).ticks,
+        }
+        assert calls == {
+            "bt.tick": ticks["bt"], "bt.halt_unvisited": ticks["bt"],
+            "fsm.step": ticks["fsm"],
+            "hfsm.step": ticks["hfsm"], "hfsm.halt_unvisited": ticks["hfsm"],
+        }

@@ -46,6 +46,14 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _expect(value, kind: type, path: str):
+    """``value`` when it has the JSON container type ``kind`` (list or dict)."""
+    if not isinstance(value, kind):
+        expected = "a list" if kind is list else "an object"
+        raise DocumentError(f"{path}: expected {expected}, got {value!r}")
+    return value
+
+
 def _require(mapping: dict, key: str, path: str):
     if not isinstance(mapping, dict):
         raise DocumentError(f"{path}: expected an object")
@@ -59,7 +67,8 @@ def _literal_from(obj, path: str, key: str = "pred") -> ConditionLiteral:
     if not isinstance(obj, dict):
         raise DocumentError(f"{path}: expected a literal object")
     try:
-        return ConditionLiteral(_require(obj, key, path), tuple(obj.get("args", ())))
+        return ConditionLiteral(_require(obj, key, path),
+                                tuple(_expect(obj.get("args", []), list, f"{path}.args")))
     except ValidationError as exc:
         raise DocumentError(f"{path}: {exc}") from None
 
@@ -108,7 +117,8 @@ def serialize_policy(policy: Policy) -> str:
 
 def _parse_bt(doc: dict) -> bt.PolicyTree:
     nodes: dict[int, bt.BtNode] = {}
-    for index, entry in enumerate(_require(doc, "nodes", "top level")):
+    for index, entry in enumerate(_expect(_require(doc, "nodes", "top level"), list,
+                                          "nodes")):
         path = f"nodes[{index}]"
         nid = _require(entry, "id", path)
         ntype = _require(entry, "type", path)
@@ -118,9 +128,10 @@ def _parse_bt(doc: dict) -> bt.PolicyTree:
             id=nid,
             kind=ntype,
             name=entry.get("name", ""),
-            children=list(entry.get("children", ())),
+            children=list(_expect(entry.get("children", []), list, f"{path}.children")),
             skill=entry.get("skill", ""),
-            args=tuple(entry.get("args", ())) if ntype == "action" else (),
+            args=(tuple(_expect(entry.get("args", []), list, f"{path}.args"))
+                  if ntype == "action" else ()),
             literal=_literal_from(entry, path, "predicate") if ntype == "condition" else None,
             threshold=entry.get("threshold", 0),
         )
@@ -166,7 +177,8 @@ _STATUS_LABELS = {status.value for status in Status}
 
 def _parse_fsm(doc: dict) -> fsm.StateMachine:
     machine = fsm.StateMachine(initial=_require(doc, "initial", "top level"))
-    for index, entry in enumerate(_require(doc, "states", "top level")):
+    for index, entry in enumerate(_expect(_require(doc, "states", "top level"), list,
+                                          "states")):
         path = f"states[{index}]"
         sid = _require(entry, "id", path)
         stype = _require(entry, "type", path)
@@ -175,7 +187,8 @@ def _parse_fsm(doc: dict) -> fsm.StateMachine:
         if sid in machine.states:
             raise DocumentError(f"{path}.id: duplicate id {sid}")
         transitions = {}
-        for label, target in entry.get("transitions", {}).items():
+        for label, target in _expect(entry.get("transitions", {}), dict,
+                                     f"{path}.transitions").items():
             if label not in _STATUS_LABELS:
                 raise DocumentError(f"{path}.transitions: unknown label {label!r}")
             transitions[label] = target
@@ -184,10 +197,10 @@ def _parse_fsm(doc: dict) -> fsm.StateMachine:
             kind=stype,
             name=entry.get("name", ""),
             skill=entry.get("skill", ""),
-            args=tuple(entry.get("args", ())),
+            args=tuple(_expect(entry.get("args", []), list, f"{path}.args")),
             dispatch_pre=tuple(
                 _literal_from(lit, f"{path}.pre[{i}]")
-                for i, lit in enumerate(entry.get("pre", ()))
+                for i, lit in enumerate(_expect(entry.get("pre", []), list, f"{path}.pre"))
             ),
             achieves=(
                 _literal_from(entry["post"], f"{path}.post")
@@ -196,21 +209,23 @@ def _parse_fsm(doc: dict) -> fsm.StateMachine:
             interrupts=[
                 (_guard_from(item, f"{path}.interrupts[{i}]"),
                  _require(item, "target", f"{path}.interrupts[{i}]"))
-                for i, item in enumerate(entry.get("interrupts", ()))
+                for i, item in enumerate(_expect(entry.get("interrupts", []), list,
+                                                 f"{path}.interrupts"))
             ],
             transitions=transitions,
             rank=entry.get("rank", 0),
             outcome=Status(entry["status"]) if stype == "outcome" else None,
         )
         machine.states[sid] = state
-    machine.plan_order = list(doc.get("plan_order", ()))
+    machine.plan_order = list(_expect(doc.get("plan_order", []), list, "plan_order"))
     machine.goal = tuple(
-        _literal_from(lit, f"goal[{i}]") for i, lit in enumerate(doc.get("goal", ()))
+        _literal_from(lit, f"goal[{i}]")
+        for i, lit in enumerate(_expect(doc.get("goal", []), list, "goal"))
     )
     machine.connected = [
         (_require(item, "state", f"connected[{i}]"),
          _guard_from(item, f"connected[{i}]"))
-        for i, item in enumerate(doc.get("connected", ()))
+        for i, item in enumerate(_expect(doc.get("connected", []), list, "connected"))
     ]
     try:
         machine.validate()
@@ -262,7 +277,8 @@ def _fsm_doc(machine: fsm.StateMachine) -> dict:
 
 def _parse_hfsm(doc: dict) -> hfsm.HfsmContainer:
     entries: dict[int, dict] = {}
-    for index, entry in enumerate(_require(doc, "nodes", "top level")):
+    for index, entry in enumerate(_expect(_require(doc, "nodes", "top level"), list,
+                                          "nodes")):
         path = f"nodes[{index}]"
         nid = _require(entry, "id", path)
         ntype = _require(entry, "type", path)
@@ -270,9 +286,10 @@ def _parse_hfsm(doc: dict) -> hfsm.HfsmContainer:
             raise DocumentError(f"{path}.type: unknown container kind {ntype!r}")
         if nid in entries:
             raise DocumentError(f"{path}.id: duplicate id {nid}")
-        if ntype in hfsm.LEAF_KINDS and entry.get("children"):
+        children = _expect(entry.get("children", []), list, f"{path}.children")
+        if ntype in hfsm.LEAF_KINDS and children:
             raise DocumentError(f"{path}: {ntype} leaves cannot have children")
-        if ntype in hfsm.CONTAINER_KINDS and not entry.get("children"):
+        if ntype in hfsm.CONTAINER_KINDS and not children:
             raise DocumentError(f"{path}: {ntype} needs at least one child")
         entries[nid] = entry
     referenced: list = []
@@ -296,7 +313,8 @@ def _parse_hfsm(doc: dict) -> hfsm.HfsmContainer:
             children=[build(child, seen + (nid,))
                       for child in entry.get("children", ())],
             skill=entry.get("skill", ""),
-            args=tuple(entry.get("args", ())) if ntype == "action" else (),
+            args=(tuple(_expect(entry.get("args", []), list, f"node {nid}.args"))
+                  if ntype == "action" else ()),
             literal=(_literal_from(entry, f"node {nid}", "predicate")
                      if ntype == "condition" else None),
         )
@@ -323,19 +341,21 @@ def _hfsm_doc(root: hfsm.HfsmContainer) -> dict:
 def parse_library_document(data) -> ActionLibrary:
     doc = _load(data)
     specs = []
-    for index, entry in enumerate(_require(doc, "actions", "top level")):
+    for index, entry in enumerate(_expect(_require(doc, "actions", "top level"), list,
+                                          "actions")):
         path = f"actions[{index}]"
         try:
             specs.append(ActionSpec(
                 name=_require(entry, "name", path),
-                params=tuple(entry.get("params", ())),
+                params=tuple(_expect(entry.get("params", []), list, f"{path}.params")),
                 preconditions=tuple(
                     _literal_from(lit, f"{path}.pre[{i}]")
-                    for i, lit in enumerate(entry.get("pre", ()))
+                    for i, lit in enumerate(_expect(entry.get("pre", []), list, f"{path}.pre"))
                 ),
                 postconditions=tuple(
                     _literal_from(lit, f"{path}.post[{i}]")
-                    for i, lit in enumerate(entry.get("post", ()))
+                    for i, lit in enumerate(_expect(entry.get("post", []), list,
+                                                    f"{path}.post"))
                 ),
                 skill=entry.get("skill", ""),
             ))
@@ -366,11 +386,12 @@ def parse_goal_document(data) -> Goal:
         return Goal(
             conditions=tuple(
                 _literal_from(lit, f"goal[{i}]")
-                for i, lit in enumerate(_require(doc, "goal", "top level"))
+                for i, lit in enumerate(_expect(_require(doc, "goal", "top level"), list,
+                                                "goal"))
             ),
             initially=tuple(
                 _literal_from(lit, f"initially[{i}]")
-                for i, lit in enumerate(doc.get("initially", ()))
+                for i, lit in enumerate(_expect(doc.get("initially", []), list, "initially"))
             ),
         )
     except ValidationError as exc:

@@ -4,10 +4,12 @@ All three policy kinds encode into one labeled directed multigraph type,
 the substrate for graph edit distance, cyclomatic complexity and element
 counting. The exact edit distance is a best-first search over partial
 vertex mappings with an admissible bound, started from the anchored
-mapping (identity on shared ids) as its incumbent; an incomplete result
-returns the best mapping's cost, at worst the incumbent's, as an upper
-bound. A tiny exhaustive solver serves as its ground-truth oracle on
-small graphs.
+mapping (identity on shared ids) as its incumbent. The root bound is
+checked against the incumbent before any set-up; only a pair it does
+not prove gets its edges indexed into neighbour lists, from which each
+search step is costed sparsely. An incomplete result returns the best
+mapping's cost, at worst the incumbent's, as an upper bound. A tiny
+exhaustive solver serves as its ground-truth oracle on small graphs.
 """
 
 from __future__ import annotations
@@ -286,8 +288,13 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     on shared ids costed under ``cost``, and expands only nodes whose
     admissible bound (the vertex count difference plus the
     not-yet-reconciled edge count difference) stays below the best cost
-    known. When the root bound meets the incumbent, the incumbent is
-    proven optimal without any expansion. When the time budget runs out
+    known. The root bound needs only the vertex and edge counts, so it
+    is checked before any set-up: when it meets the incumbent, the
+    incumbent is returned as proven optimal without building an index.
+    Otherwise the edges are indexed once, in time linear in their
+    number, into neighbour lists, and each step costs a candidate from
+    the edges it shares with vertices already placed, on either side,
+    rather than from every placed pair. When the time budget runs out
     the best mapping known, at worst the incumbent, is returned with its
     cost as an upper bound and ``complete`` set to False; the result is
     never silently wrong.
@@ -295,20 +302,15 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     cost = cost or GedCostModel()
     deadline = time.monotonic() + budget
 
-    degree = _degrees(g1)
-    order = sorted(g1.vertices, key=lambda v: (-degree[v], v))
-    g2_ids = sorted(g2.vertices)
-    n1 = len(order)
+    best_mapping = {v: v if v in g2.vertices else None for v in g1.vertices}
+    script = _script_for_mapping(g1, g2, best_mapping, cost)
+    best_cost = script.cost
+    n1, n2 = len(g1.vertices), len(g2.vertices)
+    total_e1, total_e2 = len(g1.edges), len(g2.edges)
 
-    # edges indexed by ordered endpoint pair for fast incremental costs
-    pair_labels1 = _pair_index(g1)
-    pair_labels2 = _pair_index(g2)
-    total_e1 = len(g1.edges)
-    total_e2 = len(g2.edges)
-
-    def heuristic(index: int, used: frozenset, settled_e1: int, settled_e2: int) -> float:
+    def heuristic(index: int, n_used: int, settled_e1: int, settled_e2: int) -> float:
         rem1 = n1 - index
-        rem2 = len(g2_ids) - len(used)
+        rem2 = n2 - n_used
         if rem1 > rem2:
             vertex_bound = (rem1 - rem2) * cost.node_delete
         else:
@@ -321,59 +323,69 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
             edge_bound = (open_e2 - open_e1) * cost.edge_insert
         return vertex_bound + edge_bound
 
-    def assignment_cost(index: int, candidate, assigned: tuple) -> tuple:
-        """(incremental cost, g1 edges settled, g2 edges settled)."""
+    root_h = heuristic(0, 0, 0, 0)
+    if root_h >= best_cost:
+        return GedResult(distance=best_cost, complete=True, script=script,
+                         mapping=best_mapping)
+
+    degree = _degrees(g1)
+    order = sorted(g1.vertices, key=lambda v: (-degree[v], v))
+    position = {v: i for i, v in enumerate(order)}
+    g2_ids = sorted(g2.vertices)
+    loops1, neighbours1 = _neighbours(g1)
+    loops2, neighbours2 = _neighbours(g2)
+    # per position: the earlier positions it shares an edge with, and the
+    # g1 edges its assignment settles whatever the candidate
+    earlier1 = [{position[w]: labels for w, labels in neighbours1[v].items()
+                 if position[w] < i} for i, v in enumerate(order)]
+    settled_at = [len(loops1.get(v, ())) + sum(len(out) + len(into)
+                                               for out, into in earlier1[i].values())
+                  for i, v in enumerate(order)]
+
+    def group_cost(labels1, labels2) -> float:
+        if labels1 and labels2:
+            return cost.edge_group_cost(labels1, labels2)
+        return len(labels1) * cost.edge_delete + len(labels2) * cost.edge_insert
+
+    def assignment_cost(index: int, candidate, assigned: tuple, placed: dict) -> tuple:
+        """(incremental cost, g2 edges settled); ``placed`` maps g2 ids to positions."""
         v1 = order[index]
-        label2 = g2.vertices[candidate] if candidate is not None else None
-        increment = cost.vertex_cost(g1.vertices[v1], label2)
-        settled1 = 0
-        settled2 = 0
-        loops1 = pair_labels1.get((v1, v1), ())
-        settled1 += len(loops1)
-        if candidate is not None:
-            loops2 = pair_labels2.get((candidate, candidate), ())
-            settled2 += len(loops2)
-            increment += cost.edge_group_cost(loops1, loops2)
-        else:
-            increment += len(loops1) * cost.edge_delete
-        for j in range(index):
-            other1 = order[j]
-            other2 = assigned[j]
-            for source1, target1, source2, target2 in (
-                (v1, other1, candidate, other2),
-                (other1, v1, other2, candidate),
-            ):
-                labels1 = pair_labels1.get((source1, target1), ())
-                settled1 += len(labels1)
-                if candidate is not None and other2 is not None:
-                    labels2 = pair_labels2.get((source2, target2), ())
-                    settled2 += len(labels2)
-                    increment += cost.edge_group_cost(labels1, labels2)
-                else:
-                    increment += len(labels1) * cost.edge_delete
-        return increment, settled1, settled2
+        if candidate is None:
+            return (cost.vertex_cost(g1.vertices[v1], None)
+                    + settled_at[index] * cost.edge_delete), 0
+        increment = cost.vertex_cost(g1.vertices[v1], g2.vertices[candidate])
+        loops = loops2.get(candidate, ())
+        increment += group_cost(loops1.get(v1, ()), loops)
+        settled2 = len(loops)
+        earlier = earlier1[index]
+        around = neighbours2[candidate]
+        for j, (out1, into1) in earlier.items():
+            labels2 = around.get(assigned[j])  # None: deleted, or no edge in g2
+            if labels2 is None:
+                increment += (len(out1) + len(into1)) * cost.edge_delete
+            else:
+                increment += group_cost(out1, labels2[0]) + group_cost(into1, labels2[1])
+        for other2, (out2, into2) in around.items():
+            j = placed.get(other2)
+            if j is not None:
+                settled2 += len(out2) + len(into2)
+                if j not in earlier:
+                    increment += (len(out2) + len(into2)) * cost.edge_insert
+        return increment, settled2
 
-    def finish_cost(used: frozenset) -> float:
-        unused = [v for v in g2_ids if v not in used]
-        extra = len(unused) * cost.node_insert
-        unused_set = set(unused)
-        dangling = sum(1 for s, t, _ in g2.edges if s in unused_set or t in unused_set)
-        return extra + dangling * cost.edge_insert
-
-    best_mapping = {v: v if v in g2.vertices else None for v in g1.vertices}
-    script = _script_for_mapping(g1, g2, best_mapping, cost)
-    best_cost = script.cost
     complete = True
-
-    root_h = heuristic(0, frozenset(), 0, 0)
     counter = itertools.count()
-    heap = [(root_h, 0, next(counter), 0.0, 0, (), frozenset(), 0, 0)]
+    heap = [(root_h, 0, next(counter), 0.0, (), 0, 0)]
     while heap:
-        f, neg_depth, _, g_cost, index, assigned, used, settled1, settled2 = heapq.heappop(heap)
+        f, neg_depth, _, g_cost, assigned, settled1, settled2 = heapq.heappop(heap)
         if f >= best_cost:
             break
+        index = -neg_depth
+        placed = {v2: j for j, v2 in enumerate(assigned) if v2 is not None}
         if index == n1:
-            total = g_cost + finish_cost(used)
+            # g2 vertices left unplaced are inserted with every edge touching them
+            total = g_cost + ((n2 - len(placed)) * cost.node_insert
+                              + (total_e2 - settled2) * cost.edge_insert)
             if total < best_cost:
                 best_cost = total
                 best_mapping = dict(zip(order, assigned))
@@ -383,22 +395,22 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
             complete = False
             break
 
-        candidates: list = [c for c in g2_ids if c not in used]
+        ns1 = settled1 + settled_at[index]
+        candidates: list = [c for c in g2_ids if c not in placed]
         candidates.append(None)
         scored = []
         for candidate in candidates:
-            increment, ds1, ds2 = assignment_cost(index, candidate, assigned)
+            increment, ds2 = assignment_cost(index, candidate, assigned, placed)
             new_g = g_cost + increment
-            new_used = used | {candidate} if candidate is not None else used
-            h = heuristic(index + 1, new_used, settled1 + ds1, settled2 + ds2)
+            n_used = len(placed) + (candidate is not None)
+            h = heuristic(index + 1, n_used, ns1, settled2 + ds2)
             if new_g + h < best_cost:
-                scored.append((new_g + h, candidate, new_g, new_used,
-                               settled1 + ds1, settled2 + ds2))
+                scored.append((new_g + h, candidate, new_g, settled2 + ds2))
         scored.sort(key=lambda item: (item[0], item[1] is None))
-        for new_f, candidate, new_g, new_used, ns1, ns2 in scored:
+        for new_f, candidate, new_g, ns2 in scored:
             heapq.heappush(heap, (
-                new_f, -(index + 1), next(counter), new_g, index + 1,
-                assigned + (candidate,), new_used, ns1, ns2,
+                new_f, -(index + 1), next(counter), new_g,
+                assigned + (candidate,), ns1, ns2,
             ))
 
     if script is None:  # the search replaced the seed mapping
@@ -422,6 +434,22 @@ def _pair_index(graph: PolicyGraph) -> dict:
     for source, target, label in graph.edges:
         index.setdefault((source, target), []).append(label)
     return index
+
+
+def _neighbours(graph: PolicyGraph) -> tuple:
+    """Self-loop labels per vertex, and per vertex ``v`` a map from each
+    other vertex ``w`` it shares an edge with to (labels v->w, labels w->v)."""
+    loops: dict = {}
+    neighbours: dict = {v: {} for v in graph.vertices}
+    for (source, target), labels in _pair_index(graph).items():
+        if source == target:
+            loops[source] = labels
+            continue
+        _, into = neighbours[source].get(target, ((), ()))
+        neighbours[source][target] = (labels, into)
+        out, _ = neighbours[target].get(source, ((), ()))
+        neighbours[target][source] = (out, labels)
+    return loops, neighbours
 
 
 # ---------------------------------------------------------------------------

@@ -190,39 +190,34 @@ class Scenario:
                 continue
             value = doc[f.name]
             if f.name == "failures":
-                value = tuple(_failure_from(entry, f"failures[{i}]")
-                              for i, entry in enumerate(_expect(value, list, f.name)))
+                entries = enumerate(documents._expect(value, list, f.name))
+                value = tuple(_failure_from(entry, f"failures[{i}]") for i, entry in entries)
             elif f.name == "perturbations":
+                entries = enumerate(documents._expect(value, list, f.name))
                 value = tuple(_perturbation_from(entry, f"perturbations[{i}]")
-                              for i, entry in enumerate(_expect(value, list, f.name)))
+                              for i, entry in entries)
             elif isinstance(f.default, tuple):
-                value = tuple(_expect(value, list, f.name))
+                value = tuple(documents._expect(value, list, f.name))
             elif f.default_factory is dict:
-                value = dict(_expect(value, dict, f.name))
+                value = dict(documents._expect(value, dict, f.name))
             values[f.name] = value
         scenario = cls(**values)
         scenario.validate()
         return scenario
 
 
-def _expect(value, kind: type, path: str):
-    if not isinstance(value, kind):
-        expected = "a list" if kind is list else "an object"
-        raise DocumentError(f"{path}: expected {expected}, got {value!r}")
-    return value
-
-
 def _failure_from(entry, path: str) -> tuple:
     skill = documents._require(entry, "skill", path)
     args = entry.get("args")
-    return (skill, None if args is None else tuple(_expect(args, list, f"{path}.args")),
-            entry.get("invocation", 1))
+    if args is not None:
+        args = tuple(documents._expect(args, list, f"{path}.args"))
+    return skill, args, entry.get("invocation", 1)
 
 
 def _perturbation_from(entry, path: str) -> Perturbation:
     return Perturbation(documents._require(entry, "tick", path),
                         documents._require(entry, "event", path),
-                        tuple(_expect(entry.get("args", []), list, f"{path}.args")))
+                        tuple(documents._expect(entry.get("args", []), list, f"{path}.args")))
 
 
 def parse_scenario_document(data) -> Scenario:

@@ -24,6 +24,37 @@ def goal_and_library():
     return str(base / "fetch_goal.json"), str(base / "fetch_library.json")
 
 
+#: full ``metrics --ged`` output for the two table-2 pairs the root bound
+#: does not prove; a change in search order changes the printed script
+SEARCHED_PAIR_OUTPUT = {
+    "fetch_fsm_tuck": """\
+ged: 5
+edit script (10 ops, 4 vertex ops):
+  insert_vertex 6 outcome:SUCCESS
+  substitute_vertex 3 skill:tuck()!
+  substitute_vertex 4 skill:move_to(delivery)!
+  substitute_vertex 5 skill:place(cube2)!
+  insert_edge 0 6 SUCCESS
+  insert_edge 5 6 SUCCESS
+  substitute_edge 0 4 in_hand(cube2) & robot_at(delivery) in_hand(cube2)
+  substitute_edge 0 5 SUCCESS in_hand(cube2) & robot_at(delivery)
+  insert_edge 5 0 FAILURE
+  insert_edge 5 5 RUNNING
+""",
+    "fetch_fsm_dock": """\
+ged: 5
+edit script (7 ops, 2 vertex ops):
+  insert_vertex 6 outcome:SUCCESS
+  substitute_vertex 5 skill:dock()!
+  insert_edge 0 6 SUCCESS
+  insert_edge 5 6 SUCCESS
+  substitute_edge 0 5 SUCCESS object_at(cube2, delivery)
+  insert_edge 5 0 FAILURE
+  insert_edge 5 5 RUNNING
+""",
+}
+
+
 class TestBuild:
     def test_tree_output(self, tmp_path, capsys):
         goal, library = goal_and_library()
@@ -138,6 +169,11 @@ class TestMetrics:
         assert code == 4
         assert "INCOMPLETE" in out
 
+    @pytest.mark.parametrize("target", sorted(SEARCHED_PAIR_OUTPUT))
+    def test_searched_pairs_print_the_pinned_script(self, target, capsys):
+        assert cli.main(["metrics", "--ged", data("fetch_fsm"), data(target)]) == 0
+        assert capsys.readouterr().out == SEARCHED_PAIR_OUTPUT[target]
+
     def test_cc_counts_effort_estimate(self, capsys):
         assert cli.main(["metrics", "--cc", data("fetch_fsm")]) == 0
         assert "14" in capsys.readouterr().out
@@ -161,6 +197,18 @@ class TestMetrics:
         path.write_text(json.dumps(doc))
         assert cli.main(["metrics", option, str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: nodes[0]: sequence_container")
+
+
+    @pytest.mark.parametrize("option", ["--cc", "--counts", "--ged"])
+    def test_policy_with_a_mistyped_container_exits_one(self, option, tmp_path, capsys):
+        doc = json.loads(fixtures.policy_path("fetch_fsm").read_text())
+        doc["states"][0]["transitions"] = [1]
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps(doc))
+        paths = [str(path), data("fetch_fsm")] if option == "--ged" else [str(path)]
+        assert cli.main(["metrics", option, *paths]) == 1
+        assert capsys.readouterr().err == \
+            "error: states[0].transitions: expected an object, got [1]\n"
 
 
 class TestReport:

@@ -123,3 +123,51 @@ def test_library_level_defects_still_rejected():
     doc = {"version": 1, "actions": [{"name": "pick"}]}
     with pytest.raises(DocumentError, match="no postconditions"):
         documents.parse_library_document(json.dumps(doc))
+
+
+MISTYPED_CONTAINERS = [  # (fixture document, path to the field, value, error)
+    ("fetch_bt.json", ["nodes"], 5, "nodes: expected a list, got 5"),
+    ("fetch_bt.json", ["nodes", 13, "children"], 5,
+     r"nodes\[13\]\.children: expected a list, got 5"),
+    ("fetch_bt.json", ["nodes", 3, "args"], 4, r"nodes\[3\]\.args: expected a list, got 4"),
+    ("fetch_bt.json", ["nodes", 0, "args"], "cube2",
+     r"nodes\[0\]\.args: expected a list, got 'cube2'"),
+    ("pick_place_hfsm.json", ["nodes"], 7, "nodes: expected a list, got 7"),
+    ("pick_place_hfsm.json", ["nodes", 2, "children"], 5,
+     r"nodes\[2\]\.children: expected a list, got 5"),
+    ("pick_place_hfsm.json", ["nodes", 1, "args"], 4, r"node 1\.args: expected a list, got 4"),
+    ("fetch_fsm.json", ["states"], 5, "states: expected a list, got 5"),
+    ("fetch_fsm.json", ["states", 0, "transitions"], [1],
+     r"states\[0\]\.transitions: expected an object, got \[1\]"),
+    ("fetch_fsm.json", ["states", 2, "pre"], 3, r"states\[2\]\.pre: expected a list, got 3"),
+    ("fetch_fsm.json", ["states", 1, "args"], 4, r"states\[1\]\.args: expected a list, got 4"),
+    ("fetch_fsm.json", ["states", 1, "interrupts"], 1,
+     r"states\[1\]\.interrupts: expected a list, got 1"),
+    ("fetch_fsm.json", ["plan_order"], 5, "plan_order: expected a list, got 5"),
+    ("fetch_fsm.json", ["goal"], {"pred": "docked"}, "goal: expected a list, got {"),
+    ("fetch_fsm.json", ["connected"], 1, "connected: expected a list, got 1"),
+    ("fetch_library.json", ["actions"], 1, "actions: expected a list, got 1"),
+    ("fetch_library.json", ["actions", 0, "params"], 1,
+     r"actions\[0\]\.params: expected a list, got 1"),
+    ("fetch_library.json", ["actions", 1, "pre"], 1,
+     r"actions\[1\]\.pre: expected a list, got 1"),
+    ("fetch_library.json", ["actions", 1, "post"], 1,
+     r"actions\[1\]\.post: expected a list, got 1"),
+    ("fetch_goal.json", ["goal"], 1, "goal: expected a list, got 1"),
+    ("fetch_goal.json", ["initially"], 1, "initially: expected a list, got 1"),
+]
+
+
+@pytest.mark.parametrize("name, path, value, message", MISTYPED_CONTAINERS, ids=[
+    f"{name[:-5]}:{'.'.join(map(str, path))}" for name, path, _, _ in MISTYPED_CONTAINERS])
+def test_container_field_of_the_wrong_json_type(name, path, value, message):
+    doc = json.loads((fixtures.data_dir() / name).read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    parse = {"fetch_library.json": documents.parse_library_document,
+             "fetch_goal.json": documents.parse_goal_document}.get(
+        name, documents.parse_policy_document)
+    with pytest.raises(DocumentError, match=message):
+        parse(json.dumps(doc))

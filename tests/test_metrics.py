@@ -186,6 +186,56 @@ class TestSeededSearch:
             assert isomorphic(apply_script(g1, result.script), g2), index
 
 
+ASYMMETRIC = GedCostModel(node_insert=2, node_delete=1, node_substitute=1,
+                          edge_insert=3, edge_delete=1, edge_substitute=2)
+
+
+class EmptyGroupsRefused(GedCostModel):
+    """A model that fails if the search reconciles two empty label groups."""
+
+    def edge_group_cost(self, labels1, labels2) -> float:
+        if not labels1 and not labels2:
+            raise AssertionError("edge_group_cost called on two empty groups")
+        return super().edge_group_cost(labels1, labels2)
+
+
+class TestSparseSearch:
+    def test_asymmetric_model_matches_the_oracle(self):
+        # insert and delete prices differ, so a swapped one-sided charge shows
+        rng = random.Random(29)
+        for index in range(100):
+            g1, g2 = random_graph(rng, max_vertices=6), random_graph(rng, max_vertices=6)
+            result = ged_exact(g1, g2, cost=ASYMMETRIC)
+            assert result.complete, index
+            assert result.distance == brute_force_ged(g1, g2, ASYMMETRIC), index
+            assert result.script.cost == result.distance, index
+            assert isomorphic(apply_script(g1, result.script), g2), index
+
+    def test_pairs_proven_at_the_root_build_no_index(self, monkeypatch):
+        def refuse(graph):
+            raise AssertionError("index built for a pair the root bound proves")
+
+        monkeypatch.setattr(metrics, "_pair_index", refuse)
+        monkeypatch.setattr(metrics, "_degrees", refuse)
+        base = metrics.bt_to_graph(fixtures.load_policy("fetch_bt"))
+        tuck = metrics.bt_to_graph(fixtures.load_policy("fetch_bt_tuck"))
+        result = ged_exact(base, tuck)
+        assert result.complete
+        assert result.distance == 6
+
+    def test_empty_label_groups_are_never_reconciled(self):
+        refusing = EmptyGroupsRefused()
+        rng = random.Random(31)
+        for index in range(60):
+            g1, g2 = random_graph(rng), random_graph(rng)
+            assert ged_exact(g1, g2, cost=refusing).distance == \
+                ged_exact(g1, g2).distance, index
+        for kind, name, g1, g2, want in reference_pairs():
+            if (kind, name) in ROOT_GAP_PAIRS:
+                result = ged_exact(g1, g2, cost=refusing)
+                assert result.complete and result.distance == want, name
+
+
 class TestAnchoredDistance:
     def test_identity_graphs(self, fetch_tree):
         graph = metrics.bt_to_graph(fetch_tree)

@@ -62,7 +62,6 @@ class PolicyTree:
     last_tick_visited: set[int] = field(default_factory=set)
     memory_marks: dict[int, int] = field(default_factory=dict)
     active_actions: set[int] = field(default_factory=set)
-    last_status: dict[int, Status] = field(default_factory=dict)
 
     def node(self, node_id: int) -> BtNode:
         try:
@@ -91,7 +90,6 @@ class PolicyTree:
         self.last_tick_visited.clear()
         self.memory_marks.clear()
         self.active_actions.clear()
-        self.last_status.clear()
 
     def validate(self) -> None:
         """Check the structural invariants: single rooted tree, leaf kinds."""
@@ -173,7 +171,6 @@ def _tick_node(tree: PolicyTree, node_id: int, world: TickWorld, visited: set[in
     else:  # pragma: no cover - validate() rejects unknown kinds
         raise ValidationError(f"cannot tick node kind {node.kind!r}")
 
-    tree.last_status[node_id] = status
     return status
 
 
@@ -265,7 +262,6 @@ def remove_subtree(tree: PolicyTree, node_id: int) -> PolicyTree:
         del tree.nodes[nid]
         tree.memory_marks.pop(nid, None)
         tree.active_actions.discard(nid)
-        tree.last_status.pop(nid, None)
     return tree
 
 
@@ -303,27 +299,6 @@ def count_elements(tree: PolicyTree) -> dict:
     nodes = len(tree.nodes)
     edges = sum(len(n.children) for n in tree.nodes.values())
     return {"nodes": nodes, "edges": edges, "graphical": nodes + edges, "active": nodes}
-
-
-# ---------------------------------------------------------------------------
-# debug rendering
-
-
-def render_text(tree: PolicyTree) -> str:
-    """Indented listing with each node's status from the latest tick."""
-    lines: list[str] = []
-
-    def walk(node_id: int, depth: int) -> None:
-        node = tree.node(node_id)
-        status = tree.last_status.get(node_id)
-        mark = f" [{status}]" if status is not None else ""
-        label = node.name or node.kind
-        lines.append(f"{'    ' * depth}{node.kind}: {label}{mark}")
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(tree.root, 0)
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

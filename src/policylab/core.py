@@ -25,19 +25,9 @@ class Status(enum.Enum):
 #: Robot position while a motion skill is in flight; matches no station.
 TRANSIT = "TRANSIT"
 
-#: Closed set of world predicates. Everything a policy may test must be here
-#: so that every document that parses is also evaluable by the simulator.
-PREDICATES = (
-    "robot_at",
-    "in_hand",
-    "object_at",
-    "battery_above",
-    "arm_tucked",
-    "docked",
-    "found",
-)
-
-#: Predicate name -> expected argument count.
+#: Closed set of world predicates, name -> expected argument count.
+#: Everything a policy may test must be here so that every document that
+#: parses is also evaluable by the simulator.
 _PREDICATE_ARITY = {
     "robot_at": 1,
     "in_hand": 1,

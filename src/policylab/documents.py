@@ -192,6 +192,13 @@ def _parse_fsm(doc: dict) -> fsm.StateMachine:
             if label not in _STATUS_LABELS:
                 raise DocumentError(f"{path}.transitions: unknown label {label!r}")
             transitions[label] = target
+        outcome = None
+        if stype == "outcome":
+            status = _require(entry, "status", path)
+            if not isinstance(status, str) or status not in _STATUS_LABELS:
+                raise DocumentError(f"{path}.status: expected SUCCESS, FAILURE or RUNNING, "
+                                    f"got {status!r}")
+            outcome = Status(status)
         state = fsm.FsmState(
             id=sid,
             kind=stype,
@@ -214,7 +221,7 @@ def _parse_fsm(doc: dict) -> fsm.StateMachine:
             ],
             transitions=transitions,
             rank=entry.get("rank", 0),
-            outcome=Status(entry["status"]) if stype == "outcome" else None,
+            outcome=outcome,
         )
         machine.states[sid] = state
     machine.plan_order = list(_expect(doc.get("plan_order", []), list, "plan_order"))

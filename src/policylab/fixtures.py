@@ -31,25 +31,24 @@ def available_policies(base: Path | None = None) -> list[str]:
                   if not p.stem.endswith(("_library", "_goal")))
 
 
-def load_policy(name: str, base: Path | None = None):
-    path = policy_path(name, base)
+def _load(path: Path, what: str, name: str, parse):
     if not path.is_file():
-        raise DocumentError(f"fixture {name!r} not found at {path}")
-    return documents.parse_policy_document(path.read_text())
+        raise DocumentError(f"{what} {name!r} not found at {path}")
+    return parse(path.read_text())
+
+
+def load_policy(name: str, base: Path | None = None):
+    return _load(policy_path(name, base), "fixture", name, documents.parse_policy_document)
 
 
 def load_library(name: str, base: Path | None = None):
-    path = (base or data_dir()) / f"{name}_library.json"
-    if not path.is_file():
-        raise DocumentError(f"library fixture {name!r} not found at {path}")
-    return documents.parse_library_document(path.read_text())
+    return _load((base or data_dir()) / f"{name}_library.json", "library fixture", name,
+                 documents.parse_library_document)
 
 
 def load_goal(name: str, base: Path | None = None):
-    path = (base or data_dir()) / f"{name}_goal.json"
-    if not path.is_file():
-        raise DocumentError(f"goal fixture {name!r} not found at {path}")
-    return documents.parse_goal_document(path.read_text())
+    return _load((base or data_dir()) / f"{name}_goal.json", "goal fixture", name,
+                 documents.parse_goal_document)
 
 
 def scenario_path(name: str, base: Path | None = None) -> Path:
@@ -57,10 +56,8 @@ def scenario_path(name: str, base: Path | None = None) -> Path:
 
 
 def load_scenario(name: str, base: Path | None = None) -> Scenario:
-    path = scenario_path(name, base)
-    if not path.is_file():
-        raise DocumentError(f"scenario fixture {name!r} not found at {path}")
-    return parse_scenario_document(path.read_text())
+    return _load(scenario_path(name, base), "scenario fixture", name,
+                 parse_scenario_document)
 
 
 def write_fixtures(target: Path | None = None) -> list[Path]:

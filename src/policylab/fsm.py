@@ -510,19 +510,3 @@ def _dispatch(sm: StateMachine, world) -> Optional[int]:
         index -= 1
     return None
 
-
-# ---------------------------------------------------------------------------
-# rendering
-
-
-def to_dot(sm: StateMachine) -> str:
-    """GraphViz rendering of states and labeled transitions."""
-    lines = ["digraph fsm {", "    rankdir=LR;"]
-    for state in sorted(sm.states.values(), key=lambda s: s.id):
-        shape = {"selector": "diamond", "outcome": "doublecircle"}.get(state.kind, "oval")
-        label = state.name or str(state.id)
-        lines.append(f'    n{state.id} [label="{label}" shape={shape}];')
-    for source, target, label in iter_edges(sm):
-        lines.append(f'    n{source} -> n{target} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines)

@@ -19,9 +19,6 @@ from .core import ConditionLiteral, Status, ValidationError
 CONTAINER_KINDS = ("sequence_container", "fallback_container")
 LEAF_KINDS = ("action", "condition")
 
-#: outcomes every container exposes
-OUTCOMES = (Status.SUCCESS, Status.FAILURE, Status.RUNNING)
-
 
 @dataclass
 class HfsmContainer:

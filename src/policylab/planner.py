@@ -51,9 +51,6 @@ class Plan:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def specs(self) -> list[ActionSpec]:
-        return [step.spec for step in self.steps]
-
 
 # ---------------------------------------------------------------------------
 # symbolic world model

@@ -110,18 +110,12 @@ def _cell(row: str, column: str, computed, expected, documented=None, note="") -
 # ---------------------------------------------------------------------------
 # modification distances (three representations, four case studies)
 
-_DISTANCE_EXPECTED = {
-    "tuck_arm": {"bt": 6, "fsm": 5, "hfsm": 12},
-    "safe_move_to": {"bt": 2, "fsm": 4, "hfsm": 4},
-    "dock": {"bt": 8, "fsm": 5, "hfsm": 17},
-    "recharge_battery": {"bt": 8, "fsm": 8, "hfsm": 17},
-}
-
-_DISTANCE_FIXTURES = {
-    "tuck_arm": ("fetch_bt_tuck", "fetch_fsm_tuck"),
-    "safe_move_to": ("fetch_bt_safe_move", "fetch_fsm_safe_move"),
-    "dock": ("fetch_bt_dock", "fetch_fsm_dock"),
-    "recharge_battery": ("fetch_bt_recharge", "fetch_fsm_recharge"),
+#: row -> (tree fixture, machine fixture, reference distances for bt/fsm/hfsm)
+_DISTANCES = {
+    "tuck_arm": ("fetch_bt_tuck", "fetch_fsm_tuck", (6, 5, 12)),
+    "safe_move_to": ("fetch_bt_safe_move", "fetch_fsm_safe_move", (2, 4, 4)),
+    "dock": ("fetch_bt_dock", "fetch_fsm_dock", (8, 5, 17)),
+    "recharge_battery": ("fetch_bt_recharge", "fetch_fsm_recharge", (8, 8, 17)),
 }
 
 
@@ -132,6 +126,12 @@ def _exact(g1, g2, budget: float) -> int:
     return int(result.distance)
 
 
+def _encode(tree, machine) -> tuple:
+    """The tree, the machine and the nested machine built from the tree, as graphs."""
+    return (metrics.bt_to_graph(tree), metrics.fsm_to_graph(machine),
+            metrics.hfsm_to_graph(hfsm.from_bt(tree)))
+
+
 def modification_distance_report(base: Path | None = None,
                                  budget: float = DEFAULT_GED_BUDGET) -> Report:
     """Edit distances of the four modified policies to their baselines."""
@@ -139,39 +139,48 @@ def modification_distance_report(base: Path | None = None,
         title="Structure edit distances of the modification case studies",
         columns=["bt", "fsm", "hfsm"],
     )
-    base_bt = load_policy("fetch_bt", base)
-    base_fsm = load_policy("fetch_fsm", base)
-    bt_graph = metrics.bt_to_graph(base_bt)
-    fsm_graph = metrics.fsm_to_graph(base_fsm)
-    hfsm_graph = metrics.hfsm_to_graph(hfsm.from_bt(base_bt))
-
-    for row, (bt_name, fsm_name) in _DISTANCE_FIXTURES.items():
-        changed_bt = load_policy(bt_name, base)
-        changed_fsm = load_policy(fsm_name, base)
-        expected = _DISTANCE_EXPECTED[row]
-        cells = {
-            "bt": _cell(row, "bt",
-                        _exact(bt_graph, metrics.bt_to_graph(changed_bt), budget),
-                        expected["bt"]),
-            "fsm": _cell(row, "fsm",
-                         _exact(fsm_graph, metrics.fsm_to_graph(changed_fsm), budget),
-                         expected["fsm"]),
-            "hfsm": _cell(row, "hfsm",
-                          _exact(hfsm_graph,
-                                 metrics.hfsm_to_graph(hfsm.from_bt(changed_bt)),
-                                 budget),
-                          expected["hfsm"]),
-        }
-        report.rows.append((row, cells))
+    baseline = _encode(load_policy("fetch_bt", base), load_policy("fetch_fsm", base))
+    for row, (tree, machine, expected) in _DISTANCES.items():
+        changed = _encode(load_policy(tree, base), load_policy(machine, base))
+        report.rows.append((row, {
+            column: _cell(row, column, _exact(before, after, budget), reference)
+            for column, before, after, reference
+            in zip(report.columns, baseline, changed, expected)
+        }))
     return report
 
 
 # ---------------------------------------------------------------------------
 # experiment structure table (complexity, distance, element counts)
 
-_DOCKING_ED_TEXT_VALUE = 6  # running text; the table quotes 8 for the same edit
-_DOCKING_NOTE = ("the reference quotes both 6 (text) and 8 (table) for this edit; "
-                 "the exact distance under the stated cost model is reported")
+#: name, (tree, machine) builder, the row the ed column is measured from,
+#: reference values, and per column a documented alternative with its note
+_EXPERIMENTS = [
+    ("development/baseline",
+     lambda base: (load_policy("fetch_bt", base), load_policy("fetch_fsm", base)),
+     None, {"cc": [1, 14], "graphical": [27, 24], "active": [14, 24]}, {}),
+    ("development/recharge",
+     lambda base: (load_policy("fetch_bt_recharge", base),
+                   load_policy("fetch_fsm_recharge", base)),
+     "development/baseline",
+     {"cc": [1, 20], "ed": [8, 8], "graphical": [35, 32], "active": [18, 32]}, {}),
+    # fsm_with_dock edits its argument, so the recharge machine is loaded again
+    ("development/docking",
+     lambda base: (experiments.bt_with_dock(load_policy("fetch_bt_recharge", base)),
+                   experiments.fsm_with_dock(load_policy("fetch_fsm_recharge", base))),
+     "development/recharge",
+     {"cc": [1, 24], "ed": [6, 8], "graphical": [41, 38], "active": [21, 38]},
+     {"ed": ([6, 6], "the reference quotes both 6 (text) and 8 (table) for this edit; "
+                     "the exact distance under the stated cost model is reported")}),
+    ("scalability/baseline",
+     lambda base: (experiments.scalability_bt(), experiments.scalability_fsm()),
+     None, {"cc": [1, 68], "graphical": [153, 114], "active": [77, 114]}, {}),
+    ("scalability/recharge",
+     lambda base: (experiments.scalability_bt_with_recharge(),
+                   experiments.scalability_fsm_with_recharge()),
+     "scalability/baseline",
+     {"cc": [1, 92], "ed": [6, 26], "graphical": [159, 140], "active": [80, 140]}, {}),
+]
 
 
 def experiment_table_report(base: Path | None = None,
@@ -181,82 +190,24 @@ def experiment_table_report(base: Path | None = None,
         title="Structure metrics of the experiment policies (tree/machine)",
         columns=["cc", "ed", "graphical", "active"],
     )
-
-    fetch_bt = load_policy("fetch_bt", base)
-    fetch_fsm = load_policy("fetch_fsm", base)
-    recharge_bt = load_policy("fetch_bt_recharge", base)
-    recharge_fsm = load_policy("fetch_fsm_recharge", base)
-    docking_bt = experiments.bt_with_dock(load_policy("fetch_bt_recharge", base))
-    docking_fsm = experiments.fsm_with_dock(load_policy("fetch_fsm_recharge", base))
-    scal_bt = experiments.scalability_bt()
-    scal_fsm = experiments.scalability_fsm()
-    scal_bt_recharge = experiments.scalability_bt_with_recharge()
-    scal_fsm_recharge = experiments.scalability_fsm_with_recharge()
-
-    def counts(tree, machine):
-        return bt.count_elements(tree), fsm.count_elements(machine)
-
-    def cc(tree, machine):
-        return (metrics.cyclomatic(metrics.bt_to_graph(tree)),
-                metrics.cyclomatic(metrics.fsm_to_graph(machine)))
-
-    rows = []
-
-    def add_row(name, tree, machine, expect, ed=None, ed_documented=None, ed_note=""):
-        tree_counts, machine_counts = counts(tree, machine)
-        tree_cc, machine_cc = cc(tree, machine)
-        cells = {
-            "cc": _cell(name, "cc", [tree_cc, machine_cc], expect["cc"]),
-            "graphical": _cell(name, "graphical",
-                               [tree_counts["graphical"], machine_counts["graphical"]],
-                               expect["graphical"]),
-            "active": _cell(name, "active",
-                            [tree_counts["active"], machine_counts["active"]],
-                            expect["active"]),
-        }
-        if ed is not None:
-            cells["ed"] = _cell(name, "ed", ed, expect["ed"],
-                                documented=ed_documented, note=ed_note)
-        rows.append((name, cells))
-
-    add_row("development/baseline", fetch_bt, fetch_fsm,
-            {"cc": [1, 14], "graphical": [27, 24], "active": [14, 24]})
-
-    ed_recharge = [
-        _exact(metrics.bt_to_graph(fetch_bt), metrics.bt_to_graph(recharge_bt), budget),
-        _exact(metrics.fsm_to_graph(fetch_fsm), metrics.fsm_to_graph(recharge_fsm), budget),
-    ]
-    add_row("development/recharge", recharge_bt, recharge_fsm,
-            {"cc": [1, 20], "ed": [8, 8], "graphical": [35, 32], "active": [18, 32]},
-            ed=ed_recharge)
-
-    ed_docking = [
-        _exact(metrics.bt_to_graph(recharge_bt), metrics.bt_to_graph(docking_bt), budget),
-        _exact(metrics.fsm_to_graph(recharge_fsm), metrics.fsm_to_graph(docking_fsm), budget),
-    ]
-    add_row("development/docking", docking_bt, docking_fsm,
-            {"cc": [1, 24], "ed": [6, 8], "graphical": [41, 38], "active": [21, 38]},
-            ed=ed_docking,
-            ed_documented=[6, _DOCKING_ED_TEXT_VALUE],
-            ed_note=_DOCKING_NOTE)
-
-    add_row("scalability/baseline", scal_bt, scal_fsm,
-            {"cc": [1, 68], "graphical": [153, 114], "active": [77, 114]})
-
-    ed_scalability = [
-        _exact(metrics.bt_to_graph(scal_bt), metrics.bt_to_graph(scal_bt_recharge), budget),
-        _exact(metrics.fsm_to_graph(scal_fsm), metrics.fsm_to_graph(scal_fsm_recharge),
-               budget),
-    ]
-    add_row("scalability/recharge", scal_bt_recharge, scal_fsm_recharge,
-            {"cc": [1, 92], "ed": [6, 26], "graphical": [159, 140], "active": [80, 140]},
-            ed=ed_scalability)
-
-    report.rows = rows
-    documented = [cell for _, cells in rows for cell in cells.values()
-                  if cell.status == "documented"]
-    for cell in documented:
-        report.notes.append(f"{cell.row}/{cell.column}: {cell.note}")
+    graphs = {}
+    for name, build, ed_from, expected, documented in _EXPERIMENTS:
+        tree, machine = build(base)
+        graphs[name] = metrics.bt_to_graph(tree), metrics.fsm_to_graph(machine)
+        counts = bt.count_elements(tree), fsm.count_elements(machine)
+        computed = {key: [count[key] for count in counts] for key in ("graphical", "active")}
+        computed["cc"] = [metrics.cyclomatic(graph) for graph in graphs[name]]
+        if ed_from is not None:
+            computed["ed"] = [_exact(before, after, budget)
+                              for before, after in zip(graphs[ed_from], graphs[name])]
+        report.rows.append((name, {
+            column: _cell(name, column, computed[column], expected[column],
+                          *documented.get(column, ()))
+            for column in report.columns if column in computed
+        }))
+    report.notes = [f"{cell.row}/{cell.column}: {cell.note}"
+                    for _, cells in report.rows for cell in cells.values()
+                    if cell.status == "documented"]
     return report
 
 

@@ -66,13 +66,8 @@ class SkillRuntime:
     args: tuple
     state: str = "running"  # running | succeeded | failed | cancelled
     remaining: int = 0
-    started_at: int = 0
     will_fail: bool = False
     reason: str = ""
-
-    @property
-    def key(self) -> tuple:
-        return (self.name, self.args)
 
 
 @dataclass(frozen=True)
@@ -434,8 +429,7 @@ class World:
                 if nth == count:
                     will_fail = True
         runtime = SkillRuntime(
-            name=name, args=args, remaining=duration,
-            started_at=self.state.tick, will_fail=will_fail,
+            name=name, args=args, remaining=duration, will_fail=will_fail,
         )
         self._log("skill_start", skill=name, args=list(args))
         guard_error = self._start_guard(name, args)

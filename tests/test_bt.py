@@ -212,10 +212,3 @@ class TestEdits:
         assert bt.count_elements(tree) == {
             "nodes": 1, "edges": 0, "graphical": 1, "active": 1,
         }
-
-
-def test_render_text_shows_statuses(fetch_tree, scripted_world):
-    bt.tick(fetch_tree, scripted_world)
-    text = bt.render_text(fetch_tree)
-    assert "fallback" in text and "[RUNNING]" in text
-    assert text.splitlines()[0].startswith("fallback")

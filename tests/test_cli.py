@@ -210,6 +210,15 @@ class TestMetrics:
         assert capsys.readouterr().err == \
             "error: states[0].transitions: expected an object, got [1]\n"
 
+    def test_outcome_state_with_an_unknown_status_exits_one(self, tmp_path, capsys):
+        doc = json.loads(fixtures.policy_path("fetch_fsm").read_text())
+        doc["states"][5]["status"] = "BAD"
+        path = tmp_path / "bad_status.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["metrics", "--cc", str(path)]) == 1
+        assert capsys.readouterr().err == ("error: states[5].status: expected SUCCESS, "
+                                           "FAILURE or RUNNING, got 'BAD'\n")
+
 
 class TestReport:
     def test_modification_distances_fully_match(self, capsys, tmp_path):

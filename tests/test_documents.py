@@ -171,3 +171,21 @@ def test_container_field_of_the_wrong_json_type(name, path, value, message):
         name, documents.parse_policy_document)
     with pytest.raises(DocumentError, match=message):
         parse(json.dumps(doc))
+
+
+@pytest.mark.parametrize("status, message", [
+    ("BAD", r"states\[5\]\.status: expected SUCCESS, FAILURE or RUNNING, got 'BAD'"),
+    (None, r"states\[5\]: missing field 'status'"),
+    (5, r"states\[5\]\.status: expected SUCCESS, FAILURE or RUNNING, got 5"),
+    ([0], r"states\[5\]\.status: expected SUCCESS, FAILURE or RUNNING, got \[0\]"),
+], ids=["unknown", "missing", "number", "list"])
+def test_outcome_state_status_is_checked(status, message):
+    doc = json.loads(fixtures.policy_path("fetch_fsm").read_text())
+    outcome = doc["states"][5]
+    assert outcome["type"] == "outcome"
+    if status is None:
+        del outcome["status"]
+    else:
+        outcome["status"] = status
+    with pytest.raises(DocumentError, match=message):
+        documents.parse_policy_document(json.dumps(doc))

@@ -293,10 +293,3 @@ class TestValidation:
         machine.states[0] = fsm.FsmState(id=0, kind="skill", name="s", skill="tuck")
         with pytest.raises(ValidationError, match="SUCCESS"):
             machine.validate()
-
-
-def test_dot_rendering_lists_all_edges(fetch_machine):
-    text = fsm.to_dot(fetch_machine)
-    assert text.startswith("digraph")
-    assert text.count("->") == fsm.count_elements(fetch_machine)["edges"]
-    assert 'label="SELECTOR"' in text

@@ -107,16 +107,18 @@ class PolicyTree:
                 raise ValidationError(f"node {nid}: parallel threshold out of range")
             for child in node.children:
                 if child not in self.nodes:
-                    raise ValidationError(f"node {nid}: child {child} does not exist")
+                    raise ValidationError(f"node {nid}: dangling child reference {child}")
                 if child in parents:
                     raise ValidationError(f"node {child} has two parents")
                 parents[child] = nid
+        # with one parent per node and none for the root, the walk below
+        # cannot meet a node twice, so a cycle cannot keep it going
+        if self.root in parents:
+            raise ValidationError("root must not be a child")
         reachable = self.subtree_ids(self.root)
         if reachable != set(self.nodes):
             orphans = sorted(set(self.nodes) - reachable)
             raise ValidationError(f"nodes unreachable from root: {orphans}")
-        if self.root in parents:
-            raise ValidationError("root must not be a child")
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,14 @@ class Status(enum.Enum):
 #: Robot position while a motion skill is in flight; matches no station.
 TRANSIT = "TRANSIT"
 
+#: skills that move the base; at most one may run at a time
+MOTION_SKILLS = frozenset({"move_to", "safe_move_to", "recharge", "dock", "search"})
+
+#: every skill the simulator can run; policy documents may name no other
+KNOWN_SKILLS = frozenset(
+    {"move_to", "safe_move_to", "pick", "place", "tuck", "recharge", "dock", "search"}
+)
+
 #: Closed set of world predicates, name -> expected argument count.
 #: Everything a policy may test must be here so that every document that
 #: parses is also evaluable by the simulator.

@@ -18,6 +18,7 @@ from .core import (
     DocumentError,
     Goal,
     Guard,
+    KNOWN_SKILLS,
     Status,
     ValidationError,
     validate_action_library,
@@ -54,6 +55,33 @@ def _expect(value, kind: type, path: str):
     return value
 
 
+def _id(value, path: str, key: str = ""):
+    """``value`` when it is an integer id (JSON ``true`` is not one).
+
+    The error names field ``key`` of ``path``, or ``path`` itself; the
+    string is only built for an error, as ids are checked on every node.
+    """
+    if type(value) is not int:
+        where = f"{path}.{key}" if key else path
+        raise DocumentError(f"{where}: expected an integer id, got {value!r}")
+    return value
+
+
+def _ids(values, path: str) -> list:
+    """``values`` when it is a list of integer ids."""
+    for index, value in enumerate(_expect(values, list, path)):
+        if type(value) is not int:
+            _id(value, f"{path}[{index}]")
+    return values
+
+
+def _skill(entry: dict, path: str) -> str:
+    skill = entry.get("skill", "")
+    if not isinstance(skill, str) or skill not in KNOWN_SKILLS:
+        raise DocumentError(f"{path}.skill: unknown skill {skill!r}")
+    return skill
+
+
 def _require(mapping: dict, key: str, path: str):
     if not isinstance(mapping, dict):
         raise DocumentError(f"{path}: expected an object")
@@ -71,6 +99,12 @@ def _literal_from(obj, path: str, key: str = "pred") -> ConditionLiteral:
                                 tuple(_expect(obj.get("args", []), list, f"{path}.args")))
     except ValidationError as exc:
         raise DocumentError(f"{path}: {exc}") from None
+
+
+def _literals(values, path: str) -> tuple:
+    """A list of literal objects; entry ``i`` is named ``path[i]``."""
+    return tuple(_literal_from(lit, f"{path}[{i}]")
+                 for i, lit in enumerate(_expect(values, list, path)))
 
 
 def _literal_doc(literal: ConditionLiteral) -> dict:
@@ -96,11 +130,11 @@ def parse_policy_document(data) -> Policy:
     doc = _load(data)
     kind = _require(doc, "kind", "top level")
     if kind == "bt":
-        return _parse_bt(doc)
+        return _parse_nodes(doc, _TREE_TYPES)
     if kind == "fsm":
         return _parse_fsm(doc)
     if kind == "hfsm":
-        return _parse_hfsm(doc)
+        return hfsm.from_bt(_parse_nodes(doc, _NESTED_TYPES))
     raise DocumentError(f"kind: unknown policy kind {kind!r}")
 
 
@@ -115,34 +149,48 @@ def serialize_policy(policy: Policy) -> str:
     raise DocumentError(f"cannot serialize {type(policy).__name__}")
 
 
-def _parse_bt(doc: dict) -> bt.PolicyTree:
+#: node ``type`` in a document -> tree node kind, for each node-list kind;
+#: a nested machine is read as the tree it mirrors node for node
+_TREE_TYPES = {kind: kind for kind in bt.NODE_KINDS}
+_NESTED_TYPES = {"sequence_container": "sequence", "fallback_container": "fallback",
+                 "action": "action", "condition": "condition"}
+
+
+def _parse_nodes(doc: dict, types: dict) -> bt.PolicyTree:
+    """The tree a ``nodes`` list and ``root`` spell.
+
+    Each entry is checked here, where its path is known; the structure
+    (one parent per node, no cycle, nothing unreachable) is checked by
+    ``PolicyTree.validate``.
+    """
     nodes: dict[int, bt.BtNode] = {}
     for index, entry in enumerate(_expect(_require(doc, "nodes", "top level"), list,
                                           "nodes")):
         path = f"nodes[{index}]"
-        nid = _require(entry, "id", path)
+        nid = _id(_require(entry, "id", path), path, "id")
         ntype = _require(entry, "type", path)
-        if ntype not in bt.NODE_KINDS:
+        kind = types.get(ntype) if isinstance(ntype, str) else None
+        if kind is None:
             raise DocumentError(f"{path}.type: unknown node kind {ntype!r}")
-        node = bt.BtNode(
-            id=nid,
-            kind=ntype,
-            name=entry.get("name", ""),
-            children=list(_expect(entry.get("children", []), list, f"{path}.children")),
-            skill=entry.get("skill", ""),
-            args=(tuple(_expect(entry.get("args", []), list, f"{path}.args"))
-                  if ntype == "action" else ()),
-            literal=_literal_from(entry, path, "predicate") if ntype == "condition" else None,
-            threshold=entry.get("threshold", 0),
-        )
+        children = _ids(entry.get("children", []), f"{path}.children")
+        if kind in bt.LEAF_KINDS and children:
+            raise DocumentError(f"{path}: {ntype} leaves cannot have children")
+        if kind in bt.CONTROL_KINDS and not children:
+            raise DocumentError(f"{path}: {ntype} needs at least one child")
         if nid in nodes:
             raise DocumentError(f"{path}.id: duplicate id {nid}")
-        nodes[nid] = node
-    tree = bt.PolicyTree(nodes=nodes, root=_require(doc, "root", "top level"))
-    for nid, node in nodes.items():
-        for child in node.children:
-            if child not in nodes:
-                raise DocumentError(f"node {nid}: dangling child reference {child}")
+        nodes[nid] = bt.BtNode(
+            id=nid,
+            kind=kind,
+            name=entry.get("name", ""),
+            children=list(children),
+            skill=_skill(entry, path) if kind == "action" else entry.get("skill", ""),
+            args=(tuple(_expect(entry.get("args", []), list, f"{path}.args"))
+                  if kind == "action" else ()),
+            literal=_literal_from(entry, path, "predicate") if kind == "condition" else None,
+            threshold=entry.get("threshold", 0),
+        )
+    tree = bt.PolicyTree(nodes=nodes, root=_id(_require(doc, "root", "top level"), "root"))
     try:
         tree.validate()
     except ValidationError as exc:
@@ -176,22 +224,22 @@ _STATUS_LABELS = {status.value for status in Status}
 
 
 def _parse_fsm(doc: dict) -> fsm.StateMachine:
-    machine = fsm.StateMachine(initial=_require(doc, "initial", "top level"))
+    machine = fsm.StateMachine(initial=_id(_require(doc, "initial", "top level"), "initial"))
     for index, entry in enumerate(_expect(_require(doc, "states", "top level"), list,
                                           "states")):
         path = f"states[{index}]"
-        sid = _require(entry, "id", path)
+        sid = _id(_require(entry, "id", path), path, "id")
         stype = _require(entry, "type", path)
         if stype not in fsm.STATE_KINDS:
             raise DocumentError(f"{path}.type: unknown state kind {stype!r}")
         if sid in machine.states:
             raise DocumentError(f"{path}.id: duplicate id {sid}")
         transitions = {}
-        for label, target in _expect(entry.get("transitions", {}), dict,
-                                     f"{path}.transitions").items():
+        where = f"{path}.transitions"
+        for label, target in _expect(entry.get("transitions", {}), dict, where).items():
             if label not in _STATUS_LABELS:
-                raise DocumentError(f"{path}.transitions: unknown label {label!r}")
-            transitions[label] = target
+                raise DocumentError(f"{where}: unknown label {label!r}")
+            transitions[label] = _id(target, where, label)
         outcome = None
         if stype == "outcome":
             status = _require(entry, "status", path)
@@ -203,19 +251,15 @@ def _parse_fsm(doc: dict) -> fsm.StateMachine:
             id=sid,
             kind=stype,
             name=entry.get("name", ""),
-            skill=entry.get("skill", ""),
+            skill=_skill(entry, path) if stype == "skill" else entry.get("skill", ""),
             args=tuple(_expect(entry.get("args", []), list, f"{path}.args")),
-            dispatch_pre=tuple(
-                _literal_from(lit, f"{path}.pre[{i}]")
-                for i, lit in enumerate(_expect(entry.get("pre", []), list, f"{path}.pre"))
-            ),
+            dispatch_pre=_literals(entry.get("pre", []), f"{path}.pre"),
             achieves=(
                 _literal_from(entry["post"], f"{path}.post")
                 if entry.get("post") is not None else None
             ),
             interrupts=[
-                (_guard_from(item, f"{path}.interrupts[{i}]"),
-                 _require(item, "target", f"{path}.interrupts[{i}]"))
+                _interrupt_from(item, f"{path}.interrupts[{i}]")
                 for i, item in enumerate(_expect(entry.get("interrupts", []), list,
                                                  f"{path}.interrupts"))
             ],
@@ -224,14 +268,10 @@ def _parse_fsm(doc: dict) -> fsm.StateMachine:
             outcome=outcome,
         )
         machine.states[sid] = state
-    machine.plan_order = list(_expect(doc.get("plan_order", []), list, "plan_order"))
-    machine.goal = tuple(
-        _literal_from(lit, f"goal[{i}]")
-        for i, lit in enumerate(_expect(doc.get("goal", []), list, "goal"))
-    )
+    machine.plan_order = list(_ids(doc.get("plan_order", []), "plan_order"))
+    machine.goal = _literals(doc.get("goal", []), "goal")
     machine.connected = [
-        (_require(item, "state", f"connected[{i}]"),
-         _guard_from(item, f"connected[{i}]"))
+        _connection_from(item, f"connected[{i}]")
         for i, item in enumerate(_expect(doc.get("connected", []), list, "connected"))
     ]
     try:
@@ -239,6 +279,14 @@ def _parse_fsm(doc: dict) -> fsm.StateMachine:
     except ValidationError as exc:
         raise DocumentError(str(exc)) from None
     return machine
+
+
+def _interrupt_from(item, path: str) -> tuple:
+    return _guard_from(item, path), _id(_require(item, "target", path), path, "target")
+
+
+def _connection_from(item, path: str) -> tuple:
+    return _id(_require(item, "state", path), path, "state"), _guard_from(item, path)
 
 
 def _fsm_doc(machine: fsm.StateMachine) -> dict:
@@ -282,58 +330,6 @@ def _fsm_doc(machine: fsm.StateMachine) -> dict:
     return doc
 
 
-def _parse_hfsm(doc: dict) -> hfsm.HfsmContainer:
-    entries: dict[int, dict] = {}
-    for index, entry in enumerate(_expect(_require(doc, "nodes", "top level"), list,
-                                          "nodes")):
-        path = f"nodes[{index}]"
-        nid = _require(entry, "id", path)
-        ntype = _require(entry, "type", path)
-        if ntype not in hfsm.CONTAINER_KINDS + hfsm.LEAF_KINDS:
-            raise DocumentError(f"{path}.type: unknown container kind {ntype!r}")
-        if nid in entries:
-            raise DocumentError(f"{path}.id: duplicate id {nid}")
-        children = _expect(entry.get("children", []), list, f"{path}.children")
-        if ntype in hfsm.LEAF_KINDS and children:
-            raise DocumentError(f"{path}: {ntype} leaves cannot have children")
-        if ntype in hfsm.CONTAINER_KINDS and not children:
-            raise DocumentError(f"{path}: {ntype} needs at least one child")
-        entries[nid] = entry
-    referenced: list = []
-    for entry in entries.values():
-        referenced.extend(entry.get("children", ()))
-    for child in referenced:
-        if referenced.count(child) > 1:
-            raise DocumentError(f"container {child} has two parents")
-
-    def build(nid: int, seen: tuple) -> hfsm.HfsmContainer:
-        if nid not in entries:
-            raise DocumentError(f"dangling container reference {nid}")
-        if nid in seen:
-            raise DocumentError(f"container {nid} nests itself")
-        entry = entries[nid]
-        ntype = entry["type"]
-        return hfsm.HfsmContainer(
-            id=nid,
-            kind=ntype,
-            name=entry.get("name", ""),
-            children=[build(child, seen + (nid,))
-                      for child in entry.get("children", ())],
-            skill=entry.get("skill", ""),
-            args=(tuple(_expect(entry.get("args", []), list, f"node {nid}.args"))
-                  if ntype == "action" else ()),
-            literal=(_literal_from(entry, f"node {nid}", "predicate")
-                     if ntype == "condition" else None),
-        )
-
-    root = build(_require(doc, "root", "top level"), ())
-    reached = {node.id for node in root.walk()}
-    if reached != set(entries):
-        orphans = sorted(set(entries) - reached)
-        raise DocumentError(f"containers unreachable from root: {orphans}")
-    return root
-
-
 def _hfsm_doc(root: hfsm.HfsmContainer) -> dict:
     nodes = [_node_entry(node, [child.id for child in node.children]
                          if node.kind in hfsm.CONTAINER_KINDS else None)
@@ -351,23 +347,13 @@ def parse_library_document(data) -> ActionLibrary:
     for index, entry in enumerate(_expect(_require(doc, "actions", "top level"), list,
                                           "actions")):
         path = f"actions[{index}]"
-        try:
-            specs.append(ActionSpec(
-                name=_require(entry, "name", path),
-                params=tuple(_expect(entry.get("params", []), list, f"{path}.params")),
-                preconditions=tuple(
-                    _literal_from(lit, f"{path}.pre[{i}]")
-                    for i, lit in enumerate(_expect(entry.get("pre", []), list, f"{path}.pre"))
-                ),
-                postconditions=tuple(
-                    _literal_from(lit, f"{path}.post[{i}]")
-                    for i, lit in enumerate(_expect(entry.get("post", []), list,
-                                                    f"{path}.post"))
-                ),
-                skill=entry.get("skill", ""),
-            ))
-        except ValidationError as exc:
-            raise DocumentError(f"{path}: {exc}") from None
+        specs.append(ActionSpec(
+            name=_require(entry, "name", path),
+            params=tuple(_expect(entry.get("params", []), list, f"{path}.params")),
+            preconditions=_literals(entry.get("pre", []), f"{path}.pre"),
+            postconditions=_literals(entry.get("post", []), f"{path}.post"),
+            skill=entry.get("skill", ""),
+        ))
     try:
         return validate_action_library(specs)
     except ValidationError as exc:
@@ -390,17 +376,8 @@ def serialize_library(library: ActionLibrary) -> str:
 def parse_goal_document(data) -> Goal:
     doc = _load(data)
     try:
-        return Goal(
-            conditions=tuple(
-                _literal_from(lit, f"goal[{i}]")
-                for i, lit in enumerate(_expect(_require(doc, "goal", "top level"), list,
-                                                "goal"))
-            ),
-            initially=tuple(
-                _literal_from(lit, f"initially[{i}]")
-                for i, lit in enumerate(_expect(doc.get("initially", []), list, "initially"))
-            ),
-        )
+        return Goal(conditions=_literals(_require(doc, "goal", "top level"), "goal"),
+                    initially=_literals(doc.get("initially", []), "initially"))
     except ValidationError as exc:
         raise DocumentError(str(exc)) from None
 

@@ -484,6 +484,18 @@ def ged_anchored(g1: PolicyGraph, g2: PolicyGraph,
 # exhaustive oracle
 
 
+def _label_sets(graph: PolicyGraph) -> dict:
+    """(source, target) -> the frozenset of labels on its edges.
+
+    The oracle's and the isomorphism checker's own index, so that neither
+    shares code with the search it checks.
+    """
+    pairs: dict = {}
+    for source, target, label in graph.edges:
+        pairs[source, target] = pairs.get((source, target), frozenset()) | {label}
+    return pairs
+
+
 def brute_force_ged(g1: PolicyGraph, g2: PolicyGraph,
                     cost: Optional[GedCostModel] = None) -> float:
     """Ground truth on tiny graphs by enumerating injective mappings.
@@ -498,8 +510,8 @@ def brute_force_ged(g1: PolicyGraph, g2: PolicyGraph,
         )
     order1 = sorted(g1.vertices)
     ids2 = sorted(g2.vertices)
-    pair1 = _pair_index(g1)
-    pair2 = _pair_index(g2)
+    pair1 = _label_sets(g1)
+    pair2 = _label_sets(g2)
     best = [float("inf")]
 
     def edge_cost_between(v1, c, chosen) -> float:
@@ -555,23 +567,27 @@ def isomorphic(g1: PolicyGraph, g2: PolicyGraph) -> bool:
     """Label- and structure-preserving isomorphism by backtracking."""
     if g1.order() != g2.order() or g1.size() != g2.size():
         return False
-    if Counter(g1.vertices.values()) != Counter(g2.vertices.values()):
+    if sorted(g1.vertices.values()) != sorted(g2.vertices.values()):
         return False
-    pair1 = {k: Counter(v) for k, v in _pair_index(g1).items()}
-    pair2 = {k: Counter(v) for k, v in _pair_index(g2).items()}
-    degree = _degrees(g1)
+    pair1 = _label_sets(g1)
+    pair2 = _label_sets(g2)
+    none = frozenset()
+    degree = dict.fromkeys(g1.vertices, 0)
+    for source, target, _ in g1.edges:
+        degree[source] += 1
+        degree[target] += source != target
     order1 = sorted(g1.vertices, key=lambda v: (-degree[v], v))
     ids2 = sorted(g2.vertices)
 
     def consistent(v1, v2, mapping) -> bool:
         if g1.vertices[v1] != g2.vertices[v2]:
             return False
-        if pair1.get((v1, v1), Counter()) != pair2.get((v2, v2), Counter()):
+        if pair1.get((v1, v1), none) != pair2.get((v2, v2), none):
             return False
         for w1, w2 in mapping.items():
-            if pair1.get((v1, w1), Counter()) != pair2.get((v2, w2), Counter()):
+            if pair1.get((v1, w1), none) != pair2.get((v2, w2), none):
                 return False
-            if pair1.get((w1, v1), Counter()) != pair2.get((w2, v2), Counter()):
+            if pair1.get((w1, v1), none) != pair2.get((w2, v2), none):
                 return False
         return True
 

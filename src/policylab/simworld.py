@@ -20,18 +20,19 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import bt, documents, fsm, hfsm
-from .core import ConditionLiteral, DocumentError, Status, TRANSIT, WorldError
+from .core import (
+    ConditionLiteral,
+    DocumentError,
+    KNOWN_SKILLS,
+    MOTION_SKILLS,
+    Status,
+    TRANSIT,
+    WorldError,
+)
 
 DEFAULT_STATIONS = (
     "center", "fetch1", "fetch2", "fetch3", "fetch4", "fetch5",
     "delivery", "recharge", "dock",
-)
-
-#: skills that move the base; at most one may run at a time
-MOTION_SKILLS = frozenset({"move_to", "safe_move_to", "recharge", "dock", "search"})
-
-KNOWN_SKILLS = frozenset(
-    {"move_to", "safe_move_to", "pick", "place", "tuck", "recharge", "dock", "search"}
 )
 
 #: default durations in ticks; search visits one viewpoint per fetch table

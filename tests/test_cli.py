@@ -1,7 +1,11 @@
 """Command line behavior: outputs, exit codes, report regeneration."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +213,38 @@ class TestMetrics:
         assert cli.main(["metrics", option, *paths]) == 1
         assert capsys.readouterr().err == \
             "error: states[0].transitions: expected an object, got [1]\n"
+
+    @pytest.mark.parametrize("kind, control", [("bt", "sequence"),
+                                               ("hfsm", "sequence_container")])
+    def test_root_inside_a_cycle_exits_one_without_hanging(self, kind, control, tmp_path):
+        # a separate process with a timeout, so a walk that never ends fails
+        # this test instead of hanging the suite
+        doc = {"version": 1, "kind": kind, "root": 0, "nodes": [
+            {"id": 0, "type": control, "name": "a", "children": [1]},
+            {"id": 1, "type": control, "name": "b", "children": [0]}]}
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps(doc))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "policylab.cli", "metrics", "--cc", str(path)],
+            capture_output=True, text=True, timeout=30, env=env)
+        assert done.returncode == 1
+        assert done.stderr == "error: root must not be a child\n"
+
+    @pytest.mark.parametrize("path, value, message", [
+        (["nodes", 0, "id"], [0], "error: nodes[0].id: expected an integer id, got [0]\n"),
+        (["nodes", 3, "skill"], "fly", "error: nodes[3].skill: unknown skill 'fly'\n"),
+    ], ids=["list id", "unknown skill"])
+    def test_tree_with_a_bad_node_field_exits_one(self, path, value, message, tmp_path,
+                                                  capsys):
+        doc = json.loads(fixtures.policy_path("fetch_bt").read_text())
+        doc[path[0]][path[1]][path[2]] = value
+        policy = tmp_path / "bad.json"
+        policy.write_text(json.dumps(doc))
+        assert cli.main(["metrics", "--cc", str(policy)]) == 1
+        assert capsys.readouterr().err == message
 
     def test_outcome_state_with_an_unknown_status_exits_one(self, tmp_path, capsys):
         doc = json.loads(fixtures.policy_path("fetch_fsm").read_text())

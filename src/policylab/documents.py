@@ -3,11 +3,17 @@
 All documents are UTF-8 JSON with a ``version: 1`` field. Serialization
 is canonical (fixed key order, nodes sorted by id, two-space indent) so
 that parse/serialize round-trips are byte identical.
+
+Every indented document is written by one in-house writer, ``_dump``.
+Its output is byte-identical to ``json.dumps(doc, indent=2)`` plus a
+newline, which a differential test pins; it exists because any
+``indent`` sends ``json`` to its pure-Python encoder, about twice as slow.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Union
 
 from . import bt, fsm, hfsm
@@ -43,8 +49,63 @@ def _load(data) -> dict:
     return doc
 
 
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+#: how ``json`` spells the floats that ``float.__repr__`` writes as these
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _dump(doc) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte; dict keys must be strings."""
+    out: list = []
+    _write(doc, out.append, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, write, newline: str) -> None:
+    """Pass the JSON text of ``value`` to ``write`` in pieces.
+
+    ``newline`` is a line break plus the indent of the line ``value``
+    starts on; its items go one level deeper.
+    """
+    if isinstance(value, str):
+        write(_quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            write(separator + _quote(key) + ": ")
+            _write(item, write, inner)
+            separator = "," + inner
+        write(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            write(separator)
+            _write(item, write, inner)
+            separator = "," + inner
+        write(newline + "]")
+    elif value is None:
+        write("null")
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        write(_NON_FINITE.get(text, text))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _expect(value, kind: type, path: str):
@@ -75,6 +136,32 @@ def _ids(values, path: str) -> list:
     return values
 
 
+def _string(value, path: str, key: str) -> str:
+    """``value`` when it is a string; the error names field ``key`` of ``path``."""
+    if not isinstance(value, str):
+        raise DocumentError(f"{path}.{key}: expected a string, got {value!r}")
+    return value
+
+
+#: the JSON types of a skill or literal argument (JSON ``true`` is not one)
+_ARG_TYPES = {str, int, float}
+
+
+def _args(entry: dict, path: str) -> tuple:
+    """The ``args`` field of ``entry``: a list of strings and numbers.
+
+    Only an error builds the field's path, as ``_id`` does.
+    """
+    values = entry.get("args", [])
+    if not isinstance(values, list):
+        _expect(values, list, f"{path}.args")
+    for index, value in enumerate(values):
+        if type(value) not in _ARG_TYPES:
+            raise DocumentError(f"{path}.args[{index}]: expected a string or a number, "
+                                f"got {value!r}")
+    return tuple(values)
+
+
 def _skill(entry: dict, path: str) -> str:
     skill = entry.get("skill", "")
     if not isinstance(skill, str) or skill not in KNOWN_SKILLS:
@@ -95,8 +182,7 @@ def _literal_from(obj, path: str, key: str = "pred") -> ConditionLiteral:
     if not isinstance(obj, dict):
         raise DocumentError(f"{path}: expected a literal object")
     try:
-        return ConditionLiteral(_require(obj, key, path),
-                                tuple(_expect(obj.get("args", []), list, f"{path}.args")))
+        return ConditionLiteral(_string(_require(obj, key, path), path, key), _args(obj, path))
     except ValidationError as exc:
         raise DocumentError(f"{path}: {exc}") from None
 
@@ -185,8 +271,7 @@ def _parse_nodes(doc: dict, types: dict) -> bt.PolicyTree:
             name=entry.get("name", ""),
             children=list(children),
             skill=_skill(entry, path) if kind == "action" else entry.get("skill", ""),
-            args=(tuple(_expect(entry.get("args", []), list, f"{path}.args"))
-                  if kind == "action" else ()),
+            args=_args(entry, path) if kind == "action" else (),
             literal=_literal_from(entry, path, "predicate") if kind == "condition" else None,
             threshold=entry.get("threshold", 0),
         )
@@ -252,7 +337,7 @@ def _parse_fsm(doc: dict) -> fsm.StateMachine:
             kind=stype,
             name=entry.get("name", ""),
             skill=_skill(entry, path) if stype == "skill" else entry.get("skill", ""),
-            args=tuple(_expect(entry.get("args", []), list, f"{path}.args")),
+            args=_args(entry, path),
             dispatch_pre=_literals(entry.get("pre", []), f"{path}.pre"),
             achieves=(
                 _literal_from(entry["post"], f"{path}.post")
@@ -348,7 +433,7 @@ def parse_library_document(data) -> ActionLibrary:
                                           "actions")):
         path = f"actions[{index}]"
         specs.append(ActionSpec(
-            name=_require(entry, "name", path),
+            name=_string(_require(entry, "name", path), path, "name"),
             params=tuple(_expect(entry.get("params", []), list, f"{path}.params")),
             preconditions=_literals(entry.get("pre", []), f"{path}.pre"),
             postconditions=_literals(entry.get("post", []), f"{path}.post"),

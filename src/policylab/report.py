@@ -10,11 +10,10 @@ report matches.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import bt, experiments, fsm, hfsm, metrics
+from . import bt, documents, experiments, fsm, hfsm, metrics
 from .fixtures import load_policy
 from .metrics import DEFAULT_GED_BUDGET
 
@@ -96,7 +95,7 @@ class Report:
             ],
             "notes": self.notes,
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return documents._dump(payload)
 
 
 def _cell(row: str, column: str, computed, expected, documented=None, note="") -> Cell:

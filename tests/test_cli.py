@@ -236,7 +236,9 @@ class TestMetrics:
     @pytest.mark.parametrize("path, value, message", [
         (["nodes", 0, "id"], [0], "error: nodes[0].id: expected an integer id, got [0]\n"),
         (["nodes", 3, "skill"], "fly", "error: nodes[3].skill: unknown skill 'fly'\n"),
-    ], ids=["list id", "unknown skill"])
+        (["nodes", 0, "predicate"], ["robot_at"],
+         "error: nodes[0].predicate: expected a string, got ['robot_at']\n"),
+    ], ids=["list id", "unknown skill", "list predicate"])
     def test_tree_with_a_bad_node_field_exits_one(self, path, value, message, tmp_path,
                                                   capsys):
         doc = json.loads(fixtures.policy_path("fetch_bt").read_text())

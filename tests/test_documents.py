@@ -1,12 +1,15 @@
 """Document formats: schema checks and round-trip stability."""
 
 import json
+import math
+import random
 
 import pytest
 
-from policylab import documents, fixtures
+from policylab import documents, fixtures, fsm, hfsm, planner
 from policylab.bt import PolicyTree
-from policylab.core import DocumentError
+from policylab.core import (ActionSpec, ConditionLiteral as L, DocumentError, Goal,
+                            validate_action_library)
 from policylab.fsm import StateMachine
 from policylab.hfsm import HfsmContainer
 
@@ -207,6 +210,25 @@ MISTYPED_FIELDS = [  # (fixture document, path to the field, value, error)
      r"states\[2\]\.interrupts\[0\]\.target: expected an integer id, got \[6\]"),
     ("fetch_fsm_recharge.json", ["connected", 0, "state"], {"id": 6},
      r"connected\[0\]\.state: expected an integer id, got \{'id': 6\}"),
+    # predicates and action names are strings; args entries are strings or numbers
+    ("fetch_bt.json", ["nodes", 0, "predicate"], ["robot_at"],
+     r"nodes\[0\]\.predicate: expected a string, got \['robot_at'\]"),
+    ("fetch_fsm.json", ["states", 1, "post", "pred"], ["robot_at"],
+     r"states\[1\]\.post\.pred: expected a string, got \['robot_at'\]"),
+    ("fetch_library.json", ["actions", 1, "pre", 0, "pred"], [0],
+     r"actions\[1\]\.pre\[0\]\.pred: expected a string, got \[0\]"),
+    ("fetch_library.json", ["actions", 0, "name"], [1],
+     r"actions\[0\]\.name: expected a string, got \[1\]"),
+    ("fetch_bt.json", ["nodes", 3, "args", 0], [1],
+     r"nodes\[3\]\.args\[0\]: expected a string or a number, got \[1\]"),
+    ("fetch_bt.json", ["nodes", 0, "args", 1], None,
+     r"nodes\[0\]\.args\[1\]: expected a string or a number, got None"),
+    ("pick_place_hfsm.json", ["nodes", 1, "args", 0], True,
+     r"nodes\[1\]\.args\[0\]: expected a string or a number, got True"),
+    ("fetch_fsm.json", ["states", 1, "args", 0], {"x": 1},
+     r"states\[1\]\.args\[0\]: expected a string or a number, got \{'x': 1\}"),
+    ("fetch_goal.json", ["goal", 0, "args", 1], [],
+     r"goal\[0\]\.args\[1\]: expected a string or a number, got \[\]"),
 ]
 
 
@@ -257,3 +279,92 @@ def test_outcome_state_status_is_checked(status, message):
         outcome["status"] = status
     with pytest.raises(DocumentError, match=message):
         documents.parse_policy_document(json.dumps(doc))
+
+
+# ---------------------------------------------------------------------------
+# the indented writer against json.dumps(indent=2)
+
+
+def assert_written_as_json_does(value):
+    assert documents._dump(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_writer_matches_json_on_every_packaged_document():
+    paths = sorted(fixtures.data_dir().rglob("*.json"))
+    assert len(paths) == 28
+    for path in paths:
+        assert_written_as_json_does(json.loads(path.read_text()))
+
+
+def fetch_task(cubes: int):
+    """A goal/library pair: search, fetch each cube from its own table, then dock."""
+    specs = [ActionSpec("search", (), postconditions=(L("found"),))]
+    for number in range(1, cubes + 1):
+        cube, station = f"cube{number}", f"fetch{number}"
+        specs += [
+            ActionSpec("move_to", (station,), postconditions=(L("robot_at", (station,)),)),
+            ActionSpec("pick", (cube,), preconditions=(L("robot_at", (station,)),),
+                       postconditions=(L("in_hand", (cube,)),)),
+            ActionSpec("place", (cube,),
+                       preconditions=(L("robot_at", ("delivery",)), L("in_hand", (cube,))),
+                       postconditions=(L("object_at", (cube, "delivery")),)),
+        ]
+    specs += [ActionSpec("move_to", ("delivery",),
+                         postconditions=(L("robot_at", ("delivery",)),)),
+              ActionSpec("dock", (), postconditions=(L("docked"),))]
+    cubes_delivered = [L("object_at", (f"cube{n}", "delivery")) for n in range(1, cubes + 1)]
+    goal = Goal(conditions=(L("found"), *cubes_delivered, L("docked")))
+    return goal, validate_action_library(specs)
+
+
+@pytest.mark.parametrize("cubes", range(1, 7))
+def test_writer_matches_json_on_synthesized_policies(cubes):
+    goal, library = fetch_task(cubes)
+    safe = planner.backchain(goal, library, "safe")
+    plan = planner.extract_plan(goal, library)
+    for policy in (safe, planner.backchain(goal, library, "naive"), fsm.build_sequential(plan),
+                   fsm.build_fault_tolerant(plan), hfsm.from_bt(safe)):
+        text = documents.serialize_policy(policy)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+#: pieces of keys and strings: quotes, escapes, control, non-ASCII and non-BMP characters
+STRING_PIECES = ['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "a", "key", " ",
+                 "\u00e9", "\u2028", "\u4e2d", "\U0001f916", "\U0010ffff"]
+SCALARS = [0, -1, 1, 10**30, -10**30, 0.0, -0.0, 1e-7, 1e300, -2.5, math.nan, math.inf,
+           -math.inf, True, False, None]
+
+
+def random_string(rng: random.Random) -> str:
+    return "".join(rng.choice(STRING_PIECES) for _ in range(rng.randint(0, 4)))
+
+
+def random_value(rng: random.Random, depth: int = 0):
+    """A JSON value with containers nested at most 4 deep; tuples stand for lists."""
+    roll = rng.random()
+    if depth == 4 or roll < 0.4:
+        pick = rng.random()
+        if pick < 0.4:
+            return random_string(rng)
+        if pick < 0.5:
+            return rng.randint(-10**6, 10**6)
+        if pick < 0.6:
+            return rng.uniform(-1, 1) * 10.0 ** rng.randint(-12, 12)
+        return rng.choice(SCALARS)
+    items = [random_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if roll < 0.65:
+        return {random_string(rng): item for item in items}
+    return items if roll < 0.85 else tuple(items)
+
+
+def test_writer_matches_json_on_seeded_random_values():
+    rng = random.Random(20240917)
+    for _ in range(3000):
+        assert_written_as_json_does(random_value(rng))
+
+
+@pytest.mark.parametrize("value", [{"args": {1, 2}}, {"goal": [{1: "a"}]}],
+                         ids=["set value", "integer key"])
+def test_writer_rejects_what_json_documents_cannot_hold(value):
+    with pytest.raises(TypeError):
+        documents._dump(value)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import bt, fsm, hfsm
 from .core import ActionSpec, ConditionLiteral as L, EditError, Goal, Guard, validate_action_library
-from .planner import backchain, extract_plan
+from .planner import backchain, extract_plan, synthesize
 from .simworld import Perturbation, Scenario
 
 CUBE = "cube2"
@@ -122,6 +122,12 @@ def scalability_fsm() -> fsm.StateMachine:
     return fsm.build_fault_tolerant(
         extract_plan(scalability_goal(), scalability_library())
     )
+
+
+def scalability_policies() -> tuple[bt.PolicyTree, fsm.StateMachine]:
+    """``scalability_bt()`` and ``scalability_fsm()`` from one planner expansion."""
+    tree, plan = synthesize(scalability_goal(), scalability_library())
+    return tree, fsm.build_fault_tolerant(plan)
 
 
 # ---------------------------------------------------------------------------

@@ -84,21 +84,6 @@ def from_bt(tree: PolicyTree) -> HfsmContainer:
 # ---------------------------------------------------------------------------
 # executor
 
-# Container wiring: where does a child's outcome transfer execution?
-# ("exit", status) leaves the container with that outcome, "advance" enters
-# the next child.
-_SEQUENCE_WIRING = {
-    Status.SUCCESS: "advance",
-    Status.FAILURE: ("exit", Status.FAILURE),
-    Status.RUNNING: ("exit", Status.RUNNING),
-}
-_FALLBACK_WIRING = {
-    Status.SUCCESS: ("exit", Status.SUCCESS),
-    Status.FAILURE: "advance",
-    Status.RUNNING: ("exit", Status.RUNNING),
-}
-
-
 def step(machine: HfsmContainer, world: TickWorld) -> Status:
     """Evaluate the machine once from its entry point.
 
@@ -130,17 +115,16 @@ def _run(machine: HfsmContainer, node: HfsmContainer, world: TickWorld,
         machine.active_leaves[node.id] = node
         return Status.RUNNING
 
-    wiring = _SEQUENCE_WIRING if node.kind == "sequence_container" else _FALLBACK_WIRING
-    index = 0
-    while index < len(node.children):
-        outcome = _run(machine, node.children[index], world, visited)
-        route = wiring[outcome]
-        if route == "advance":
-            index += 1
-            continue
-        return route[1]
-    # ran off the last child: the advancing outcome becomes the container's own
-    return Status.SUCCESS if node.kind == "sequence_container" else Status.FAILURE
+    # a child's advancing outcome (SUCCESS in a sequence, FAILURE in a
+    # fallback) enters the next sibling; any other leaves the container
+    # with that outcome, and running off the last child leaves with the
+    # advancing one
+    advancing = Status.SUCCESS if node.kind == "sequence_container" else Status.FAILURE
+    for child in node.children:
+        outcome = _run(machine, child, world, visited)
+        if outcome is not advancing:
+            return outcome
+    return advancing
 
 
 def halt_unvisited(machine: HfsmContainer, world: TickWorld) -> set[tuple]:

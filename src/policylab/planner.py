@@ -5,6 +5,8 @@ that achieve them, producing a tree of strictly alternating fallback and
 sequence nodes. The same walk yields the linear plan handed to the state
 machine builders, together with each step's dispatch context: the
 conditions achieved earlier in the plan that the step still relies on.
+``synthesize`` returns both from one expansion; ``backchain`` and
+``extract_plan`` keep one of the two.
 
 Precondition ordering is where chattering is decided. The ``safe``
 ordering expands an action's preconditions in plan-execution order so
@@ -315,11 +317,20 @@ class _Expansion:
 # public operations
 
 
+def synthesize(goal: Goal, library: ActionLibrary, ordering: str = "safe",
+               depth_limit: int = DEFAULT_DEPTH_LIMIT) -> tuple[PolicyTree, Plan]:
+    """The behavior tree achieving ``goal`` and its plan, from one expansion.
+
+    The plan is the tree's left-to-right action sequence; under the
+    ``safe`` ordering it is also validated against the symbolic world.
+    """
+    return _Expansion(goal, library, ordering, depth_limit).run()
+
+
 def backchain(goal: Goal, library: ActionLibrary, ordering: str = "safe",
               depth_limit: int = DEFAULT_DEPTH_LIMIT) -> PolicyTree:
     """Synthesize a behavior tree that achieves ``goal``."""
-    tree, _ = _Expansion(goal, library, ordering, depth_limit).run()
-    return tree
+    return synthesize(goal, library, ordering, depth_limit)[0]
 
 
 def extract_plan(goal: Goal, library: ActionLibrary,
@@ -331,8 +342,7 @@ def extract_plan(goal: Goal, library: ActionLibrary,
     out of the plan; they are attached to machines as explicit
     alternative states instead.
     """
-    _, plan = _Expansion(goal, library, "safe", depth_limit).run()
-    return plan
+    return synthesize(goal, library, "safe", depth_limit)[1]
 
 
 def order_preconditions(action: ActionSpec, plan: Plan,

@@ -153,30 +153,31 @@ def modification_distance_report(base: Path | None = None,
 # experiment structure table (complexity, distance, element counts)
 
 #: name, (tree, machine) builder, the row the ed column is measured from,
-#: reference values, and per column a documented alternative with its note
+#: reference values, and per column a documented alternative with its note.
+#: A builder gets the fixture directory and the previous row's (tree,
+#: machine), whose graphs and counts are taken, so a grown row may edit them.
 _EXPERIMENTS = [
     ("development/baseline",
-     lambda base: (load_policy("fetch_bt", base), load_policy("fetch_fsm", base)),
+     lambda base, previous: (load_policy("fetch_bt", base), load_policy("fetch_fsm", base)),
      None, {"cc": [1, 14], "graphical": [27, 24], "active": [14, 24]}, {}),
     ("development/recharge",
-     lambda base: (load_policy("fetch_bt_recharge", base),
-                   load_policy("fetch_fsm_recharge", base)),
+     lambda base, previous: (load_policy("fetch_bt_recharge", base),
+                             load_policy("fetch_fsm_recharge", base)),
      "development/baseline",
      {"cc": [1, 20], "ed": [8, 8], "graphical": [35, 32], "active": [18, 32]}, {}),
-    # fsm_with_dock edits its argument, so the recharge machine is loaded again
     ("development/docking",
-     lambda base: (experiments.bt_with_dock(load_policy("fetch_bt_recharge", base)),
-                   experiments.fsm_with_dock(load_policy("fetch_fsm_recharge", base))),
+     lambda base, previous: (experiments.bt_with_dock(previous[0]),
+                             experiments.fsm_with_dock(previous[1])),
      "development/recharge",
      {"cc": [1, 24], "ed": [6, 8], "graphical": [41, 38], "active": [21, 38]},
      {"ed": ([6, 6], "the reference quotes both 6 (text) and 8 (table) for this edit; "
                      "the exact distance under the stated cost model is reported")}),
     ("scalability/baseline",
-     lambda base: (experiments.scalability_bt(), experiments.scalability_fsm()),
+     lambda base, previous: experiments.scalability_policies(),
      None, {"cc": [1, 68], "graphical": [153, 114], "active": [77, 114]}, {}),
     ("scalability/recharge",
-     lambda base: (experiments.scalability_bt_with_recharge(),
-                   experiments.scalability_fsm_with_recharge()),
+     lambda base, previous: (experiments.bt_with_recharge(previous[0]),
+                             experiments.fsm_with_recharge(previous[1])),
      "scalability/baseline",
      {"cc": [1, 92], "ed": [6, 26], "graphical": [159, 140], "active": [80, 140]}, {}),
 ]
@@ -190,8 +191,9 @@ def experiment_table_report(base: Path | None = None,
         columns=["cc", "ed", "graphical", "active"],
     )
     graphs = {}
+    policies = None
     for name, build, ed_from, expected, documented in _EXPERIMENTS:
-        tree, machine = build(base)
+        policies = tree, machine = build(base, policies)
         graphs[name] = metrics.bt_to_graph(tree), metrics.fsm_to_graph(machine)
         counts = bt.count_elements(tree), fsm.count_elements(machine)
         computed = {key: [count[key] for count in counts] for key in ("graphical", "active")}

@@ -206,7 +206,7 @@ def _failure_from(entry, path: str) -> tuple:
     skill = documents._require(entry, "skill", path)
     args = entry.get("args")
     if args is not None:
-        args = tuple(documents._expect(args, list, f"{path}.args"))
+        args = documents._args(entry, path)
     return skill, args, entry.get("invocation", 1)
 
 

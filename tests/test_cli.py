@@ -149,6 +149,17 @@ class TestRun:
         assert err.startswith("error: perturbations[0].args")
         assert "Traceback" not in err
 
+    def test_failure_with_a_list_arg_exits_one(self, tmp_path, capsys):
+        scenario_doc = json.loads(fixtures.scenario_path("baseline").read_text())
+        scenario_doc["failures"] = [{"skill": "pick", "args": [[1]], "invocation": 1}]
+        path = tmp_path / "list_arg.json"
+        path.write_text(json.dumps(scenario_doc))
+        assert cli.main(["run", data("fetch_bt"), str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: failures[0].args[0]: "
+                                "expected a string or a number, got [1]\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("ticks", ["0", "-5"])
     def test_max_ticks_below_one_exits_one(self, ticks, capsys):
         assert cli.main(["run", data("fetch_bt"), scenario("baseline"),

@@ -4,9 +4,9 @@ import logging
 
 import pytest
 
-from policylab import experiments, metrics
+from policylab import documents, experiments, metrics
 from policylab.core import ActionSpec, ConditionLiteral as L, Goal, PlanError, validate_action_library
-from policylab.planner import backchain, extract_plan, order_preconditions
+from policylab.planner import backchain, extract_plan, order_preconditions, synthesize
 
 
 def leaf_actions(tree):
@@ -164,6 +164,40 @@ class TestExtractPlan:
             "found()", "object_at(cube1, delivery)", "object_at(cube2, delivery)",
             "robot_at(fetch3)",
         }
+
+
+TASKS = {
+    "fetch": lambda: (experiments.fetch_goal(), experiments.fetch_library()),
+    "fetch_safe": lambda: (experiments.fetch_goal(),
+                           experiments.fetch_library(with_safe_move=True)),
+    "scalability": lambda: (experiments.scalability_goal(),
+                            experiments.scalability_library()),
+}
+
+
+class TestSynthesize:
+    @pytest.mark.parametrize("task", sorted(TASKS))
+    @pytest.mark.parametrize("ordering", ["safe", "naive"])
+    def test_tree_equals_the_backchained_one(self, task, ordering):
+        goal, library = TASKS[task]()
+        tree, _ = synthesize(goal, library, ordering)
+        assert documents.serialize_policy(tree) == \
+            documents.serialize_policy(backchain(goal, library, ordering))
+
+    @pytest.mark.parametrize("task", sorted(TASKS))
+    def test_plan_equals_the_extracted_one(self, task):
+        goal, library = TASKS[task]()
+        _, plan = synthesize(goal, library)
+        expected = extract_plan(goal, library)
+        assert plan.steps == expected.steps
+        assert plan.goal == expected.goal
+
+    def test_scalability_policies_equal_the_separate_builders(self):
+        tree, machine = experiments.scalability_policies()
+        assert documents.serialize_policy(tree) == \
+            documents.serialize_policy(experiments.scalability_bt())
+        assert documents.serialize_policy(machine) == \
+            documents.serialize_policy(experiments.scalability_fsm())
 
 
 class TestOrderPreconditions:

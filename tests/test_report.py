@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from policylab import fixtures, report
+from policylab import fixtures, planner, report
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -22,3 +22,24 @@ def test_regenerated_fixtures_equal_the_packaged_ones(tmp_path):
     for path in written:
         packaged = fixtures.data_dir() / path.relative_to(tmp_path)
         assert path.read_bytes() == packaged.read_bytes(), path.name
+
+
+def test_experiment_table_expands_once_and_loads_four_fixtures(monkeypatch):
+    runs = []
+    loaded = []
+    run = planner._Expansion.run
+    load = report.load_policy
+
+    def counting_run(self):
+        runs.append(self.goal)
+        return run(self)
+
+    def counting_load(name, base=None):
+        loaded.append(name)
+        return load(name, base)
+
+    monkeypatch.setattr(planner._Expansion, "run", counting_run)
+    monkeypatch.setattr(report, "load_policy", counting_load)
+    assert report.build_report(3).ok
+    assert len(runs) == 1
+    assert len(loaded) == len(set(loaded)) == 4

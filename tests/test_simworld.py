@@ -339,6 +339,12 @@ class TestScenarioDocuments:
         ({"max_ticks": 0}, r"max_ticks: must be at least 1"),
         ({"max_ticks": -5}, r"max_ticks: must be at least 1"),
         ({"version": 7}, r"version: unsupported value 7"),
+        ({"failures": [{"skill": "pick", "args": [[1]], "invocation": 1}]},
+         r"failures\[0\]\.args\[0\]: expected a string or a number, got \[1\]"),
+        ({"failures": [{"skill": "pick", "args": [True], "invocation": 1}]},
+         r"failures\[0\]\.args\[0\]: expected a string or a number, got True"),
+        ({"failures": [{"skill": "pick", "args": "cube2", "invocation": 1}]},
+         r"failures\[0\]\.args: expected a list"),
     ])
     def test_malformed_fields_are_named(self, fields, message):
         with pytest.raises(DocumentError, match=message):

@@ -58,10 +58,10 @@ class PolicyTree:
 
     nodes: dict[int, BtNode] = field(default_factory=dict)
     root: int = 0
-    # engine bookkeeping, reset between episodes
-    last_tick_visited: set[int] = field(default_factory=set)
-    memory_marks: dict[int, int] = field(default_factory=dict)
-    active_actions: set[int] = field(default_factory=set)
+    # engine bookkeeping, reset between episodes and left out of == and repr
+    last_tick_visited: set[int] = field(default_factory=set, compare=False, repr=False)
+    memory_marks: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
+    active_actions: set[int] = field(default_factory=set, compare=False, repr=False)
 
     def node(self, node_id: int) -> BtNode:
         try:

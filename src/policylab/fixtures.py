@@ -19,12 +19,12 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def policy_path(name: str, base: Path | None = None) -> Path:
-    return (base or data_dir()) / f"{name}.json"
+def policy_path(name: str) -> Path:
+    return data_dir() / f"{name}.json"
 
 
-def available_policies(base: Path | None = None) -> list[str]:
-    root = base or data_dir()
+def available_policies() -> list[str]:
+    root = data_dir()
     if not root.is_dir():
         raise DocumentError(f"fixture directory {root} is missing")
     return sorted(p.stem for p in root.glob("*.json")
@@ -37,26 +37,26 @@ def _load(path: Path, what: str, name: str, parse):
     return parse(path.read_text())
 
 
-def load_policy(name: str, base: Path | None = None):
-    return _load(policy_path(name, base), "fixture", name, documents.parse_policy_document)
+def load_policy(name: str):
+    return _load(policy_path(name), "fixture", name, documents.parse_policy_document)
 
 
-def load_library(name: str, base: Path | None = None):
-    return _load((base or data_dir()) / f"{name}_library.json", "library fixture", name,
+def load_library(name: str):
+    return _load(data_dir() / f"{name}_library.json", "library fixture", name,
                  documents.parse_library_document)
 
 
-def load_goal(name: str, base: Path | None = None):
-    return _load((base or data_dir()) / f"{name}_goal.json", "goal fixture", name,
+def load_goal(name: str):
+    return _load(data_dir() / f"{name}_goal.json", "goal fixture", name,
                  documents.parse_goal_document)
 
 
-def scenario_path(name: str, base: Path | None = None) -> Path:
-    return (base or data_dir()) / "scenarios" / f"{name}.json"
+def scenario_path(name: str) -> Path:
+    return data_dir() / "scenarios" / f"{name}.json"
 
 
-def load_scenario(name: str, base: Path | None = None) -> Scenario:
-    return _load(scenario_path(name, base), "scenario fixture", name,
+def load_scenario(name: str) -> Scenario:
+    return _load(scenario_path(name), "scenario fixture", name,
                  parse_scenario_document)
 
 

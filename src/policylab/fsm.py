@@ -67,11 +67,11 @@ class StateMachine:
     goal: tuple = ()
     #: connected states as (state id, trigger guard), in priority order
     connected: list = field(default_factory=list)
-    # runtime bookkeeping, reset between episodes
-    current: Optional[int] = None
-    terminated: Optional[Status] = None
-    started: set = field(default_factory=set)
-    failed: set = field(default_factory=set)
+    # runtime bookkeeping, reset between episodes and left out of == and repr
+    current: Optional[int] = field(default=None, compare=False, repr=False)
+    terminated: Optional[Status] = field(default=None, compare=False, repr=False)
+    started: set = field(default_factory=set, compare=False, repr=False)
+    failed: set = field(default_factory=set, compare=False, repr=False)
 
     def state(self, state_id: int) -> FsmState:
         try:
@@ -176,7 +176,7 @@ def count_elements(sm: StateMachine) -> dict:
 # builders
 
 
-def _skill_state(sid: int, step: PlanStep, rank: int = 0) -> FsmState:
+def _skill_state(sid: int, step: PlanStep) -> FsmState:
     spec = step.spec
     return FsmState(
         id=sid,
@@ -186,7 +186,6 @@ def _skill_state(sid: int, step: PlanStep, rank: int = 0) -> FsmState:
         args=tuple(spec.params),
         dispatch_pre=tuple(step.dispatch_pre),
         achieves=step.achieves,
-        rank=rank,
     )
 
 

@@ -29,12 +29,12 @@ class HfsmContainer:
     skill: str = ""
     args: tuple = ()
     literal: Optional[ConditionLiteral] = None
-    # engine bookkeeping, meaningful on the root container only: the
-    # action leaves whose skills were started and not yet seen finished,
-    # by id, and the ids the latest step visited
+    # engine bookkeeping, meaningful on the root container only and left
+    # out of == and repr: the action leaves whose skills were started and
+    # not yet seen finished, by id, and the ids the latest step visited
     active_leaves: dict[int, "HfsmContainer"] = field(
         default_factory=dict, compare=False, repr=False)
-    last_visited: set = field(default_factory=set)
+    last_visited: set = field(default_factory=set, compare=False, repr=False)
 
     def skill_key(self) -> tuple:
         return (self.skill, tuple(self.args))

@@ -138,9 +138,7 @@ class GedCostModel:
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be non-negative")
 
-    def vertex_cost(self, label1: Optional[str], label2: Optional[str]) -> float:
-        if label1 is None:
-            return self.node_insert
+    def vertex_cost(self, label1: str, label2: Optional[str]) -> float:
         if label2 is None:
             return self.node_delete
         return 0.0 if label1 == label2 else self.node_substitute
@@ -183,9 +181,6 @@ class GedResult:
     complete: bool
     script: EditScript
     mapping: dict
-
-    def __float__(self) -> float:
-        return self.distance
 
 
 def apply_script(graph: PolicyGraph, script: EditScript) -> PolicyGraph:
@@ -473,24 +468,15 @@ def _neighbours(graph: PolicyGraph) -> tuple:
 
 
 def ged_anchored(g1: PolicyGraph, g2: PolicyGraph,
-                 anchor: Optional[dict] = None,
                  cost: Optional[GedCostModel] = None) -> GedResult:
-    """Edit cost under a fixed identity correspondence on shared ids.
+    """Edit cost under the identity correspondence on shared ids.
 
     An upper bound on the exact distance; this is what scales to large
     machines where optimal search is pointless because element identity
     is already known.
     """
     cost = cost or GedCostModel()
-    if anchor is None:
-        anchor = {v: v for v in g1.vertices if v in g2.vertices}
-    targets = [t for t in anchor.values() if t is not None]
-    if len(set(targets)) != len(targets):
-        raise ValidationError("anchor maps two ids to one target")
-    for v1, v2 in anchor.items():
-        if v1 not in g1.vertices or (v2 is not None and v2 not in g2.vertices):
-            raise ValidationError(f"anchor pair ({v1}, {v2}) references missing vertex")
-    mapping = {v: anchor.get(v) for v in g1.vertices}
+    mapping = {v: v if v in g2.vertices else None for v in g1.vertices}
     script = _script_for_mapping(g1, g2, mapping, cost)
     return GedResult(distance=script.cost, complete=True, script=script,
                      mapping=mapping)
@@ -517,7 +503,8 @@ def brute_force_ged(g1: PolicyGraph, g2: PolicyGraph,
     """Ground truth on tiny graphs by enumerating injective mappings.
 
     Independent of the best-first solver: plain recursion over every
-    map-or-delete choice, pruned only by the incumbent.
+    map-or-delete choice, pruned only by the incumbent, with its own
+    vertex and edge costing on the label sets of ``_label_sets``.
     """
     cost = cost or GedCostModel()
     if g1.order() > BRUTE_FORCE_LIMIT or g2.order() > BRUTE_FORCE_LIMIT:
@@ -528,22 +515,25 @@ def brute_force_ged(g1: PolicyGraph, g2: PolicyGraph,
     ids2 = sorted(g2.vertices)
     pair1 = _label_sets(g1)
     pair2 = _label_sets(g2)
+    none = frozenset()
     best = [float("inf")]
 
+    def labels_cost(labels1: frozenset, labels2: frozenset) -> float:
+        """Labels on one side only pair up as substitutions, the rest are
+        deleted or inserted; a deleted vertex (None) has no labels."""
+        if labels1 == labels2:
+            return 0.0
+        only1 = len(labels1 - labels2)
+        only2 = len(labels2 - labels1)
+        paired = min(only1, only2)
+        return (paired * cost.edge_substitute + (only1 - paired) * cost.edge_delete
+                + (only2 - paired) * cost.edge_insert)
+
     def edge_cost_between(v1, c, chosen) -> float:
-        subtotal = 0.0
-        loops1 = pair1.get((v1, v1), ())
-        if c is not None:
-            subtotal += cost.edge_group_cost(loops1, pair2.get((c, c), ()))
-        else:
-            subtotal += len(loops1) * cost.edge_delete
+        subtotal = labels_cost(pair1.get((v1, v1), none), pair2.get((c, c), none))
         for w1, w2 in chosen:
-            for a1, b1, a2, b2 in ((v1, w1, c, w2), (w1, v1, w2, c)):
-                labels1 = pair1.get((a1, b1), ())
-                if c is not None and w2 is not None:
-                    subtotal += cost.edge_group_cost(labels1, pair2.get((a2, b2), ()))
-                else:
-                    subtotal += len(labels1) * cost.edge_delete
+            subtotal += labels_cost(pair1.get((v1, w1), none), pair2.get((c, w2), none))
+            subtotal += labels_cost(pair1.get((w1, v1), none), pair2.get((w2, c), none))
         return subtotal
 
     def recurse(index: int, chosen: list, running: float) -> None:
@@ -566,8 +556,12 @@ def brute_force_ged(g1: PolicyGraph, g2: PolicyGraph,
         for candidate in ids2 + [None]:
             if candidate is not None and candidate in used:
                 continue
-            label2 = g2.vertices[candidate] if candidate is not None else None
-            increment = cost.vertex_cost(g1.vertices[v1], label2)
+            if candidate is None:
+                increment = cost.node_delete
+            elif g1.vertices[v1] != g2.vertices[candidate]:
+                increment = cost.node_substitute
+            else:
+                increment = 0.0
             increment += edge_cost_between(v1, candidate, chosen)
             recurse(index + 1, chosen + [(v1, candidate)], running + increment)
 
@@ -668,34 +662,6 @@ def effort_m(total_states: int, connected_states: int) -> int:
     return 3 * (total_states + 1) + connected_states * (total_states - 1)
 
 
-@dataclass(frozen=True)
-class StructureCounts:
-    """Closed-form element accounting for a fault-tolerant machine."""
-
-    actions: int
-    connected: int = 0
-
-    def __post_init__(self):
-        if self.connected > self.actions or self.actions < 0 or self.connected < 0:
-            raise ValidationError("invalid state counts")
-
-    @property
-    def t_fc(self) -> int:
-        return self.connected * (self.actions - 1)
-
-    @property
-    def n(self) -> int:
-        return self.actions + 1  # skill states plus the selector
-
-    @property
-    def t(self) -> int:
-        return 4 * self.actions + 2
-
-    @property
-    def s(self) -> int:
-        return 5 * self.actions + 4 + self.t_fc
-
-
 def formula_estimates(kind: str, actions: int, connected: int = 0) -> dict:
     """Rule-of-thumb element counts as a function of the action count.
 
@@ -707,8 +673,10 @@ def formula_estimates(kind: str, actions: int, connected: int = 0) -> dict:
     if kind == "bt":
         return {"graphical": 7 * actions - 1, "active": 3.5 * actions}
     if kind == "fsm":
-        counts = StructureCounts(actions=actions, connected=connected)
-        return {"graphical": counts.s, "active": counts.s}
+        if connected > actions:
+            raise ValidationError("connected states cannot exceed the actions")
+        elements = 5 * actions + 4 + connected * (actions - 1)
+        return {"graphical": elements, "active": elements}
     if kind == "hfsm":
         return {"graphical": 36 * actions - 3, "active": 29 * actions - 3}
     raise ValidationError(f"unknown policy kind {kind!r}")

@@ -26,7 +26,7 @@ from .core import ActionLibrary, ActionSpec, ConditionLiteral, Goal, PlanError
 
 log = logging.getLogger(__name__)
 
-DEFAULT_DEPTH_LIMIT = 10
+DEPTH_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -127,14 +127,12 @@ def _clobbers(post: ConditionLiteral, literal: ConditionLiteral) -> bool:
 
 
 class _Expansion:
-    def __init__(self, goal: Goal, library: ActionLibrary, ordering: str,
-                 depth_limit: int):
+    def __init__(self, goal: Goal, library: ActionLibrary, ordering: str):
         if ordering not in ("safe", "naive"):
             raise PlanError(f"unknown ordering {ordering!r}")
         self.goal = goal
         self.library = library
         self.ordering = ordering
-        self.depth_limit = depth_limit
         self.builder = TreeBuilder()
         self.steps: list[PlanStep] = []
         self.links: list[tuple] = []  # (achiever index, consumer index, literal)
@@ -194,10 +192,8 @@ class _Expansion:
     def expand_condition(self, literal: ConditionLiteral, depth: int,
                          on_plan: bool) -> tuple[int, Optional[int]]:
         """Expand one condition; returns (tree node id, achiever plan index)."""
-        if depth > self.depth_limit:
-            raise PlanError(
-                f"expansion of {literal} exceeds depth limit {self.depth_limit}"
-            )
+        if depth > DEPTH_LIMIT:
+            raise PlanError(f"expansion of {literal} exceeds depth limit {DEPTH_LIMIT}")
         achievers = self.library.achievers_of(literal)
         condition_id = self.builder.condition(literal)
         if not achievers:
@@ -317,24 +313,22 @@ class _Expansion:
 # public operations
 
 
-def synthesize(goal: Goal, library: ActionLibrary, ordering: str = "safe",
-               depth_limit: int = DEFAULT_DEPTH_LIMIT) -> tuple[PolicyTree, Plan]:
+def synthesize(goal: Goal, library: ActionLibrary,
+               ordering: str = "safe") -> tuple[PolicyTree, Plan]:
     """The behavior tree achieving ``goal`` and its plan, from one expansion.
 
     The plan is the tree's left-to-right action sequence; under the
     ``safe`` ordering it is also validated against the symbolic world.
     """
-    return _Expansion(goal, library, ordering, depth_limit).run()
+    return _Expansion(goal, library, ordering).run()
 
 
-def backchain(goal: Goal, library: ActionLibrary, ordering: str = "safe",
-              depth_limit: int = DEFAULT_DEPTH_LIMIT) -> PolicyTree:
+def backchain(goal: Goal, library: ActionLibrary, ordering: str = "safe") -> PolicyTree:
     """Synthesize a behavior tree that achieves ``goal``."""
-    return synthesize(goal, library, ordering, depth_limit)[0]
+    return synthesize(goal, library, ordering)[0]
 
 
-def extract_plan(goal: Goal, library: ActionLibrary,
-                 depth_limit: int = DEFAULT_DEPTH_LIMIT) -> Plan:
+def extract_plan(goal: Goal, library: ActionLibrary) -> Plan:
     """Left-to-right action sequence of the safely ordered tree.
 
     This is the sequence handed to the state machine builders so that
@@ -342,7 +336,7 @@ def extract_plan(goal: Goal, library: ActionLibrary,
     out of the plan; they are attached to machines as explicit
     alternative states instead.
     """
-    return synthesize(goal, library, "safe", depth_limit)[1]
+    return synthesize(goal, library)[1]
 
 
 def order_preconditions(action: ActionSpec, plan: Plan,

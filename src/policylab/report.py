@@ -11,7 +11,6 @@ report matches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import bt, documents, experiments, fsm, hfsm, metrics
 from .fixtures import load_policy
@@ -131,16 +130,15 @@ def _encode(tree, machine) -> tuple:
             metrics.hfsm_to_graph(hfsm.from_bt(tree)))
 
 
-def modification_distance_report(base: Path | None = None,
-                                 budget: float = DEFAULT_GED_BUDGET) -> Report:
+def modification_distance_report(budget: float = DEFAULT_GED_BUDGET) -> Report:
     """Edit distances of the four modified policies to their baselines."""
     report = Report(
         title="Structure edit distances of the modification case studies",
         columns=["bt", "fsm", "hfsm"],
     )
-    baseline = _encode(load_policy("fetch_bt", base), load_policy("fetch_fsm", base))
+    baseline = _encode(load_policy("fetch_bt"), load_policy("fetch_fsm"))
     for row, (tree, machine, expected) in _DISTANCES.items():
-        changed = _encode(load_policy(tree, base), load_policy(machine, base))
+        changed = _encode(load_policy(tree), load_policy(machine))
         report.rows.append((row, {
             column: _cell(row, column, _exact(before, after, budget), reference)
             for column, before, after, reference
@@ -154,37 +152,35 @@ def modification_distance_report(base: Path | None = None,
 
 #: name, (tree, machine) builder, the row the ed column is measured from,
 #: reference values, and per column a documented alternative with its note.
-#: A builder gets the fixture directory and the previous row's (tree,
-#: machine), whose graphs and counts are taken, so a grown row may edit them.
+#: A builder gets the previous row's (tree, machine), whose graphs and
+#: counts are taken, so a grown row may edit them.
 _EXPERIMENTS = [
     ("development/baseline",
-     lambda base, previous: (load_policy("fetch_bt", base), load_policy("fetch_fsm", base)),
+     lambda previous: (load_policy("fetch_bt"), load_policy("fetch_fsm")),
      None, {"cc": [1, 14], "graphical": [27, 24], "active": [14, 24]}, {}),
     ("development/recharge",
-     lambda base, previous: (load_policy("fetch_bt_recharge", base),
-                             load_policy("fetch_fsm_recharge", base)),
+     lambda previous: (load_policy("fetch_bt_recharge"), load_policy("fetch_fsm_recharge")),
      "development/baseline",
      {"cc": [1, 20], "ed": [8, 8], "graphical": [35, 32], "active": [18, 32]}, {}),
     ("development/docking",
-     lambda base, previous: (experiments.bt_with_dock(previous[0]),
-                             experiments.fsm_with_dock(previous[1])),
+     lambda previous: (experiments.bt_with_dock(previous[0]),
+                       experiments.fsm_with_dock(previous[1])),
      "development/recharge",
      {"cc": [1, 24], "ed": [6, 8], "graphical": [41, 38], "active": [21, 38]},
      {"ed": ([6, 6], "the reference quotes both 6 (text) and 8 (table) for this edit; "
                      "the exact distance under the stated cost model is reported")}),
     ("scalability/baseline",
-     lambda base, previous: experiments.scalability_policies(),
+     lambda previous: experiments.scalability_policies(),
      None, {"cc": [1, 68], "graphical": [153, 114], "active": [77, 114]}, {}),
     ("scalability/recharge",
-     lambda base, previous: (experiments.bt_with_recharge(previous[0]),
-                             experiments.fsm_with_recharge(previous[1])),
+     lambda previous: (experiments.bt_with_recharge(previous[0]),
+                       experiments.fsm_with_recharge(previous[1])),
      "scalability/baseline",
      {"cc": [1, 92], "ed": [6, 26], "graphical": [159, 140], "active": [80, 140]}, {}),
 ]
 
 
-def experiment_table_report(base: Path | None = None,
-                            budget: float = DEFAULT_GED_BUDGET) -> Report:
+def experiment_table_report(budget: float = DEFAULT_GED_BUDGET) -> Report:
     """Cyclomatic complexity, edit distance and element counts per experiment."""
     report = Report(
         title="Structure metrics of the experiment policies (tree/machine)",
@@ -193,7 +189,7 @@ def experiment_table_report(base: Path | None = None,
     graphs = {}
     policies = None
     for name, build, ed_from, expected, documented in _EXPERIMENTS:
-        policies = tree, machine = build(base, policies)
+        policies = tree, machine = build(policies)
         graphs[name] = metrics.bt_to_graph(tree), metrics.fsm_to_graph(machine)
         counts = bt.count_elements(tree), fsm.count_elements(machine)
         computed = {key: [count[key] for count in counts] for key in ("graphical", "active")}
@@ -212,10 +208,9 @@ def experiment_table_report(base: Path | None = None,
     return report
 
 
-def build_report(table: int, base: Path | None = None,
-                 budget: float = DEFAULT_GED_BUDGET) -> Report:
+def build_report(table: int, budget: float = DEFAULT_GED_BUDGET) -> Report:
     if table == 2:
-        return modification_distance_report(base, budget)
+        return modification_distance_report(budget)
     if table == 3:
-        return experiment_table_report(base, budget)
+        return experiment_table_report(budget)
     raise ValueError(f"no table {table}; choose 2 or 3")

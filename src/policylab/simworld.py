@@ -281,11 +281,11 @@ def traces_equivalent(first: Trace, second: Trace) -> bool:
     return first.skill_lifecycle() == second.skill_lifecycle()
 
 
-def detect_chattering(trace: Trace, repeats: int = 3) -> bool:
+def detect_chattering(trace: Trace) -> bool:
     """Spot two motion goals repeatedly displacing each other.
 
     True when some pair of distinct motion skills alternates in the
-    start sequence while at least ``repeats`` preemptions of either one
+    start sequence while at least three preemptions of either one
     happen within the alternating run.
     """
     starts = []
@@ -315,7 +315,7 @@ def detect_chattering(trace: Trace, repeats: int = 3) -> bool:
             low, high = run[0][1], run[-1][1]
             hits = sum(1 for key, tick in preempts
                        if key in pair and low <= tick <= high)
-            if hits >= repeats:
+            if hits >= 3:
                 return True
         index = max(index + 1, end - 1)
     return False
@@ -536,11 +536,17 @@ class World:
                 0.0, self.state.battery - self.scenario.drain_per_motion_tick
             )
         for runtime in completed:
+            # the world may have changed since the start guard passed: a
+            # skill whose guard fails now ends as it would have at start
             if runtime.will_fail:
+                reason = "injected failure"
+            else:
+                reason = self._start_guard(runtime.name, runtime.args)
+            if reason:
                 runtime.state = "failed"
-                runtime.reason = "injected failure"
+                runtime.reason = reason
                 self._log("skill_end", skill=runtime.name, args=list(runtime.args),
-                          outcome="failure", reason=runtime.reason)
+                          outcome="failure", reason=reason)
             else:
                 runtime.state = "succeeded"
                 self._completion_effects(runtime.name, runtime.args)

@@ -245,6 +245,9 @@ def test_criterion_10_distance_oracle():
                  for _ in range(rng.randint(0, 2 * n))}
         return metrics.PolicyGraph(vertices=vertices, edges=edges)
 
+    # under the default model reconciling parallel edges costs |n1 - n2|
+    # whatever labels match, so the label-sensitive model checks the matching
+    sensitive = metrics.LABEL_SENSITIVE
     for index in range(200):
         g1, g2 = sample(), sample()
         result = metrics.ged_exact(g1, g2, budget=30.0)
@@ -252,8 +255,12 @@ def test_criterion_10_distance_oracle():
         assert result.distance == metrics.brute_force_ged(g1, g2), index
         rebuilt = metrics.apply_script(g1, result.script)
         assert metrics.isomorphic(rebuilt, g2), index
+        result = metrics.ged_exact(g1, g2, sensitive, budget=30.0)
+        assert result.complete
+        assert result.distance == metrics.brute_force_ged(g1, g2, sensitive), index
     announce(10, "exact search equals the exhaustive oracle on 200 seeded "
-                 "pairs and every witnessing edit script rebuilds the target")
+                 "pairs, under the default and the label-sensitive model, and "
+                 "every witnessing edit script rebuilds the target")
 
 
 def _tree_of_size(target: int):

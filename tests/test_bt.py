@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from policylab import bt, experiments
+from policylab import bt, experiments, simworld
 from policylab.core import ConditionLiteral as L, EditError, Status
 
 
@@ -212,3 +212,11 @@ class TestEdits:
         assert bt.count_elements(tree) == {
             "nodes": 1, "edges": 0, "graphical": 1, "active": 1,
         }
+
+
+def test_runtime_bookkeeping_stays_out_of_equality_and_repr(fetch_tree):
+    simworld.run_episode(fetch_tree, experiments.baseline_scenario())
+    assert fetch_tree.last_tick_visited
+    assert fetch_tree == experiments.fetch_bt()
+    for name in ("last_tick_visited", "memory_marks", "active_actions"):
+        assert name not in repr(fetch_tree)

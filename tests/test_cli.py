@@ -199,6 +199,12 @@ class TestMetrics:
         assert cli.main(["metrics", "--estimate", "bt", "4", "0"]) == 0
         assert "~27" in capsys.readouterr().out
 
+    def test_cc_and_counts_of_a_nested_machine(self, capsys):
+        assert cli.main(["metrics", "--cc", data("pick_place_hfsm")]) == 0
+        assert capsys.readouterr().out == "cyclomatic complexity: 12\n"
+        assert cli.main(["metrics", "--counts", data("pick_place_hfsm")]) == 0
+        assert capsys.readouterr().out == "nodes: 8\nedges: 16\ngraphical: 24\nactive: 24\n"
+
     def test_estimate_with_a_non_integer_count_exits_one(self, capsys):
         assert cli.main(["metrics", "--estimate", "bt", "x", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: --estimate: M and MFC must be")
@@ -287,7 +293,7 @@ class TestReport:
         statuses = {cell["status"] for cell in payload["cells"]}
         assert statuses == {"match", "documented"}
 
-    def test_cells_are_computed_not_embedded(self, tmp_path):
+    def test_cells_are_computed_not_embedded(self, tmp_path, monkeypatch):
         corrupted = tmp_path / "data"
         shutil.copytree(fixtures.data_dir(), corrupted)
         doc = json.loads((corrupted / "fetch_bt_tuck.json").read_text())
@@ -297,7 +303,8 @@ class TestReport:
         parent["children"].remove(tuck["id"])
         doc["nodes"].remove(tuck)
         (corrupted / "fetch_bt_tuck.json").write_text(json.dumps(doc))
-        result = report.build_report(2, base=corrupted)
+        monkeypatch.setattr(fixtures, "data_dir", lambda: corrupted)
+        result = report.build_report(2)
         assert not result.ok
         broken = [cell for _, cells in result.rows for cell in cells.values()
                   if cell.status == "mismatch"]
@@ -305,6 +312,4 @@ class TestReport:
 
     def test_missing_fixture_dir_exits_one(self, tmp_path, monkeypatch):
         monkeypatch.setattr(fixtures, "data_dir", lambda: tmp_path / "absent")
-        monkeypatch.setattr("policylab.report.load_policy",
-                            lambda name, base=None: fixtures.load_policy(name, base))
         assert cli.main(["report", "--table", "2"]) == 1

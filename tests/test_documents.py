@@ -131,6 +131,18 @@ def test_fsm_transition_target_must_exist():
         documents.parse_policy_document(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("type", "hub", r"states\[1\]\.type: unknown state kind 'hub'"),
+    ("id", 0, r"states\[1\]\.id: duplicate id 0"),
+    ("transitions", {"DONE": 2}, r"states\[1\]\.transitions: unknown label 'DONE'"),
+], ids=["unknown-type", "duplicate-id", "unknown-label"])
+def test_machine_state_defects_name_the_field(field, value, message):
+    doc = json.loads(fixtures.policy_path("fetch_fsm").read_text())
+    doc["states"][1][field] = value
+    with pytest.raises(DocumentError, match=message):
+        documents.parse_policy_document(json.dumps(doc))
+
+
 def test_library_and_goal_round_trip():
     library = fixtures.load_library("fetch")
     text = documents.serialize_library(library)

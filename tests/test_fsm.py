@@ -2,7 +2,7 @@
 
 import pytest
 
-from policylab import experiments, fsm
+from policylab import experiments, fsm, simworld
 from policylab.core import ConditionLiteral as L, EditError, Status, ValidationError
 from policylab.planner import Plan, PlanStep
 from policylab.core import ActionSpec
@@ -293,3 +293,11 @@ class TestValidation:
         machine.states[0] = fsm.FsmState(id=0, kind="skill", name="s", skill="tuck")
         with pytest.raises(ValidationError, match="SUCCESS"):
             machine.validate()
+
+
+def test_runtime_bookkeeping_stays_out_of_equality_and_repr(fetch_machine):
+    simworld.run_episode(fetch_machine, experiments.baseline_scenario())
+    assert fetch_machine.terminated is Status.SUCCESS
+    assert fetch_machine == experiments.fetch_fsm()
+    for name in ("current", "terminated", "started", "failed"):
+        assert f"{name}=" not in repr(fetch_machine)

@@ -1,5 +1,7 @@
 """The tree-mimicking nested machine: construction and execution."""
 
+import copy
+
 import pytest
 
 from policylab import bt, experiments, hfsm, metrics, simworld
@@ -49,7 +51,6 @@ class TestFromBt:
 
 class TestStep:
     def test_fresh_world_matches_a_tree_tick(self, fetch_tree, scripted_world):
-        import copy
         machine = hfsm.from_bt(fetch_tree)
         mirror = copy.deepcopy(scripted_world)
         assert hfsm.step(machine, scripted_world) is bt.tick(fetch_tree, mirror)
@@ -123,8 +124,29 @@ class TestStep:
                                                                scripted_world):
         machine = hfsm.from_bt(fetch_tree)
         hfsm.step(machine, scripted_world)
-        assert machine.active_leaves
-        fresh = hfsm.from_bt(fetch_tree)
-        fresh.last_visited = set(machine.last_visited)
-        assert machine == fresh
+        assert machine.active_leaves and machine.last_visited
+        assert machine == hfsm.from_bt(fetch_tree)
         assert "active_leaves" not in repr(machine)
+        assert "last_visited" not in repr(machine)
+
+    @pytest.mark.parametrize("result", [Status.SUCCESS, Status.FAILURE, None],
+                             ids=["success", "failure", "runtime-gone"])
+    def test_leaf_visited_after_its_skill_ended_returns_its_result(self, result,
+                                                                   scripted_world):
+        builder = bt.TreeBuilder()
+        tree = builder.build(builder.action("tuck"))
+        machine = hfsm.from_bt(tree)
+        tree_world = copy.deepcopy(scripted_world)
+        hfsm.step(machine, scripted_world)
+        bt.tick(tree, tree_world)
+        for world in (scripted_world, tree_world):
+            if result is None:  # the world forgot the skill: no runtime, no result
+                world.running.clear()
+            else:
+                world.results["tuck"] = result
+                world.advance(2)
+        expected = Status.FAILURE if result is None else result
+        assert hfsm.step(machine, scripted_world) is expected
+        assert bt.tick(tree, tree_world) is expected
+        assert machine.active_leaves == {}
+        assert scripted_world.started == [("tuck", ())]

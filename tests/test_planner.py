@@ -105,10 +105,8 @@ class TestBackchain:
         specs.append(ActionSpec("hop_last", (),
                                 postconditions=(L("robot_at", ("s12",)),)))
         library = validate_action_library(specs)
-        with pytest.raises(PlanError, match="depth limit"):
+        with pytest.raises(PlanError, match="depth limit 10"):
             backchain(Goal(conditions=(L("docked"),)), library)
-        tree = backchain(Goal(conditions=(L("docked"),)), library, depth_limit=20)
-        assert len(leaf_actions(tree)) == 14
 
     def test_side_effect_condition_becomes_a_reference_check(self, caplog):
         both = ActionSpec("deliver_and_dock", (),

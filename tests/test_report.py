@@ -34,9 +34,9 @@ def test_experiment_table_expands_once_and_loads_four_fixtures(monkeypatch):
         runs.append(self.goal)
         return run(self)
 
-    def counting_load(name, base=None):
+    def counting_load(name):
         loaded.append(name)
-        return load(name, base)
+        return load(name)
 
     monkeypatch.setattr(planner._Expansion, "run", counting_run)
     monkeypatch.setattr(report, "load_policy", counting_load)

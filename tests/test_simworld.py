@@ -20,6 +20,32 @@ from policylab.simworld import (
 )
 
 
+#: the trace of the tuck machine in the post_success scenario from tick 18,
+#: where the perturbation takes the cube out of the hand during ``place``
+POST_SUCCESS_TUCK_MACHINE_TAIL = [
+    '{"tick": 18, "kind": "perturbation", "event": "set_item_location", '
+    '"args": ["cube2", "fetch1"]}',
+    '{"tick": 18, "kind": "skill_end", "skill": "place", "args": ["cube2"], '
+    '"outcome": "failure", "reason": "not holding cube2"}',
+    '{"tick": 19, "kind": "skill_start", "skill": "move_to", "args": ["fetch1"]}',
+    '{"tick": 23, "kind": "skill_end", "skill": "move_to", "args": ["fetch1"], '
+    '"outcome": "success"}',
+    '{"tick": 24, "kind": "skill_start", "skill": "pick", "args": ["cube2"]}',
+    '{"tick": 26, "kind": "skill_end", "skill": "pick", "args": ["cube2"], '
+    '"outcome": "success"}',
+    '{"tick": 27, "kind": "skill_start", "skill": "tuck", "args": []}',
+    '{"tick": 29, "kind": "skill_end", "skill": "tuck", "args": [], "outcome": "success"}',
+    '{"tick": 30, "kind": "skill_start", "skill": "move_to", "args": ["delivery"]}',
+    '{"tick": 34, "kind": "skill_end", "skill": "move_to", "args": ["delivery"], '
+    '"outcome": "success"}',
+    '{"tick": 35, "kind": "skill_start", "skill": "place", "args": ["cube2"]}',
+    '{"tick": 37, "kind": "skill_end", "skill": "place", "args": ["cube2"], '
+    '"outcome": "success"}',
+    '{"tick": 38, "kind": "policy_status", "status": "SUCCESS"}',
+    '{"tick": 39, "kind": "episode_end", "outcome": "SUCCESS", "timed_out": false}',
+]
+
+
 def fresh_world(**overrides):
     return World(replace(experiments.baseline_scenario(), **overrides))
 
@@ -182,6 +208,25 @@ class TestEpisodes:
         scenario = replace(experiments.baseline_scenario(), max_ticks=3)
         trace = run_episode(fetch_tree, scenario)
         assert trace.outcome == "TIMEOUT" and trace.timed_out
+
+    def test_forced_failure_fails_the_next_start_of_that_skill(self, fetch_tree):
+        scenario = replace(experiments.baseline_scenario(), perturbations=(
+            Perturbation(5, "force_fail_next", ("pick",)),))
+        trace = run_episode(fetch_tree, scenario)
+        assert trace.outcome == "SUCCESS"
+        assert trace.skill_lifecycle()[1:3] == [("pick", ("cube2",), "failure"),
+                                                ("pick", ("cube2",), "success")]
+        failed = [e for e in trace.skill_events("skill_end")
+                  if e.payload["outcome"] == "failure"]
+        assert [(e.tick, e.payload["reason"]) for e in failed] == [(7, "injected failure")]
+
+    def test_place_fails_when_the_item_left_the_hand_while_it_ran(self):
+        """The cube is knocked back to its table in the tick ``place``
+        completes: the world does not report it placed, and the machine
+        fetches it again."""
+        machine = fixtures.load_policy("fetch_fsm_tuck")
+        trace = run_episode(machine, fixtures.load_scenario("post_success"))
+        assert trace.to_jsonl().splitlines()[10:] == POST_SUCCESS_TUCK_MACHINE_TAIL
 
 
 class TestEquivalence:

@@ -147,17 +147,17 @@ def _string(value, path: str, key: str) -> str:
 _ARG_TYPES = {str, int, float}
 
 
-def _args(entry: dict, path: str) -> tuple:
-    """The ``args`` field of ``entry``: a list of strings and numbers.
+def _args(entry: dict, path: str, key: str = "args") -> tuple:
+    """Field ``key`` of ``entry``: a list of strings and numbers.
 
     Only an error builds the field's path, as ``_id`` does.
     """
-    values = entry.get("args", [])
+    values = entry.get(key, [])
     if not isinstance(values, list):
-        _expect(values, list, f"{path}.args")
+        _expect(values, list, f"{path}.{key}")
     for index, value in enumerate(values):
         if type(value) not in _ARG_TYPES:
-            raise DocumentError(f"{path}.args[{index}]: expected a string or a number, "
+            raise DocumentError(f"{path}.{key}[{index}]: expected a string or a number, "
                                 f"got {value!r}")
     return tuple(values)
 
@@ -434,7 +434,7 @@ def parse_library_document(data) -> ActionLibrary:
         path = f"actions[{index}]"
         specs.append(ActionSpec(
             name=_string(_require(entry, "name", path), path, "name"),
-            params=tuple(_expect(entry.get("params", []), list, f"{path}.params")),
+            params=_args(entry, path, "params"),
             preconditions=_literals(entry.get("pre", []), f"{path}.pre"),
             postconditions=_literals(entry.get("post", []), f"{path}.post"),
             skill=entry.get("skill", ""),

@@ -116,8 +116,13 @@ class StateMachine:
         has_selector = bool(selectors)
         if self.initial not in self.states:
             raise ValidationError(f"initial state {self.initial} does not exist")
+        entries = [(f"plan_order[{index}]", sid) for index, sid in enumerate(self.plan_order)]
+        entries += [(f"connected[{index}]", sid) for index, (sid, _) in enumerate(self.connected)]
+        for path, sid in entries:
+            if sid not in self.states:
+                raise ValidationError(f"{path}: names missing state {sid}")
         for sid in self.plan_order:
-            if self.state(sid).kind != "skill":
+            if self.states[sid].kind != "skill":
                 raise ValidationError(f"plan order entry {sid} is not a skill state")
         for state in self.states.values():
             if state.kind not in STATE_KINDS:

@@ -5,12 +5,13 @@ while a motion skill runs. Skills follow a start/poll/cancel lifecycle
 with scenario-defined tick durations; a cancelled motion leaves the
 robot stranded in TRANSIT and a restarted one pays its full duration.
 
-The episode runner drives any of the three policy engines one
-evaluation per tick: perturbations, policy evaluation against the
-tick-start snapshot, preemption, buffered skill starts, then skill
-progress and battery drain. Every skill lifecycle event lands in the
-trace, which is the substrate for cross-representation equivalence and
-chattering detection.
+The episode runner drives any of the three policy engines tick by tick:
+perturbations, policy evaluation against the tick-start snapshot,
+preemption, buffered skill starts, then skill progress and battery
+drain. A tick whose evaluation could only repeat the previous one
+reuses its status instead (see :func:`run_episode`). Every skill
+lifecycle event lands in the trace, which is the substrate for
+cross-representation equivalence and chattering detection.
 """
 
 from __future__ import annotations
@@ -346,6 +347,11 @@ class World:
         self.pending_starts: list[tuple] = []
         self.events: list[TraceEvent] = []
         self._pending = list(scenario.perturbations)
+        self._markers = frozenset(scenario.markers)
+        # what the marked evaluation saw: the event count and battery at
+        # its start, and every battery_above threshold it read
+        self._mark = (0, scenario.battery)
+        self._thresholds: set = set()
 
     # -- trace helpers -------------------------------------------------------
 
@@ -370,14 +376,34 @@ class World:
                 raise WorldError(f"object_at references unknown station {station!r}")
             return state.item_locations.get(item) == station
         if pred == "battery_above":
+            self._thresholds.add(args[0])
             return state.battery > args[0]
         if pred == "arm_tucked":
             return state.arm_tucked
         if pred == "docked":
             return state.docked
         if pred == "found":
-            return set(self.scenario.markers) <= state.found_markers
+            return self._markers <= state.found_markers
         raise WorldError(f"unknown predicate {pred!r}")
+
+    def mark_evaluation(self) -> None:
+        """Start recording what the next evaluation reads of the world."""
+        self._mark = (len(self.events), self.state.battery)
+        self._thresholds = set()
+
+    def changed_since_mark(self) -> bool:
+        """Whether an answer the marked evaluation got may differ now.
+
+        Every change to the world but battery drain logs an event, so
+        with no new event only a ``battery_above`` threshold the battery
+        has crossed can answer differently.
+        """
+        count, battery = self._mark
+        if len(self.events) != count:
+            return True
+        now = self.state.battery
+        return any((battery > threshold) != (now > threshold)
+                   for threshold in self._thresholds)
 
     # -- skill lifecycle -------------------------------------------------------
 
@@ -558,15 +584,29 @@ class World:
 # episode runner
 
 
+def _tree_bookkeeping(tree: bt.PolicyTree) -> tuple:
+    return set(tree.active_actions), dict(tree.memory_marks)
+
+
+def _machine_bookkeeping(sm: fsm.StateMachine) -> tuple:
+    return sm.current, sm.terminated, set(sm.started), set(sm.failed)
+
+
+def _nested_bookkeeping(machine: hfsm.HfsmContainer) -> set:
+    return set(machine.active_leaves)
+
+
 def _engine(policy: documents.Policy):
-    """``(evaluate, preempt)`` for ``policy``, read off the engine modules
-    at each call. Machines cancel skills inside ``fsm.step``: no preempt."""
+    """``(evaluate, preempt, bookkeeping)`` for ``policy``, with the engine
+    functions read off their modules at each call. Machines cancel skills
+    inside ``fsm.step``: no preempt. ``bookkeeping`` snapshots the engine
+    state an evaluation reads besides the world."""
     if isinstance(policy, bt.PolicyTree):
-        return bt.tick, bt.halt_unvisited
+        return bt.tick, bt.halt_unvisited, _tree_bookkeeping
     if isinstance(policy, fsm.StateMachine):
-        return fsm.step, None
+        return fsm.step, None, _machine_bookkeeping
     if isinstance(policy, hfsm.HfsmContainer):
-        return hfsm.step, hfsm.halt_unvisited
+        return hfsm.step, hfsm.halt_unvisited, _nested_bookkeeping
     raise WorldError(f"cannot run a {type(policy).__name__}")
 
 
@@ -575,12 +615,19 @@ def run_episode(policy: documents.Policy, scenario: Scenario) -> Trace:
 
     Machines end the episode at their outcome. Trees keep being ticked
     after SUCCESS and end once the goal has held for
-    ``scenario.success_hold_ticks`` consecutive evaluations.
+    ``scenario.success_hold_ticks`` consecutive ticks.
+
+    An evaluation is a function of the engine's bookkeeping and the
+    world's answers. When the last one was quiet (no start requested, no
+    event logged, bookkeeping left as it found it) and the world has
+    changed nothing it read, evaluating again would repeat it exactly,
+    so the tick keeps the previous status and skips the engine call.
     """
     world = World(scenario)
-    evaluate, preempt = _engine(policy)
+    evaluate, preempt, bookkeeping = _engine(policy)
     policy.reset_runtime()
     last_status: Optional[Status] = None
+    quiet = False
     success_streak = 0
     outcome, timed_out = "TIMEOUT", True
     ticks = 0
@@ -588,9 +635,14 @@ def run_episode(policy: documents.Policy, scenario: Scenario) -> Trace:
     for tick_index in range(scenario.max_ticks):
         ticks = tick_index + 1
         world.begin_tick(tick_index)
-        status = evaluate(policy, world)
-        if preempt is not None:
-            preempt(policy, world)
+        if not quiet or world.changed_since_mark():
+            before = bookkeeping(policy)
+            world.mark_evaluation()
+            status = evaluate(policy, world)
+            if preempt is not None:
+                preempt(policy, world)
+            quiet = (not world.pending_starts and not world.changed_since_mark()
+                     and bookkeeping(policy) == before)
         world.apply_starts()
         world.advance()
         if status is not last_status:

@@ -89,6 +89,16 @@ class TestBuild:
         assert cli.main(["build", str(goal), library]) == 1
         assert "unachievable" in capsys.readouterr().err
 
+    def test_library_with_a_list_param_exits_one(self, tmp_path, capsys):
+        goal, library = goal_and_library()
+        doc = json.loads(Path(library).read_text())
+        doc["actions"][1]["params"] = [[1]]
+        path = tmp_path / "library.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["build", goal, str(path)]) == 1
+        assert capsys.readouterr().err == ("error: actions[1].params[0]: "
+                                           "expected a string or a number, got [1]\n")
+
     def test_ordering_rejected_for_machines(self, capsys):
         goal, library = goal_and_library()
         assert cli.main(["build", goal, library, "--kind", "fsm-ft",
@@ -264,6 +274,27 @@ class TestMetrics:
         policy.write_text(json.dumps(doc))
         assert cli.main(["metrics", "--cc", str(policy)]) == 1
         assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("name, path", [
+        ("fetch_fsm", ["plan_order", 0]),
+        ("fetch_fsm_recharge", ["connected", 0, "state"]),
+    ], ids=["plan_order", "connected"])
+    @pytest.mark.parametrize("command", [["metrics", "--counts"], ["run"]],
+                             ids=["counts", "run"])
+    def test_machine_entry_naming_no_state_exits_one(self, name, path, command, tmp_path,
+                                                     capsys):
+        doc = json.loads(fixtures.policy_path(name).read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = 99
+        policy = tmp_path / "dangling.json"
+        policy.write_text(json.dumps(doc))
+        scenarios = [scenario("recharge")] if command == ["run"] else []
+        assert cli.main([*command, str(policy), *scenarios]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path[0]}[0]: names missing state 99\n"
+        assert captured.out == ""
 
     def test_outcome_state_with_an_unknown_status_exits_one(self, tmp_path, capsys):
         doc = json.loads(fixtures.policy_path("fetch_fsm").read_text())

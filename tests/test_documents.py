@@ -241,6 +241,10 @@ MISTYPED_FIELDS = [  # (fixture document, path to the field, value, error)
      r"states\[1\]\.args\[0\]: expected a string or a number, got \{'x': 1\}"),
     ("fetch_goal.json", ["goal", 0, "args", 1], [],
      r"goal\[0\]\.args\[1\]: expected a string or a number, got \[\]"),
+    ("fetch_library.json", ["actions", 1, "params", 0], [1],
+     r"actions\[1\]\.params\[0\]: expected a string or a number, got \[1\]"),
+    ("fetch_library.json", ["actions", 0, "params", 0], {},
+     r"actions\[0\]\.params\[0\]: expected a string or a number, got \{\}"),
 ]
 
 
@@ -262,6 +266,16 @@ def mutated(name: str, path: list, value) -> str:
         parent = parent[key]
     parent[path[-1]] = value
     return json.dumps(doc)
+
+
+@pytest.mark.parametrize("name, path, message", [
+    ("fetch_fsm.json", ["plan_order", 0], r"plan_order\[0\]: names missing state 99"),
+    ("fetch_fsm_recharge.json", ["connected", 0, "state"],
+     r"connected\[0\]: names missing state 99"),
+], ids=["plan_order", "connected"])
+def test_machine_entries_must_name_a_state(name, path, message):
+    with pytest.raises(DocumentError, match=message):
+        documents.parse_policy_document(mutated(name, path, 99))
 
 
 @pytest.mark.parametrize("name, path, message", [

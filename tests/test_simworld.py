@@ -411,7 +411,9 @@ class TestScenarioDocuments:
 
 class TestEngineLookup:
     """``run_episode`` calls the engine functions through their modules, so a
-    wrapper bound on the module (as the benchmark's tracer does) sees every call."""
+    wrapper bound on the module (as the benchmark's tracer does) sees every call.
+    The runner evaluates only on ticks where an input may have changed, so the
+    calls are pinned per engine, beside the episode length."""
 
     def test_wrappers_bound_on_the_modules_see_every_call(self, monkeypatch):
         calls = {}
@@ -431,8 +433,210 @@ class TestEngineLookup:
                                scenario).ticks,
             "hfsm": run_episode(hfsm.from_bt(tree), scenario).ticks,
         }
+        assert ticks == {"bt": 25, "fsm": 21, "hfsm": 25}
         assert calls == {
-            "bt.tick": ticks["bt"], "bt.halt_unvisited": ticks["bt"],
-            "fsm.step": ticks["fsm"],
-            "hfsm.step": ticks["hfsm"], "hfsm.halt_unvisited": ticks["hfsm"],
+            "bt.tick": 14, "bt.halt_unvisited": 14,
+            "fsm.step": 13,
+            "hfsm.step": 14, "hfsm.halt_unvisited": 14,
         }
+
+
+# ---------------------------------------------------------------------------
+# the runner against an evaluation on every tick
+
+
+def reference_engine(policy):
+    """The engine dispatch of the per-tick loop below, kept verbatim."""
+    if isinstance(policy, bt.PolicyTree):
+        return bt.tick, bt.halt_unvisited
+    if isinstance(policy, fsm.StateMachine):
+        return fsm.step, None
+    if isinstance(policy, hfsm.HfsmContainer):
+        return hfsm.step, hfsm.halt_unvisited
+    raise WorldError(f"cannot run a {type(policy).__name__}")
+
+
+def reference_run_episode(policy, scenario):
+    """``run_episode`` as it was when it evaluated the policy on every tick."""
+    world = World(scenario)
+    evaluate, preempt = reference_engine(policy)
+    policy.reset_runtime()
+    last_status = None
+    success_streak = 0
+    outcome, timed_out = "TIMEOUT", True
+    ticks = 0
+
+    for tick_index in range(scenario.max_ticks):
+        ticks = tick_index + 1
+        world.begin_tick(tick_index)
+        status = evaluate(policy, world)
+        if preempt is not None:
+            preempt(policy, world)
+        world.apply_starts()
+        world.advance()
+        if status is not last_status:
+            world._log("policy_status", status=status.value)
+            last_status = status
+
+        if preempt is None and policy.terminated is not None:  # machines only
+            outcome, timed_out = policy.terminated.value, False
+            break
+        if status is Status.SUCCESS:
+            success_streak += 1
+            if success_streak >= scenario.success_hold_ticks:
+                outcome, timed_out = "SUCCESS", False
+                break
+        else:
+            success_streak = 0
+
+    return simworld.Trace(events=world.events, outcome=outcome, ticks=ticks,
+                          timed_out=timed_out)
+
+
+def episode_record(run, policy, scenario):
+    try:
+        trace = run(policy, scenario)
+    except WorldError as error:
+        return ("raised", type(error).__name__, str(error))
+    return (trace.to_jsonl(), trace.outcome)
+
+
+RANDOM_STATIONS = ("center", "fetch1", "delivery", "recharge", "dock")
+RANDOM_ACTIONS = ([("move_to", (station,)) for station in RANDOM_STATIONS]
+                  + [("safe_move_to", ("delivery",)), ("pick", ("cube2",)),
+                     ("place", ("cube2",)), ("tuck", ()), ("dock", ()), ("recharge", ())])
+
+
+def random_literal(rng):
+    roll = rng.randrange(7)
+    if roll == 0:
+        return L("robot_at", (rng.choice(RANDOM_STATIONS),))
+    if roll == 1:
+        return L("in_hand", ("cube2",))
+    if roll == 2:
+        return L("object_at", ("cube2", rng.choice(("fetch1", "delivery"))))
+    if roll in (3, 4):
+        return L("battery_above", (rng.choice((10, 25, 40, 50, 65, 80, 95)),))
+    return L(rng.choice(("arm_tucked", "docked", "found")))
+
+
+def random_tree(rng, nested_only):
+    """A seeded random tree over the fetch world. With ``nested_only`` it
+    uses sequences and fallbacks only, so it has a nested machine."""
+    controls = ("sequence", "fallback") if nested_only else bt.CONTROL_KINDS
+    builder = bt.TreeBuilder()
+
+    def grow(depth):
+        if depth >= 3 or (depth > 0 and rng.random() < 0.4):
+            if rng.random() < 0.5:
+                return builder.condition(random_literal(rng))
+            skill, args = rng.choice(RANDOM_ACTIONS)
+            return builder.action(skill, args)
+        kind = rng.choice(controls)
+        children = [grow(depth + 1) for _ in range(rng.randint(1, 4))]
+        threshold = rng.randint(1, len(children)) if kind == "parallel" else 0
+        return builder.add(kind, kind, children=children, threshold=threshold)
+
+    return builder.build(grow(0))
+
+
+def random_scenario(rng):
+    """The fetch world with random drain, battery, perturbations and failures."""
+    max_ticks = rng.randint(20, 70)
+    ticks = sorted(rng.sample(range(1, max_ticks), rng.randint(0, 4)))
+    perturbations = []
+    for tick in ticks:
+        kind = rng.randrange(3)
+        if kind == 0:
+            event = ("set_item_location", ("cube2", rng.choice(("fetch1", "delivery"))))
+        elif kind == 1:
+            event = ("set_battery", (rng.choice((5, 15, 30, 55, 90)),))
+        else:
+            event = ("force_fail_next", (rng.choice(sorted(simworld.KNOWN_SKILLS)),))
+        perturbations.append(Perturbation(tick, *event))
+    failures = tuple((skill, None, rng.randint(1, 3))
+                     for skill in rng.sample(["move_to", "pick", "place", "tuck"],
+                                             rng.randint(0, 2)))
+    return replace(
+        experiments.baseline_scenario(),
+        battery=float(rng.randint(10, 100)),
+        drain_per_motion_tick=round(rng.uniform(0, 3.5), 2),
+        markers=rng.choice(((), ("cube2",))),
+        perturbations=tuple(perturbations),
+        failures=failures,
+        max_ticks=max_ticks,
+        success_hold_ticks=rng.randint(1, 6),
+    )
+
+
+def fixture_variants(tree_name, scenario_name):
+    """The benchmark's variant recipe on one case, at every tick: each skill
+    failing on its 1st, 2nd and 3rd invocation, a knock, a battery drop to
+    15 and a forced failure."""
+    base = fixtures.load_scenario(scenario_name)
+    tree = fixtures.load_policy(tree_name)
+    skills = sorted({node.skill for node in tree.nodes.values() if node.kind == "action"})
+    length = run_episode(tree, base).ticks
+    out = [base]
+    out += [replace(base, failures=base.failures + ((skill, None, nth),))
+            for skill in skills for nth in (1, 2, 3)]
+    taken = {p.tick for p in base.perturbations}
+    for tick in range(1, length):
+        if tick in taken:
+            continue
+        for event in (Perturbation(tick, "set_item_location", ("cube2", "fetch1")),
+                      Perturbation(tick, "set_battery", (15,)),
+                      Perturbation(tick, "force_fail_next", (skills[tick % len(skills)],))):
+            out.append(replace(base, perturbations=tuple(sorted(
+                base.perturbations + (event,), key=lambda p: p.tick))))
+    return out
+
+
+class TestRunnerMatchesThePerTickLoop:
+    """Skipping the evaluations that could only repeat the previous one leaves
+    every trace, outcome and raised error as evaluating on every tick does."""
+
+    def assert_same(self, policy, scenario, where):
+        got = episode_record(run_episode, policy, scenario)
+        want = episode_record(reference_run_episode, policy, scenario)
+        assert got == want, where
+
+    def test_packaged_policies_and_scenarios(self):
+        scenarios = sorted(experiments.SCENARIO_BUILDERS)
+        runs = 0
+        for name in fixtures.available_policies():
+            for scenario in scenarios:
+                self.assert_same(fixtures.load_policy(name),
+                                 fixtures.load_scenario(scenario), (name, scenario))
+                runs += 1
+        assert runs == 96
+
+    @pytest.mark.parametrize("tree_name, machine_name, scenario_name", [
+        ("fetch_bt", "fetch_fsm", "baseline"),
+        ("fetch_bt_recharge", "fetch_fsm_recharge", "recharge"),
+    ])
+    def test_fixture_variants(self, tree_name, machine_name, scenario_name):
+        tree = fixtures.load_policy(tree_name)
+        policies = (tree, fixtures.load_policy(machine_name), hfsm.from_bt(tree))
+        for index, scenario in enumerate(fixture_variants(tree_name, scenario_name)):
+            for policy in policies:
+                self.assert_same(policy, scenario, (index, type(policy).__name__))
+
+    def test_seeded_random_trees(self):
+        rng = random.Random(20241018)
+        kinds = set()
+        for index in range(360):
+            tree = random_tree(rng, nested_only=index % 3 == 0)
+            kinds.update(node.kind for node in tree.nodes.values())
+            scenario = random_scenario(rng)
+            self.assert_same(tree, scenario, (index, "tree"))
+            if index % 3 == 0:
+                self.assert_same(hfsm.from_bt(tree), scenario, (index, "nested"))
+        assert {"parallel", "memory_sequence"} <= kinds
+
+    def test_packaged_machines_in_seeded_random_scenarios(self):
+        rng = random.Random(20241019)
+        names = [name for name in fixtures.available_policies() if "_fsm" in name]
+        for index in range(120):
+            name = names[index % len(names)]
+            self.assert_same(fixtures.load_policy(name), random_scenario(rng), (index, name))

@@ -3,13 +3,16 @@
 All three policy kinds encode into one labeled directed multigraph type,
 the substrate for graph edit distance, cyclomatic complexity and element
 counting. The exact edit distance is a best-first search over partial
-vertex mappings with an admissible bound, started from the anchored
-mapping (identity on shared ids) as its incumbent. The root bound is
-checked against the incumbent before any set-up; only a pair it does
-not prove gets its edges indexed into neighbour lists, from which each
-search step is costed sparsely. An incomplete result returns the best
-mapping's cost, at worst the incumbent's, as an upper bound. A tiny
-exhaustive solver serves as its ground-truth oracle on small graphs.
+vertex mappings, started from the anchored mapping (identity on shared
+ids) as its incumbent. Its admissible bound prices the unreconciled
+edges per placed vertex (those to unplaced vertices, which only its
+image's can match) and among the unplaced vertices. The root bound,
+counts alone, is checked against the incumbent before any set-up; only
+a pair it does not prove gets its edges indexed into neighbour lists,
+from which each search step is costed sparsely. An incomplete result
+returns the best mapping's cost, at worst the incumbent's, as an upper
+bound. A tiny exhaustive solver serves as its ground-truth oracle on
+small graphs.
 """
 
 from __future__ import annotations
@@ -297,21 +300,28 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
 
     The search starts from the anchored incumbent, the identity mapping
     on shared ids costed under ``cost``, and expands only nodes whose
-    admissible bound (the vertex count difference plus the
-    not-yet-reconciled edge count difference) stays below the best cost
-    known. The root bound needs only the vertex and edge counts, so it
-    is checked before any set-up: when it meets the incumbent, the
+    admissible bound stays below the best cost known. The bound is the
+    vertex count difference plus an edge term over the edges not yet
+    reconciled. A cross edge, with one placed endpoint, can only match a
+    cross edge in the same direction at that vertex's image, and an
+    inner edge, with no placed endpoint, only another inner edge. So
+    each mapped vertex adds its out and in count differences against its
+    image, each deleted vertex the deletion of its cross edges, and the
+    inner edges their count difference. Nothing is placed at the root,
+    where the bound needs only the vertex and edge counts, so it is
+    checked before any set-up: when it meets the incumbent, the
     incumbent is returned as proven optimal without building an index.
     Otherwise the edges are indexed once, in time linear in their
-    number, into neighbour lists, and each step costs a candidate from
-    the edges it shares with vertices already placed, on either side,
-    rather than from every placed pair. When the time budget runs out
-    the best mapping known, at worst the incumbent, is returned with its
-    cost as an upper bound and ``complete`` set to False; the result is
-    never silently wrong.
+    number, into neighbour lists, and each step costs a candidate, and
+    the cross counts it changes, from the edges it shares with vertices
+    already placed, on either side, rather than from every placed pair.
+    When the time budget runs out the best mapping known, at worst the
+    incumbent, is returned with its cost as an upper bound and
+    ``complete`` set to False; the result is never silently wrong.
     """
     cost = cost or GedCostModel()
     deadline = time.monotonic() + budget
+    edge_delete, edge_insert = cost.edge_delete, cost.edge_insert
 
     best_mapping = {v: v if v in g2.vertices else None for v in g1.vertices}
     script = _script_for_mapping(g1, g2, best_mapping, cost)
@@ -319,22 +329,20 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     n1, n2 = len(g1.vertices), len(g2.vertices)
     total_e1, total_e2 = len(g1.edges), len(g2.edges)
 
-    def heuristic(index: int, n_used: int, settled_e1: int, settled_e2: int) -> float:
-        rem1 = n1 - index
-        rem2 = n2 - n_used
+    def vertex_gap(rem1: int, rem2: int) -> float:
         if rem1 > rem2:
-            vertex_bound = (rem1 - rem2) * cost.node_delete
-        else:
-            vertex_bound = (rem2 - rem1) * cost.node_insert
-        open_e1 = total_e1 - settled_e1
-        open_e2 = total_e2 - settled_e2
-        if open_e1 > open_e2:
-            edge_bound = (open_e1 - open_e2) * cost.edge_delete
-        else:
-            edge_bound = (open_e2 - open_e1) * cost.edge_insert
-        return vertex_bound + edge_bound
+            return (rem1 - rem2) * cost.node_delete
+        return (rem2 - rem1) * cost.node_insert
 
-    root_h = heuristic(0, 0, 0, 0)
+    def gap(open1: int, open2: int) -> float:
+        """Least cost of reconciling two edge counts that pair up only
+        with each other: the excess is deleted or inserted."""
+        if open1 > open2:
+            return (open1 - open2) * edge_delete
+        return (open2 - open1) * edge_insert
+
+    # nothing is placed at the root, so every edge is inner
+    root_h = vertex_gap(n1, n2) + gap(total_e1, total_e2)
     if root_h >= best_cost:
         return GedResult(distance=best_cost, complete=True, script=script,
                          mapping=best_mapping)
@@ -346,49 +354,82 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     loops1, neighbours1 = _neighbours(g1)
     loops2, neighbours2 = _neighbours(g2)
     # per position: the earlier positions it shares an edge with, and the
-    # g1 edges its assignment settles whatever the candidate
-    earlier1 = [{position[w]: labels for w, labels in neighbours1[v].items()
-                 if position[w] < i} for i, v in enumerate(order)]
-    settled_at = [len(loops1.get(v, ())) + sum(len(out) + len(into)
-                                               for out, into in earlier1[i].values())
-                  for i, v in enumerate(order)]
+    # cost of deleting its vertex with every g1 edge that settles; per
+    # depth: the g1 cross counts, out and in for each placed position in
+    # turn, and the inner count
+    earlier1, deleting = [], []
+    cross1, inner1 = [()], [total_e1]
+    for i, v in enumerate(order):
+        earlier = {}
+        counts = list(cross1[i])
+        settled = len(loops1.get(v, ()))
+        out = into = 0
+        for w, (to_w, from_w) in neighbours1[v].items():
+            j = position[w]
+            if j < i:
+                earlier[j] = to_w, from_w
+                counts[2 * j] -= len(from_w)
+                counts[2 * j + 1] -= len(to_w)
+                settled += len(to_w) + len(from_w)
+            else:
+                out += len(to_w)
+                into += len(from_w)
+        earlier1.append(earlier)
+        deleting.append(cost.vertex_cost(g1.vertices[v], None) + settled * edge_delete)
+        cross1.append((*counts, out, into))
+        inner1.append(inner1[i] - len(loops1.get(v, ())) - out - into)
 
     def group_cost(labels1, labels2) -> float:
         if labels1 and labels2:
             return cost.edge_group_cost(labels1, labels2)
-        return len(labels1) * cost.edge_delete + len(labels2) * cost.edge_insert
+        return len(labels1) * edge_delete + len(labels2) * edge_insert
 
-    def assignment_cost(index: int, candidate, assigned: tuple, placed: dict) -> tuple:
-        """(incremental cost, g2 edges settled); ``placed`` maps g2 ids to positions."""
+    def assignment_cost(index: int, candidate, assigned: tuple, placed: dict,
+                        cross2: tuple) -> tuple:
+        """(incremental cost, bound change, changed counts, out2, in2).
+
+        ``placed`` maps g2 ids to positions and ``cross2`` holds their g2
+        cross counts. The candidate's edges to placed vertices leave those
+        counts, which changes their bound terms (against the g1 counts
+        once ``index`` is placed); its edges to unplaced vertices become
+        its own cross counts, out2 and in2.
+        """
         v1 = order[index]
-        if candidate is None:
-            return (cost.vertex_cost(g1.vertices[v1], None)
-                    + settled_at[index] * cost.edge_delete), 0
         increment = cost.vertex_cost(g1.vertices[v1], g2.vertices[candidate])
-        loops = loops2.get(candidate, ())
-        increment += group_cost(loops1.get(v1, ()), loops)
-        settled2 = len(loops)
+        increment += group_cost(loops1.get(v1, ()), loops2.get(candidate, ()))
         earlier = earlier1[index]
         around = neighbours2[candidate]
         for j, (out1, into1) in earlier.items():
             labels2 = around.get(assigned[j])  # None: deleted, or no edge in g2
             if labels2 is None:
-                increment += (len(out1) + len(into1)) * cost.edge_delete
+                increment += (len(out1) + len(into1)) * edge_delete
             else:
                 increment += group_cost(out1, labels2[0]) + group_cost(into1, labels2[1])
-        for other2, (out2, into2) in around.items():
+        counts1 = cross1[index + 1]
+        change = 0.0
+        changed = []
+        out2 = in2 = 0
+        for other2, (to_other, from_other) in around.items():
             j = placed.get(other2)
-            if j is not None:
-                settled2 += len(out2) + len(into2)
-                if j not in earlier:
-                    increment += (len(out2) + len(into2)) * cost.edge_insert
-        return increment, settled2
+            if j is None:
+                out2 += len(to_other)
+                in2 += len(from_other)
+                continue
+            if j not in earlier:
+                increment += (len(to_other) + len(from_other)) * edge_insert
+            # other2 -> candidate leaves j's out count, candidate -> other2 its in count
+            for slot, settled in ((2 * j, len(from_other)), (2 * j + 1, len(to_other))):
+                if settled:
+                    was = cross2[slot]
+                    change += gap(counts1[slot], was - settled) - gap(counts1[slot], was)
+                    changed.append((slot, was - settled))
+        return increment, change, changed, out2, in2
 
     complete = True
     counter = itertools.count()
-    heap = [(root_h, 0, next(counter), 0.0, (), 0, 0)]
+    heap = [(root_h, 0, next(counter), 0.0, (), (), total_e2)]
     while heap:
-        f, neg_depth, _, g_cost, assigned, settled1, settled2 = heapq.heappop(heap)
+        f, neg_depth, _, g_cost, assigned, cross2, inner2 = heapq.heappop(heap)
         if f >= best_cost:
             break
         index = -neg_depth
@@ -396,7 +437,7 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
         if index == n1:
             # g2 vertices left unplaced are inserted with every edge touching them
             total = g_cost + ((n2 - len(placed)) * cost.node_insert
-                              + (total_e2 - settled2) * cost.edge_insert)
+                              + (inner2 + sum(cross2)) * edge_insert)
             if total < best_cost:
                 best_cost = total
                 best_mapping = dict(zip(order, assigned))
@@ -406,22 +447,40 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
             complete = False
             break
 
-        ns1 = settled1 + settled_at[index]
-        candidates: list = [c for c in g2_ids if c not in placed]
-        candidates.append(None)
+        # the placed positions' terms against the g1 counts once this
+        # position is placed; a candidate changes only those it touches
+        counts1 = cross1[index + 1]
+        out1, in1 = counts1[-2:]
+        inner = inner1[index + 1]
+        base = sum(map(gap, counts1, cross2))
+        rem1, rem2 = n1 - index - 1, n2 - len(placed)
+        mapped_h = vertex_gap(rem1, rem2 - 1) + base
         scored = []
-        for candidate in candidates:
-            increment, ds2 = assignment_cost(index, candidate, assigned, placed)
+        for candidate in g2_ids:
+            if candidate in placed:
+                continue
+            increment, change, changed, out2, in2 = assignment_cost(
+                index, candidate, assigned, placed, cross2)
             new_g = g_cost + increment
-            n_used = len(placed) + (candidate is not None)
-            h = heuristic(index + 1, n_used, ns1, settled2 + ds2)
-            if new_g + h < best_cost:
-                scored.append((new_g + h, candidate, new_g, settled2 + ds2))
-        scored.sort(key=lambda item: (item[0], item[1] is None))
-        for new_f, candidate, new_g, ns2 in scored:
+            new_inner2 = inner2 - len(loops2.get(candidate, ())) - out2 - in2
+            new_f = new_g + (mapped_h + change + gap(out1, out2) + gap(in1, in2)
+                             + gap(inner, new_inner2))
+            if new_f < best_cost:
+                scored.append((new_f, candidate, new_g, changed, out2, in2, new_inner2))
+        new_g = g_cost + deleting[index]
+        new_f = new_g + (vertex_gap(rem1, rem2) + base + (out1 + in1) * edge_delete
+                         + gap(inner, inner2))
+        if new_f < best_cost:
+            scored.append((new_f, None, new_g, (), 0, 0, inner2))
+        scored.sort(key=lambda item: item[0])  # stable: ties keep g2 id order, deletion last
+        for new_f, candidate, new_g, changed, out2, in2, new_inner2 in scored:
+            child = list(cross2)
+            for slot, count in changed:
+                child[slot] = count
+            child += (out2, in2)
             heapq.heappush(heap, (
                 new_f, -(index + 1), next(counter), new_g,
-                assigned + (candidate,), ns1, ns2,
+                assigned + (candidate,), tuple(child), new_inner2,
             ))
 
     if script is None:  # the search replaced the seed mapping

@@ -28,6 +28,15 @@ def goal_and_library():
     return str(base / "fetch_goal.json"), str(base / "fetch_library.json")
 
 
+def run_in_a_process(args: list) -> subprocess.CompletedProcess:
+    """``python -m policylab.cli ARGS`` in a fresh interpreter, with a timeout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "policylab.cli", *args],
+                          capture_output=True, text=True, timeout=30, env=env)
+
+
 #: full ``metrics --ged`` output for the two table-2 pairs the root bound
 #: does not prove; a change in search order changes the printed script
 SEARCHED_PAIR_OUTPUT = {
@@ -98,6 +107,24 @@ class TestBuild:
         assert cli.main(["build", goal, str(path)]) == 1
         assert capsys.readouterr().err == ("error: actions[1].params[0]: "
                                            "expected a string or a number, got [1]\n")
+
+    def test_side_effect_warning_reaches_stderr(self, tmp_path):
+        # one action achieves both goal conditions, so the planner keeps the
+        # second as a reference check and warns through logging; with no
+        # handler configured, logging's last-resort handler prints it
+        post = [{"pred": "object_at", "args": ["cube2", "delivery"]},
+                {"pred": "docked", "args": []}]
+        goal = tmp_path / "goal.json"
+        goal.write_text(json.dumps({"version": 1, "goal": post}))
+        library = tmp_path / "library.json"
+        library.write_text(json.dumps({"version": 1, "actions": [
+            {"name": "deliver_and_dock", "params": [], "pre": [], "post": post,
+             "skill": "dock"}]}))
+        done = run_in_a_process(["build", str(goal), str(library)])
+        assert done.returncode == 0
+        assert done.stderr == ("condition docked() is a side effect of already expanded "
+                               "deliver_and_dock()!; keeping a reference check only\n")
+        assert isinstance(documents.parse_policy_document(done.stdout), PolicyTree)
 
     def test_ordering_rejected_for_machines(self, capsys):
         goal, library = goal_and_library()
@@ -251,12 +278,7 @@ class TestMetrics:
             {"id": 1, "type": control, "name": "b", "children": [0]}]}
         path = tmp_path / "cycle.json"
         path.write_text(json.dumps(doc))
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-m", "policylab.cli", "metrics", "--cc", str(path)],
-            capture_output=True, text=True, timeout=30, env=env)
+        done = run_in_a_process(["metrics", "--cc", str(path)])
         assert done.returncode == 1
         assert done.stderr == "error: root must not be a child\n"
 

@@ -1,0 +1,142 @@
+"""Single-field mutations of every packaged document.
+
+Each of the 28 packaged documents is mutated one JSON path at a time:
+the whole document, every object field and the first three entries of
+every list, each replaced by one of nine values. A mutation must parse
+or fail with a ``DocumentError``, never with another exception; what
+parses must write the same bytes after another parse; and the CLI must
+report a sample of the failures as one ``error:`` line and exit 1.
+"""
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from policylab import cli, documents, fixtures, simworld
+from policylab.core import DocumentError
+
+VALUES = (5, "x", [0], {}, None, -1, [[1]], 1.5, True)
+LIST_ENTRIES = 3
+SEED = 20240815
+CLI_SAMPLE_PER_KIND = 6
+
+
+def packaged_documents() -> list:
+    root = fixtures.data_dir()
+    return sorted(root.glob("*.json")) + sorted((root / "scenarios").glob("*.json"))
+
+
+def codec(path: Path) -> tuple:
+    """(parse, serialize) for the document kind at ``path``."""
+    if path.parent.name == "scenarios":
+        return simworld.parse_scenario_document, simworld.serialize_scenario
+    if path.stem.endswith("_library"):
+        return documents.parse_library_document, documents.serialize_library
+    if path.stem.endswith("_goal"):
+        return documents.parse_goal_document, documents.serialize_goal
+    return documents.parse_policy_document, documents.serialize_policy
+
+
+def json_paths(value, prefix=()):
+    """Every field path below ``value``, lists cut to their first entries."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value[:LIST_ENTRIES])
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+def mutated(doc, path: tuple, value) -> str:
+    """``doc`` as JSON text with the field at ``path`` set to ``value``."""
+    if not path:
+        return json.dumps(value)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    kept = parent[path[-1]]
+    parent[path[-1]] = value
+    try:
+        return json.dumps(doc)
+    finally:
+        parent[path[-1]] = kept
+
+
+def mutations():
+    for path in packaged_documents():
+        doc = json.loads(path.read_text())
+        for where in [(), *json_paths(doc)]:
+            for value in VALUES:
+                yield path, where, value, mutated(doc, where, value)
+
+
+@pytest.fixture(scope="module")
+def outcomes():
+    """Per mutation (document, path, value, parsed object or None), and escapes."""
+    results, escapes = [], []
+    for path, where, value, text in mutations():
+        parse, _ = codec(path)
+        try:
+            results.append((path, where, value, parse(text)))
+        except DocumentError:
+            results.append((path, where, value, None))
+        except Exception as exc:  # any other exception is what this test looks for
+            escapes.append(f"{path.name} {list(where)} = {value!r}: "
+                           f"{type(exc).__name__}: {exc}")
+    return results, escapes
+
+
+def test_every_mutation_parses_or_raises_a_document_error(outcomes):
+    results, escapes = outcomes
+    assert escapes == []
+    assert len(packaged_documents()) == 28
+    assert len(results) == 8676
+
+
+def test_parsed_mutations_write_the_same_bytes_again(outcomes):
+    results, _ = outcomes
+    drifted = []
+    for path, where, value, parsed in results:
+        if parsed is None:
+            continue
+        parse, serialize = codec(path)
+        text = serialize(parsed)
+        if serialize(parse(text)) != text:
+            drifted.append(f"{path.name} {list(where)} = {value!r}")
+    assert drifted == []
+
+
+def cli_commands(path: Path, mutant: str) -> list:
+    """The CLI calls that read the mutated document at ``mutant``."""
+    data = fixtures.data_dir()
+    if path.parent.name == "scenarios":
+        return [["run", str(fixtures.policy_path("fetch_bt")), mutant]]
+    task = path.stem.rsplit("_", 1)[0]
+    if path.stem.endswith("_library"):
+        return [["build", str(data / f"{task}_goal.json"), mutant]]
+    if path.stem.endswith("_goal"):
+        return [["build", mutant, str(data / f"{task}_library.json")]]
+    return [["metrics", "--cc", mutant],
+            ["run", mutant, str(fixtures.scenario_path("baseline"))]]
+
+
+def test_cli_reports_a_sample_of_failures_on_one_line(outcomes, tmp_path, capsys):
+    results, _ = outcomes
+    failed = {}
+    for path, where, value, parsed in results:
+        if parsed is None:
+            failed.setdefault(codec(path), []).append((path, where, value))
+    rng = random.Random(SEED)
+    for kind in failed.values():  # policies, libraries, goals and scenarios alike
+        for path, where, value in rng.sample(kind, CLI_SAMPLE_PER_KIND):
+            mutant = tmp_path / path.name
+            mutant.write_text(mutated(json.loads(path.read_text()), where, value))
+            for command in cli_commands(path, str(mutant)):
+                assert cli.main(command) == 1, (command[0], path.name, where, value)
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1, err

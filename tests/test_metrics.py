@@ -25,6 +25,11 @@ from policylab.metrics import (
 )
 
 
+#: insert and delete prices differ, so a swapped one-sided charge shows
+ASYMMETRIC = GedCostModel(node_insert=2, node_delete=1, node_substitute=1,
+                          edge_insert=3, edge_delete=1, edge_substitute=2)
+
+
 def random_graph(rng, max_vertices=7):
     n = rng.randint(2, max_vertices)
     vertices = {i: rng.choice("abc") for i in range(n)}
@@ -32,6 +37,13 @@ def random_graph(rng, max_vertices=7):
     for _ in range(rng.randint(0, 2 * n)):
         edges.add((rng.randrange(n), rng.randrange(n), rng.choice("xy")))
     return PolicyGraph(vertices=vertices, edges=edges)
+
+
+def dense_graph(rng, n):
+    """``n`` vertices and between n and 2n distinct edges."""
+    vertices = {i: rng.choice("abc") for i in range(n)}
+    triples = list(itertools.product(range(n), range(n), "xy"))
+    return PolicyGraph(vertices=vertices, edges=rng.sample(triples, rng.randint(n, 2 * n)))
 
 
 def path_graph(n):
@@ -106,6 +118,26 @@ class TestExactDistance:
         for _ in range(60):
             g1, g2 = random_graph(rng, max_vertices=6), random_graph(rng, max_vertices=6)
             assert ged_exact(g1, g2).distance == brute_force_ged(g1, g2)
+
+    @pytest.mark.parametrize("model", [metrics.LABEL_SENSITIVE, ASYMMETRIC],
+                             ids=["label_sensitive", "asymmetric"])
+    def test_oracle_agreement_under_label_models(self, model):
+        # the default model prices parallel edges by count alone, so a
+        # label-matching or one-sided charge shows only under these
+        rng = random.Random(13)
+        for index in range(60):
+            g1, g2 = random_graph(rng, max_vertices=6), random_graph(rng, max_vertices=6)
+            assert ged_exact(g1, g2, cost=model).distance == \
+                brute_force_ged(g1, g2, model), index
+
+    def test_dense_pairs_match_the_oracle(self):
+        # many edges per placed vertex, so the cross-edge bound prunes hard
+        rng = random.Random(37)
+        for index in range(30):
+            g1, g2 = dense_graph(rng, 6), dense_graph(rng, 6)
+            result = ged_exact(g1, g2, cost=ASYMMETRIC)
+            assert result.complete, index
+            assert result.distance == brute_force_ged(g1, g2, ASYMMETRIC), index
 
     def test_scripts_reproduce_the_target(self):
         rng = random.Random(17)
@@ -188,10 +220,6 @@ class TestSeededSearch:
             assert isomorphic(apply_script(g1, result.script), g2), index
 
 
-ASYMMETRIC = GedCostModel(node_insert=2, node_delete=1, node_substitute=1,
-                          edge_insert=3, edge_delete=1, edge_substitute=2)
-
-
 class EmptyGroupsRefused(GedCostModel):
     """A model that fails if the search reconciles two empty label groups."""
 
@@ -203,7 +231,6 @@ class EmptyGroupsRefused(GedCostModel):
 
 class TestSparseSearch:
     def test_asymmetric_model_matches_the_oracle(self):
-        # insert and delete prices differ, so a swapped one-sided charge shows
         rng = random.Random(29)
         for index in range(100):
             g1, g2 = random_graph(rng, max_vertices=6), random_graph(rng, max_vertices=6)

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import bt, documents, fsm, hfsm, metrics, planner, report, simworld
-from .core import PolicyError
+from .core import BudgetError, PolicyError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -48,7 +48,10 @@ def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise PolicyError(f"cannot write {path}: {exc.strerror}")
 
 
 def _graph_and_counts(path: str) -> tuple[metrics.PolicyGraph, dict]:
@@ -213,7 +216,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except PolicyError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_INCOMPLETE if isinstance(exc, BudgetError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -71,6 +71,10 @@ class WorldError(PolicyError):
     """The simulator was asked something outside its closed world."""
 
 
+class BudgetError(PolicyError):
+    """An exact edit distance search ran out of its time budget."""
+
+
 @dataclass(frozen=True)
 class ConditionLiteral:
     """A ground world predicate, e.g. ``robot_at(fetch1)``.

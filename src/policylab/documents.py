@@ -162,10 +162,11 @@ def _args(entry: dict, path: str, key: str = "args") -> tuple:
     return tuple(values)
 
 
-def _skill(entry: dict, path: str) -> str:
-    skill = entry.get("skill", "")
+def _skill(entry: dict, path: str, key: str = "skill") -> str:
+    """Field ``key`` of ``entry`` when it names a skill in ``KNOWN_SKILLS``."""
+    skill = entry.get(key, "")
     if not isinstance(skill, str) or skill not in KNOWN_SKILLS:
-        raise DocumentError(f"{path}.skill: unknown skill {skill!r}")
+        raise DocumentError(f"{path}.{key}: unknown skill {skill!r}")
     return skill
 
 
@@ -437,7 +438,8 @@ def parse_library_document(data) -> ActionLibrary:
             params=_args(entry, path, "params"),
             preconditions=_literals(entry.get("pre", []), f"{path}.pre"),
             postconditions=_literals(entry.get("post", []), f"{path}.post"),
-            skill=entry.get("skill", ""),
+            # an action without a skill runs the skill of its name
+            skill=_skill(entry, path, "skill" if "skill" in entry else "name"),
         ))
     try:
         return validate_action_library(specs)

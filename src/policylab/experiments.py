@@ -1,4 +1,4 @@
-"""Canonical tasks, policy modification recipes and scenario builders.
+"""Canonical tasks and the policy modification recipes.
 
 Two tasks anchor everything: the single-cube fetch (move, pick, move,
 place) and the five-cube scalability task (search, five fetch rounds,
@@ -6,14 +6,18 @@ dock). The modification recipes reproduce the four case studies used by
 the structure metrics: tucking the arm after grasping, a safer motion
 alternative, docking at the end, and battery recharge as a connected
 high-priority behavior.
+
+The libraries and goals are built here, as are the trees and machines
+derived from them by the planner and the recipes. The hand-written
+trees and the scenarios have no builder: their packaged documents
+define them (see :mod:`policylab.fixtures`).
 """
 
 from __future__ import annotations
 
-from . import bt, fsm, hfsm
+from . import bt, fsm
 from .core import ActionSpec, ConditionLiteral as L, EditError, Goal, Guard, validate_action_library
 from .planner import backchain, extract_plan, synthesize
-from .simworld import Perturbation, Scenario
 
 CUBE = "cube2"
 FETCH_STATION = "fetch1"
@@ -277,56 +281,7 @@ def scalability_fsm_with_recharge() -> fsm.StateMachine:
     return fsm_with_recharge(scalability_fsm())
 
 
-# ---------------------------------------------------------------------------
-# standalone fixtures
-
-
-def pick_place_subtree() -> bt.PolicyTree:
-    """A two-step subtree: grasp unless already holding, then deliver."""
-    builder = bt.TreeBuilder()
-    condition = builder.condition(L("in_hand", (CUBE,)))
-    pick = builder.action("pick", (CUBE,))
-    fallback = builder.add("fallback", f"in_hand({CUBE})?", children=[condition, pick])
-    move = builder.action("move_to", ("delivery",))
-    root = builder.add("sequence", "pick and deliver", children=[fallback, move])
-    return builder.build(root)
-
-
-def pick_place_hfsm() -> hfsm.HfsmContainer:
-    return hfsm.from_bt(pick_place_subtree())
-
-
-def memory_fetch_bt() -> bt.PolicyTree:
-    """Open-loop variant: a memory sequence over the four fetch skills."""
-    builder = bt.TreeBuilder()
-    children = [
-        builder.action("move_to", (FETCH_STATION,)),
-        builder.action("pick", (CUBE,)),
-        builder.action("move_to", ("delivery",)),
-        builder.action("place", (CUBE,)),
-    ]
-    root = builder.add("memory_sequence", "fetch once", children=children)
-    return builder.build(root)
-
-
-def compact_fetch_bt() -> bt.PolicyTree:
-    """Hand-written compact controller: the grasp check guards navigation."""
-    builder = bt.TreeBuilder()
-    goal_check = builder.condition(L("object_at", (CUBE, "delivery")))
-    held = builder.condition(L("in_hand", (CUBE,)))
-    go_fetch = builder.action("move_to", (FETCH_STATION,))
-    guard = builder.add("fallback", f"in_hand({CUBE})?", children=[held, go_fetch])
-    body = builder.add("sequence", "fetch", children=[
-        guard,
-        builder.action("pick", (CUBE,)),
-        builder.action("move_to", ("delivery",)),
-        builder.action("place", (CUBE,)),
-    ])
-    root = builder.add("fallback", "deliver", children=[goal_check, body])
-    return builder.build(root)
-
-
-#: fixture name -> builder; trees and machines with stable node ids
+#: fixture name -> builder of each derived policy document, with stable node ids
 FIXTURE_BUILDERS = {
     "fetch_bt": fetch_bt,
     "fetch_bt_naive": lambda: fetch_bt("naive"),
@@ -334,87 +289,11 @@ FIXTURE_BUILDERS = {
     "fetch_bt_safe_move": lambda: bt_with_safe_move(fetch_bt(ordering="safe")),
     "fetch_bt_dock": lambda: bt_with_dock(fetch_bt()),
     "fetch_bt_recharge": lambda: bt_with_recharge(fetch_bt()),
-    "fetch_bt_memory": memory_fetch_bt,
-    "fetch_bt_compact": compact_fetch_bt,
     "fetch_fsm_sequential": fetch_fsm_sequential,
     "fetch_fsm": fetch_fsm,
     "fetch_fsm_tuck": lambda: fsm_with_tuck(fetch_fsm()),
     "fetch_fsm_safe_move": lambda: fsm_with_safe_move(fetch_fsm()),
     "fetch_fsm_dock": lambda: fsm_with_dock(fetch_fsm()),
     "fetch_fsm_recharge": lambda: fsm_with_recharge(fetch_fsm()),
-    "pick_place_subtree": pick_place_subtree,
-    "pick_place_hfsm": pick_place_hfsm,
 }
 
-
-# ---------------------------------------------------------------------------
-# scenarios
-
-def _fetch_world(**overrides) -> dict:
-    base = dict(
-        items={CUBE: FETCH_STATION},
-        battery=100.0,
-        robot_location="center",
-        max_ticks=120,
-    )
-    base.update(overrides)
-    return base
-
-
-def baseline_scenario() -> Scenario:
-    return Scenario(name="baseline", **_fetch_world())
-
-
-def chattering_scenario() -> Scenario:
-    """Same world as the baseline; kept separate so runs are self-describing."""
-    return Scenario(name="chattering", **_fetch_world())
-
-
-def recharge_scenario() -> Scenario:
-    """Battery collapses to 15% while the robot carries the cube."""
-    return Scenario(name="recharge", **_fetch_world(
-        perturbations=(Perturbation(10, "set_battery", (15,)),),
-    ))
-
-
-def docking_scenario() -> Scenario:
-    return Scenario(name="docking", **_fetch_world(
-        perturbations=(Perturbation(10, "set_battery", (15,)),),
-        max_ticks=150,
-    ))
-
-
-def post_success_scenario() -> Scenario:
-    """The cube is put back on its table right after the task succeeds."""
-    return Scenario(name="post_success", **_fetch_world(
-        perturbations=(Perturbation(18, "set_item_location", (CUBE, FETCH_STATION)),),
-        max_ticks=150,
-    ))
-
-
-def relocation_scenario(tick: int = 10) -> Scenario:
-    """The cube is knocked out of the gripper while the robot is en route."""
-    return Scenario(name="relocation", **_fetch_world(
-        perturbations=(Perturbation(tick, "set_item_location", (CUBE, FETCH_STATION)),),
-        max_ticks=150,
-    ))
-
-
-def scalability_scenario() -> Scenario:
-    items = {f"cube{i}": f"fetch{i}" for i in range(1, 6)}
-    return Scenario(
-        name="scalability",
-        items=items,
-        markers=tuple(sorted(items)),
-        max_ticks=400,
-    )
-
-
-SCENARIO_BUILDERS = {
-    "baseline": baseline_scenario,
-    "recharge": recharge_scenario,
-    "docking": docking_scenario,
-    "scalability": scalability_scenario,
-    "chattering": chattering_scenario,
-    "post_success": post_success_scenario,
-}

@@ -1,9 +1,10 @@
 """Access to the packaged policy, task and scenario documents.
 
-The JSON files under ``data/`` are the serialized outputs of the
+The derived JSON files under ``data/`` are the serialized outputs of the
 builders in :mod:`policylab.experiments`, frozen with stable node ids so
 that identity-anchored comparisons and report regeneration stay
-deterministic. ``write_fixtures`` regenerates them.
+deterministic; ``write_fixtures`` regenerates them. The hand-written
+trees and the scenarios have no builder: each file is its definition.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from pathlib import Path
 
 from . import documents, experiments
 from .core import DocumentError
-from .simworld import Scenario, parse_scenario_document, serialize_scenario
+from .simworld import Scenario, parse_scenario_document
 
 
 def data_dir() -> Path:
@@ -61,10 +62,9 @@ def load_scenario(name: str) -> Scenario:
 
 
 def write_fixtures(target: Path | None = None) -> list[Path]:
-    """Regenerate every packaged document from the canonical builders."""
+    """Regenerate the derived packaged documents from the canonical builders."""
     root = target or data_dir()
     root.mkdir(parents=True, exist_ok=True)
-    (root / "scenarios").mkdir(exist_ok=True)
     written = []
 
     for name, builder in experiments.FIXTURE_BUILDERS.items():
@@ -85,14 +85,9 @@ def write_fixtures(target: Path | None = None) -> list[Path]:
         goal_path = root / f"{task}_goal.json"
         goal_path.write_text(documents.serialize_goal(goal))
         written += [lib_path, goal_path]
-
-    for name, builder in experiments.SCENARIO_BUILDERS.items():
-        path = root / "scenarios" / f"{name}.json"
-        path.write_text(serialize_scenario(builder()))
-        written.append(path)
     return written
 
 
-if __name__ == "__main__":  # regenerate the packaged data in place
+if __name__ == "__main__":  # regenerate the derived packaged data in place
     for written_path in write_fixtures():
         print(written_path)

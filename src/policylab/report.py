@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import bt, documents, experiments, fsm, hfsm, metrics
+from .core import BudgetError
 from .fixtures import load_policy
 from .metrics import DEFAULT_GED_BUDGET
 
@@ -117,10 +118,10 @@ _DISTANCES = {
 }
 
 
-def _exact(g1, g2, budget: float) -> int:
+def _exact(g1, g2, budget: float, cell: str) -> int:
     result = metrics.ged_exact(g1, g2, budget=budget)
     if not result.complete:
-        raise RuntimeError("edit distance search exhausted its budget")
+        raise BudgetError(f"{cell}: edit distance search exhausted its {budget:g} s budget")
     return int(result.distance)
 
 
@@ -140,7 +141,8 @@ def modification_distance_report(budget: float = DEFAULT_GED_BUDGET) -> Report:
     for row, (tree, machine, expected) in _DISTANCES.items():
         changed = _encode(load_policy(tree), load_policy(machine))
         report.rows.append((row, {
-            column: _cell(row, column, _exact(before, after, budget), reference)
+            column: _cell(row, column, _exact(before, after, budget, f"{row}/{column}"),
+                          reference)
             for column, before, after, reference
             in zip(report.columns, baseline, changed, expected)
         }))
@@ -195,7 +197,7 @@ def experiment_table_report(budget: float = DEFAULT_GED_BUDGET) -> Report:
         computed = {key: [count[key] for count in counts] for key in ("graphical", "active")}
         computed["cc"] = [metrics.cyclomatic(graph) for graph in graphs[name]]
         if ed_from is not None:
-            computed["ed"] = [_exact(before, after, budget)
+            computed["ed"] = [_exact(before, after, budget, f"{name}/ed")
                               for before, after in zip(graphs[ed_from], graphs[name])]
         report.rows.append((name, {
             column: _cell(name, column, computed[column], expected[column],

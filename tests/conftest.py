@@ -1,10 +1,14 @@
-"""Shared test helpers: a scripted world stub and canonical structures."""
+"""Shared test helpers: a scripted world stub, canonical structures and
+the packaged documents."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
-from policylab import experiments
+from policylab import documents, experiments, fixtures, simworld
 from policylab.core import Status
 
 
@@ -76,3 +80,33 @@ def fetch_machine():
 @pytest.fixture
 def scripted_world():
     return ScriptedWorld()
+
+
+def packaged_documents() -> list:
+    """The 28 packaged documents: policies, libraries and goals, then scenarios."""
+    root = fixtures.data_dir()
+    return sorted(root.glob("*.json")) + sorted((root / "scenarios").glob("*.json"))
+
+
+def packaged_scenarios() -> list:
+    """The names of the packaged scenarios."""
+    return sorted(path.stem for path in (fixtures.data_dir() / "scenarios").glob("*.json"))
+
+
+def codec(path: Path) -> tuple:
+    """(parse, serialize) for the document kind at ``path``."""
+    if path.parent.name == "scenarios":
+        return simworld.parse_scenario_document, simworld.serialize_scenario
+    if path.stem.endswith("_library"):
+        return documents.parse_library_document, documents.serialize_library
+    if path.stem.endswith("_goal"):
+        return documents.parse_goal_document, documents.serialize_goal
+    return documents.parse_policy_document, documents.serialize_policy
+
+
+def relocation_scenario(tick: int = 10) -> simworld.Scenario:
+    """The cube is knocked out of the gripper at ``tick``, while the robot is
+    en route: the packaged post_success scenario with its knock moved."""
+    return replace(fixtures.load_scenario("post_success"), name="relocation",
+                   perturbations=(simworld.Perturbation(
+                       tick, "set_item_location", ("cube2", "fetch1")),))

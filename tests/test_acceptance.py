@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from conftest import relocation_scenario
 from policylab import bt, experiments, fixtures, fsm, hfsm, metrics, report, simworld
 from policylab.core import ActionSpec, ConditionLiteral as L
 from policylab.planner import Plan, PlanStep
@@ -196,7 +197,7 @@ def test_criterion_8_reactivity_probes():
 
     # losing the cube mid-delivery makes both designs pick again
     for policy in (experiments.fetch_bt(), experiments.fetch_fsm()):
-        trace = simworld.run_episode(policy, experiments.relocation_scenario())
+        trace = simworld.run_episode(policy, relocation_scenario())
         picks = [e for e in trace.events
                  if e.kind == "skill_start" and e.payload["skill"] == "pick"]
         assert len(picks) == 2

@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from policylab import bt, experiments, simworld
+from policylab import bt, experiments, fixtures, simworld
 from policylab.core import ConditionLiteral as L, EditError, Status
 
 
@@ -100,7 +100,7 @@ class TestHalt:
 
 class TestMemorySequence:
     def test_succeeded_children_are_skipped(self, scripted_world):
-        tree = experiments.memory_fetch_bt()
+        tree = fixtures.load_policy("fetch_bt_memory")
         scripted_world.durations = {"move_to": 1, "pick": 1, "place": 1}
         bt.tick(tree, scripted_world)
         scripted_world.advance()
@@ -114,7 +114,7 @@ class TestMemorySequence:
         assert scripted_world.started.count(("move_to", ("fetch1",))) == 1
 
     def test_failure_resets_the_marks(self, scripted_world):
-        tree = experiments.memory_fetch_bt()
+        tree = fixtures.load_policy("fetch_bt_memory")
         scripted_world.durations = {"move_to": 1, "pick": 1}
         scripted_world.results = {"pick": Status.FAILURE}
         bt.tick(tree, scripted_world)
@@ -215,7 +215,7 @@ class TestEdits:
 
 
 def test_runtime_bookkeeping_stays_out_of_equality_and_repr(fetch_tree):
-    simworld.run_episode(fetch_tree, experiments.baseline_scenario())
+    simworld.run_episode(fetch_tree, fixtures.load_scenario("baseline"))
     assert fetch_tree.last_tick_visited
     assert fetch_tree == experiments.fetch_bt()
     for name in ("last_tick_visited", "memory_marks", "active_actions"):

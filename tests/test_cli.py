@@ -108,6 +108,19 @@ class TestBuild:
         assert capsys.readouterr().err == ("error: actions[1].params[0]: "
                                            "expected a string or a number, got [1]\n")
 
+    @pytest.mark.parametrize("kind", ["bt", "fsm-ft"])
+    def test_library_with_an_unknown_skill_exits_one(self, kind, tmp_path, capsys):
+        goal, _ = goal_and_library()
+        library = tmp_path / "library.json"
+        library.write_text(json.dumps({"version": 1, "actions": [
+            {"name": "deliver_and_dock", "params": [], "pre": [],
+             "post": [{"pred": "object_at", "args": ["cube2", "delivery"]}],
+             "skill": "deliver_and_dock"}]}))
+        assert cli.main(["build", goal, str(library), "--kind", kind]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: actions[0].skill: unknown skill 'deliver_and_dock'\n"
+
     def test_side_effect_warning_reaches_stderr(self, tmp_path):
         # one action achieves both goal conditions, so the planner keeps the
         # second as a reference check and warns through logging; with no
@@ -366,3 +379,26 @@ class TestReport:
     def test_missing_fixture_dir_exits_one(self, tmp_path, monkeypatch):
         monkeypatch.setattr(fixtures, "data_dir", lambda: tmp_path / "absent")
         assert cli.main(["report", "--table", "2"]) == 1
+
+    @pytest.mark.parametrize("table, cell", [
+        ("2", "tuck_arm/fsm"), ("3", "development/docking/ed"),
+    ])
+    def test_budget_exhaustion_exits_four(self, table, cell, capsys, monkeypatch):
+        monkeypatch.setenv("POLICYLAB_GED_BUDGET", "0")
+        assert cli.main(["report", "--table", table]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {cell}: edit distance search exhausted "
+                                "its 0 s budget\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["run", data("fetch_bt"), scenario("baseline"), "--trace"],
+    ["build", *goal_and_library(), "-o"],
+    ["report", "--table", "2", "-o"],
+], ids=["run", "build", "report"])
+def test_unwritable_output_path_exits_one(command, tmp_path, capsys):
+    path = tmp_path / "absent" / "out.json"
+    assert cli.main([*command, str(path)]) == 1
+    assert capsys.readouterr().err == (f"error: cannot write {path}: "
+                                       "No such file or directory\n")

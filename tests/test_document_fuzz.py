@@ -14,29 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from policylab import cli, documents, fixtures, simworld
+from conftest import codec, packaged_documents
+from policylab import cli, fixtures
 from policylab.core import DocumentError
 
 VALUES = (5, "x", [0], {}, None, -1, [[1]], 1.5, True)
 LIST_ENTRIES = 3
 SEED = 20240815
 CLI_SAMPLE_PER_KIND = 6
-
-
-def packaged_documents() -> list:
-    root = fixtures.data_dir()
-    return sorted(root.glob("*.json")) + sorted((root / "scenarios").glob("*.json"))
-
-
-def codec(path: Path) -> tuple:
-    """(parse, serialize) for the document kind at ``path``."""
-    if path.parent.name == "scenarios":
-        return simworld.parse_scenario_document, simworld.serialize_scenario
-    if path.stem.endswith("_library"):
-        return documents.parse_library_document, documents.serialize_library
-    if path.stem.endswith("_goal"):
-        return documents.parse_goal_document, documents.serialize_goal
-    return documents.parse_policy_document, documents.serialize_policy
 
 
 def json_paths(value, prefix=()):

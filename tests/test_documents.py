@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from conftest import codec, packaged_documents
 from policylab import documents, fixtures, fsm, hfsm, planner
 from policylab.bt import PolicyTree
 from policylab.core import (ActionSpec, ConditionLiteral as L, DocumentError, Goal,
@@ -21,12 +22,12 @@ def test_fetch_tree_fixture_has_fourteen_nodes():
 
 
 def test_round_trip_is_byte_identical_over_the_corpus():
-    for name in fixtures.available_policies():
-        text = fixtures.policy_path(name).read_text()
-        policy = documents.parse_policy_document(text)
-        once = documents.serialize_policy(policy)
-        again = documents.serialize_policy(documents.parse_policy_document(once))
-        assert once == again, name
+    paths = packaged_documents()
+    assert len(paths) == 28
+    for path in paths:
+        parse, serialize = codec(path)
+        text = path.read_text()
+        assert serialize(parse(text)) == text, path.name
 
 
 def test_policy_kinds_parse_to_their_types():
@@ -251,11 +252,13 @@ MISTYPED_FIELDS = [  # (fixture document, path to the field, value, error)
 @pytest.mark.parametrize("name, path, value, message", MISTYPED_FIELDS, ids=[
     f"{name[:-5]}:{'.'.join(map(str, path))}" for name, path, _, _ in MISTYPED_FIELDS])
 def test_container_field_of_the_wrong_json_type(name, path, value, message):
-    parse = {"fetch_library.json": documents.parse_library_document,
-             "fetch_goal.json": documents.parse_goal_document}.get(
-        name, documents.parse_policy_document)
     with pytest.raises(DocumentError, match=message):
-        parse(mutated(name, path, value))
+        parser(name)(mutated(name, path, value))
+
+
+def parser(name: str):
+    """The parser of the packaged document ``name``."""
+    return codec(fixtures.data_dir() / name)[0]
 
 
 def mutated(name: str, path: list, value) -> str:
@@ -283,10 +286,22 @@ def test_machine_entries_must_name_a_state(name, path, message):
     ("pick_place_hfsm.json", ["nodes", 1, "skill"],
      r"nodes\[1\]\.skill: unknown skill 'fly'"),
     ("fetch_fsm.json", ["states", 4, "skill"], r"states\[4\]\.skill: unknown skill 'fly'"),
-], ids=["bt", "hfsm", "fsm"])
+    ("fetch_library.json", ["actions", 0, "skill"],
+     r"actions\[0\]\.skill: unknown skill 'fly'"),
+], ids=["bt", "hfsm", "fsm", "library"])
 def test_action_skill_must_be_known(name, path, message):
     with pytest.raises(DocumentError, match=message):
-        documents.parse_policy_document(mutated(name, path, "fly"))
+        parser(name)(mutated(name, path, "fly"))
+
+
+def test_library_action_without_a_skill_runs_the_skill_of_its_name():
+    post = [{"pred": "docked", "args": []}]
+    library = documents.parse_library_document(json.dumps(
+        {"version": 1, "actions": [{"name": "dock", "post": post}]}))
+    assert library.specs[0].skill == "dock"
+    with pytest.raises(DocumentError, match=r"actions\[0\]\.name: unknown skill 'fly'"):
+        documents.parse_library_document(json.dumps(
+            {"version": 1, "actions": [{"name": "fly", "post": post}]}))
 
 
 @pytest.mark.parametrize("status, message", [

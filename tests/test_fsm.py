@@ -2,7 +2,7 @@
 
 import pytest
 
-from policylab import experiments, fsm, simworld
+from policylab import experiments, fixtures, fsm, simworld
 from policylab.core import ConditionLiteral as L, EditError, Status, ValidationError
 from policylab.planner import Plan, PlanStep
 from policylab.core import ActionSpec
@@ -296,7 +296,7 @@ class TestValidation:
 
 
 def test_runtime_bookkeeping_stays_out_of_equality_and_repr(fetch_machine):
-    simworld.run_episode(fetch_machine, experiments.baseline_scenario())
+    simworld.run_episode(fetch_machine, fixtures.load_scenario("baseline"))
     assert fetch_machine.terminated is Status.SUCCESS
     assert fetch_machine == experiments.fetch_fsm()
     for name in ("current", "terminated", "started", "failed"):

@@ -4,13 +4,13 @@ import copy
 
 import pytest
 
-from policylab import bt, experiments, hfsm, metrics, simworld
+from policylab import bt, experiments, fixtures, hfsm, metrics, simworld
 from policylab.core import ConditionLiteral as L, Status, ValidationError
 
 
 class TestFromBt:
     def test_pick_place_subtree_shape(self):
-        machine = experiments.pick_place_hfsm()
+        machine = hfsm.from_bt(fixtures.load_policy("pick_place_subtree"))
         assert machine.kind == "sequence_container"
         fallback, mover = machine.children
         assert fallback.kind == "fallback_container"
@@ -40,7 +40,7 @@ class TestFromBt:
 
     def test_memory_sequence_rejected(self):
         with pytest.raises(ValidationError, match="memory_sequence"):
-            hfsm.from_bt(experiments.memory_fetch_bt())
+            hfsm.from_bt(fixtures.load_policy("fetch_bt_memory"))
 
     def test_distinct_trees_give_distinct_encodings(self, fetch_tree):
         machine = hfsm.from_bt(fetch_tree)
@@ -116,7 +116,7 @@ class TestStep:
             raise AssertionError("the executor walked the machine")
 
         monkeypatch.setattr(hfsm.HfsmContainer, "walk", refuse_walk)
-        trace = simworld.run_episode(machine, experiments.recharge_scenario())
+        trace = simworld.run_episode(machine, fixtures.load_scenario("recharge"))
         assert trace.outcome == "SUCCESS"
         assert trace.skill_events("skill_preempt")
 

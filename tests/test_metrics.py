@@ -424,9 +424,9 @@ class TestScalarMetrics:
         assert cyclomatic(metrics.fsm_to_graph(recharge)) == 20
 
     def test_every_tree_scores_one(self):
-        for builder in (experiments.fetch_bt, experiments.scalability_bt,
-                        experiments.development_bt, experiments.compact_fetch_bt):
-            assert cyclomatic(metrics.bt_to_graph(builder())) == 1
+        for tree in (experiments.fetch_bt(), experiments.scalability_bt(),
+                     experiments.development_bt(), fixtures.load_policy("fetch_bt_compact")):
+            assert cyclomatic(metrics.bt_to_graph(tree)) == 1
 
     def test_effort_examples(self):
         assert effort(4, 0) == 15

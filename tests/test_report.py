@@ -18,7 +18,7 @@ def test_report_text_and_json_are_unchanged(table):
 
 def test_regenerated_fixtures_equal_the_packaged_ones(tmp_path):
     written = fixtures.write_fixtures(tmp_path)
-    assert len(written) == 28
+    assert len(written) == 18
     for path in written:
         packaged = fixtures.data_dir() / path.relative_to(tmp_path)
         assert path.read_bytes() == packaged.read_bytes(), path.name

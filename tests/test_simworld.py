@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import packaged_scenarios, relocation_scenario
 from policylab import bt, experiments, fixtures, fsm, hfsm, simworld
 from policylab.core import ConditionLiteral as L, DocumentError, Status, TRANSIT, WorldError
 from policylab.simworld import (
@@ -47,7 +48,7 @@ POST_SUCCESS_TUCK_MACHINE_TAIL = [
 
 
 def fresh_world(**overrides):
-    return World(replace(experiments.baseline_scenario(), **overrides))
+    return World(replace(fixtures.load_scenario("baseline"), **overrides))
 
 
 class TestSkillLifecycle:
@@ -133,7 +134,7 @@ class TestEvaluate:
 
 class TestEpisodes:
     def test_baseline_trace(self, fetch_tree):
-        trace = run_episode(fetch_tree, experiments.baseline_scenario())
+        trace = run_episode(fetch_tree, fixtures.load_scenario("baseline"))
         assert trace.outcome == "SUCCESS" and not trace.timed_out
         assert trace.skill_lifecycle() == [
             ("move_to", ("fetch1",), "success"),
@@ -143,8 +144,8 @@ class TestEpisodes:
         ]
 
     def test_traces_are_deterministic(self, fetch_tree):
-        first = run_episode(experiments.fetch_bt(), experiments.baseline_scenario())
-        second = run_episode(experiments.fetch_bt(), experiments.baseline_scenario())
+        first = run_episode(experiments.fetch_bt(), fixtures.load_scenario("baseline"))
+        second = run_episode(experiments.fetch_bt(), fixtures.load_scenario("baseline"))
         assert first.to_jsonl() == second.to_jsonl()
 
     def test_battery_clamps_at_zero_and_drains_during_motion(self):
@@ -158,7 +159,7 @@ class TestEpisodes:
         assert all(later <= earlier for earlier, later in zip(levels, levels[1:]))
 
     def test_recovery_reexecutes_exactly_the_undone_steps(self, fetch_tree):
-        trace = run_episode(fetch_tree, experiments.relocation_scenario())
+        trace = run_episode(fetch_tree, relocation_scenario())
         lifecycle = trace.skill_lifecycle()
         relocated_at = next(e.tick for e in trace.events if e.kind == "perturbation")
         suffix = [entry for entry in lifecycle[2:]]  # after the first move+pick
@@ -172,21 +173,21 @@ class TestEpisodes:
         # the re-execution equals a fresh run from the perturbed situation
         fresh = run_episode(
             experiments.fetch_bt(),
-            replace(experiments.baseline_scenario(), robot_location=TRANSIT),
+            replace(fixtures.load_scenario("baseline"), robot_location=TRANSIT),
         )
         assert [entry[:2] for entry in fresh.skill_lifecycle()] \
             == [entry[:2] for entry in suffix[1:]]
         assert relocated_at == 10
 
     def test_sequential_machine_fails_without_recovery(self):
-        scenario = replace(experiments.baseline_scenario(),
+        scenario = replace(fixtures.load_scenario("baseline"),
                            failures=(("move_to", ("fetch1",), 1),))
         trace = run_episode(experiments.fetch_fsm_sequential(), scenario)
         assert trace.outcome == "FAILURE"
         assert trace.skill_lifecycle() == [("move_to", ("fetch1",), "failure")]
 
     def test_fault_tolerant_machine_retries_after_a_transient_failure(self):
-        scenario = replace(experiments.baseline_scenario(),
+        scenario = replace(fixtures.load_scenario("baseline"),
                            failures=(("move_to", ("fetch1",), 1),))
         trace = run_episode(experiments.fetch_fsm(), scenario)
         assert trace.outcome == "SUCCESS"
@@ -194,7 +195,7 @@ class TestEpisodes:
         assert trace.skill_lifecycle()[1] == ("move_to", ("fetch1",), "success")
 
     def test_alternative_strategy_takes_over_in_the_machine(self):
-        scenario = replace(experiments.baseline_scenario(),
+        scenario = replace(fixtures.load_scenario("baseline"),
                            failures=(("move_to", ("fetch1",), 1),))
         machine = experiments.fsm_with_safe_move(experiments.fetch_fsm())
         trace = run_episode(machine, scenario)
@@ -205,12 +206,12 @@ class TestEpisodes:
         ]
 
     def test_timeout_is_flagged(self, fetch_tree):
-        scenario = replace(experiments.baseline_scenario(), max_ticks=3)
+        scenario = replace(fixtures.load_scenario("baseline"), max_ticks=3)
         trace = run_episode(fetch_tree, scenario)
         assert trace.outcome == "TIMEOUT" and trace.timed_out
 
     def test_forced_failure_fails_the_next_start_of_that_skill(self, fetch_tree):
-        scenario = replace(experiments.baseline_scenario(), perturbations=(
+        scenario = replace(fixtures.load_scenario("baseline"), perturbations=(
             Perturbation(5, "force_fail_next", ("pick",)),))
         trace = run_episode(fetch_tree, scenario)
         assert trace.outcome == "SUCCESS"
@@ -231,40 +232,40 @@ class TestEpisodes:
 
 class TestEquivalence:
     def test_projection_ignores_absolute_ticks(self, fetch_tree):
-        slow = replace(experiments.baseline_scenario(),
+        slow = replace(fixtures.load_scenario("baseline"),
                        durations={"move_to": 9}, max_ticks=200)
-        fast = experiments.baseline_scenario()
+        fast = fixtures.load_scenario("baseline")
         assert traces_equivalent(run_episode(experiments.fetch_bt(), slow),
                                  run_episode(fetch_tree, fast))
 
     def test_tree_and_machines_tell_the_same_story(self, fetch_tree):
-        scenario = experiments.baseline_scenario()
+        scenario = fixtures.load_scenario("baseline")
         tree_trace = run_episode(fetch_tree, scenario)
         machine_trace = run_episode(experiments.fetch_fsm(),
-                                    experiments.baseline_scenario())
+                                    fixtures.load_scenario("baseline"))
         nested_trace = run_episode(hfsm.from_bt(experiments.fetch_bt()),
-                                   experiments.baseline_scenario())
+                                   fixtures.load_scenario("baseline"))
         assert traces_equivalent(tree_trace, machine_trace)
         assert traces_equivalent(tree_trace, nested_trace)
 
     def test_divergent_policies_are_not_equivalent(self, fetch_tree):
-        baseline = run_episode(fetch_tree, experiments.baseline_scenario())
+        baseline = run_episode(fetch_tree, fixtures.load_scenario("baseline"))
         chattering = run_episode(experiments.fetch_bt("naive"),
-                                 experiments.baseline_scenario())
+                                 fixtures.load_scenario("baseline"))
         assert not traces_equivalent(baseline, chattering)
 
     def test_tuck_variants_agree_and_tuck_after_grasping(self):
         tree_trace = run_episode(experiments.bt_with_tuck(experiments.fetch_bt()),
-                                 experiments.baseline_scenario())
+                                 fixtures.load_scenario("baseline"))
         machine_trace = run_episode(experiments.fsm_with_tuck(experiments.fetch_fsm()),
-                                    experiments.baseline_scenario())
+                                    fixtures.load_scenario("baseline"))
         skills = [entry[0] for entry in tree_trace.skill_lifecycle()]
         assert skills == ["move_to", "pick", "tuck", "move_to", "place"]
         assert traces_equivalent(tree_trace, machine_trace)
 
 
 def _battery_drop(tick: int):
-    return replace(experiments.recharge_scenario(),
+    return replace(fixtures.load_scenario("recharge"),
                    perturbations=(Perturbation(tick, "set_battery", (15,)),))
 
 
@@ -272,7 +273,7 @@ def _battery_drop(tick: int):
 PREEMPTION_CASES = {
     "recharge": (lambda: experiments.bt_with_recharge(experiments.fetch_bt()),
                  _battery_drop),
-    "knocked_cube": (experiments.fetch_bt, experiments.relocation_scenario),
+    "knocked_cube": (experiments.fetch_bt, relocation_scenario),
 }
 # perturbation ticks drawn within the 21-tick unperturbed fetch episode
 PREEMPTION_TICKS = sorted(random.Random(7).sample(range(1, 21), 12))
@@ -298,7 +299,7 @@ class TestNestedMachineUnderPreemption:
 class TestChattering:
     def test_naive_ordering_chatters_forever(self):
         trace = run_episode(experiments.fetch_bt("naive"),
-                            experiments.baseline_scenario())
+                            fixtures.load_scenario("baseline"))
         assert trace.outcome == "TIMEOUT"
         assert detect_chattering(trace)
         preempts = [e for e in trace.events if e.kind == "skill_preempt"]
@@ -306,7 +307,7 @@ class TestChattering:
         assert {tuple(e.payload["args"]) for e in preempts} == {("fetch1",)}
 
     def test_safe_ordering_does_not_chatter(self, fetch_tree):
-        trace = run_episode(fetch_tree, experiments.baseline_scenario())
+        trace = run_episode(fetch_tree, fixtures.load_scenario("baseline"))
         assert trace.outcome == "SUCCESS"
         assert not detect_chattering(trace)
         # on an unperturbed run the safe ordering never cancels anything
@@ -314,7 +315,7 @@ class TestChattering:
 
     def test_single_preemption_recovery_is_not_chattering(self):
         trace = run_episode(experiments.bt_with_recharge(experiments.fetch_bt()),
-                            experiments.recharge_scenario())
+                            fixtures.load_scenario("recharge"))
         assert not detect_chattering(trace)
 
     def test_empty_trace(self):
@@ -323,7 +324,7 @@ class TestChattering:
 
 class TestScenarioDocuments:
     def test_round_trip(self):
-        scenario = experiments.recharge_scenario()
+        scenario = fixtures.load_scenario("recharge")
         text = serialize_scenario(scenario)
         assert serialize_scenario(parse_scenario_document(text)) == text
 
@@ -340,7 +341,7 @@ class TestScenarioDocuments:
 
     @staticmethod
     def _baseline_with(**fields) -> str:
-        doc = experiments.baseline_scenario().to_dict()
+        doc = fixtures.load_scenario("baseline").to_dict()
         doc.update(fields)
         return json.dumps(doc)
 
@@ -399,12 +400,12 @@ class TestScenarioDocuments:
         assert parse_scenario_document('{"version": 1}') == Scenario()
 
     def test_packaged_scenarios_still_parse_unchanged(self):
-        for name in sorted(experiments.SCENARIO_BUILDERS):
+        for name in packaged_scenarios():
             text = fixtures.scenario_path(name).read_text()
             assert serialize_scenario(parse_scenario_document(text)) == text
 
     def test_trace_jsonl_has_stable_field_order(self, fetch_tree):
-        trace = run_episode(fetch_tree, experiments.baseline_scenario())
+        trace = run_episode(fetch_tree, fixtures.load_scenario("baseline"))
         first = trace.to_jsonl().splitlines()[0]
         assert first.startswith('{"tick": 0, "kind": "skill_start"')
 
@@ -425,7 +426,7 @@ class TestEngineLookup:
                 return _original(*args)
             monkeypatch.setattr(module, name, counting)
 
-        scenario = experiments.recharge_scenario()
+        scenario = fixtures.load_scenario("recharge")
         tree = experiments.bt_with_recharge(experiments.fetch_bt())
         ticks = {
             "bt": run_episode(tree, scenario).ticks,
@@ -558,7 +559,7 @@ def random_scenario(rng):
                      for skill in rng.sample(["move_to", "pick", "place", "tuck"],
                                              rng.randint(0, 2)))
     return replace(
-        experiments.baseline_scenario(),
+        fixtures.load_scenario("baseline"),
         battery=float(rng.randint(10, 100)),
         drain_per_motion_tick=round(rng.uniform(0, 3.5), 2),
         markers=rng.choice(((), ("cube2",))),
@@ -602,7 +603,7 @@ class TestRunnerMatchesThePerTickLoop:
         assert got == want, where
 
     def test_packaged_policies_and_scenarios(self):
-        scenarios = sorted(experiments.SCENARIO_BUILDERS)
+        scenarios = packaged_scenarios()
         runs = 0
         for name in fixtures.available_policies():
             for scenario in scenarios:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Protocol
 
-from .core import ConditionLiteral, EditError, Status, ValidationError
+from .core import ConditionLiteral, EditError, MOTION_SKILLS, Status, ValidationError
 
 CONTROL_KINDS = ("sequence", "fallback", "parallel", "memory_sequence")
 LEAF_KINDS = ("action", "condition")
@@ -92,10 +92,15 @@ class PolicyTree:
         self.active_actions.clear()
 
     def validate(self) -> None:
-        """Check the structural invariants: single rooted tree, leaf kinds."""
+        """Check the structural invariants: single rooted tree, leaf kinds.
+
+        A parallel node may hold motion actions under one child only: the
+        world runs one motion at a time.
+        """
         if self.root not in self.nodes:
             raise ValidationError(f"root id {self.root} not among nodes")
         parents: dict[int, int] = {}
+        parallels = []
         for nid, node in self.nodes.items():
             if node.kind not in NODE_KINDS:
                 raise ValidationError(f"node {nid}: unknown kind {node.kind!r}")
@@ -103,8 +108,10 @@ class PolicyTree:
                 raise ValidationError(f"node {nid}: {node.kind} leaves cannot have children")
             if node.kind in ("sequence", "fallback", "memory_sequence") and not node.children:
                 raise ValidationError(f"node {nid}: {node.kind} needs at least one child")
-            if node.kind == "parallel" and not 1 <= node.threshold <= len(node.children):
-                raise ValidationError(f"node {nid}: parallel threshold out of range")
+            if node.kind == "parallel":
+                if not 1 <= node.threshold <= len(node.children):
+                    raise ValidationError(f"node {nid}: parallel threshold out of range")
+                parallels.append(node)
             for child in node.children:
                 if child not in self.nodes:
                     raise ValidationError(f"node {nid}: dangling child reference {child}")
@@ -119,6 +126,13 @@ class PolicyTree:
         if reachable != set(self.nodes):
             orphans = sorted(set(self.nodes) - reachable)
             raise ValidationError(f"nodes unreachable from root: {orphans}")
+        for node in parallels:
+            moving = sum(any(self.nodes[nid].kind == "action"
+                             and self.nodes[nid].skill in MOTION_SKILLS
+                             for nid in self.subtree_ids(child)) for child in node.children)
+            if moving > 1:
+                raise ValidationError(f"node {node.id}: parallel has motion actions under "
+                                      f"{moving} children, but one motion runs at a time")
 
 
 # ---------------------------------------------------------------------------
@@ -161,15 +175,7 @@ def _tick_node(tree: PolicyTree, node_id: int, world: TickWorld, visited: set[in
     elif node.kind == "memory_sequence":
         status = _tick_memory_sequence(tree, node, world, visited)
     elif node.kind == "parallel":
-        results = [_tick_node(tree, child, world, visited) for child in node.children]
-        successes = sum(r is Status.SUCCESS for r in results)
-        failures = sum(r is Status.FAILURE for r in results)
-        if successes >= node.threshold:
-            status = Status.SUCCESS
-        elif failures > len(node.children) - node.threshold:
-            status = Status.FAILURE
-        else:
-            status = Status.RUNNING
+        status = _tick_parallel(tree, node, world, visited)
     else:  # pragma: no cover - validate() rejects unknown kinds
         raise ValidationError(f"cannot tick node kind {node.kind!r}")
 
@@ -204,6 +210,46 @@ def _tick_memory_sequence(tree, node, world, visited) -> Status:
         tree.memory_marks[node.id] = index + 1
     tree.memory_marks[node.id] = 0
     return Status.SUCCESS
+
+
+class _StartBuffer:
+    """``world`` with the start requests held back until the caller forwards them."""
+
+    def __init__(self, world: TickWorld):
+        self.world = world
+        self.starts: list[tuple] = []
+
+    def request_start(self, skill: str, args: tuple) -> None:
+        self.starts.append((skill, args))
+
+    def __getattr__(self, name: str):
+        return getattr(self.world, name)
+
+
+def _tick_parallel(tree, node, world, visited) -> Status:
+    """Tick every child; a decided parallel halts the children still running.
+
+    A halted child's subtree leaves the visited set, so ``halt_unvisited``
+    cancels its skills, and the starts it requested this tick are dropped.
+    """
+    buffers = [_StartBuffer(world) for _ in node.children]
+    results = [_tick_node(tree, child, buffer, visited)
+               for child, buffer in zip(node.children, buffers)]
+    successes = sum(r is Status.SUCCESS for r in results)
+    failures = sum(r is Status.FAILURE for r in results)
+    if successes >= node.threshold:
+        status = Status.SUCCESS
+    elif failures > len(node.children) - node.threshold:
+        status = Status.FAILURE
+    else:
+        status = Status.RUNNING
+    for child, buffer, result in zip(node.children, buffers, results):
+        if status is not Status.RUNNING and result is Status.RUNNING:
+            visited.difference_update(tree.subtree_ids(child))
+        else:
+            for key in buffer.starts:
+                world.request_start(*key)
+    return status
 
 
 def halt_unvisited(tree: PolicyTree, world: TickWorld) -> set[tuple]:
@@ -252,7 +298,11 @@ def insert_subtree(tree: PolicyTree, parent: int, index: int, sub: PolicyTree) -
 
 
 def remove_subtree(tree: PolicyTree, node_id: int) -> PolicyTree:
-    """Detach a node and its descendants; only the parent is touched."""
+    """Detach a node and its descendants; only the parent is touched.
+
+    Kept in the library though only tests call it: it is one of the
+    paper's modification operations, the tree side of ``fsm.remove_state``.
+    """
     if node_id == tree.root:
         raise EditError("cannot remove the root")
     doomed = tree.subtree_ids(node_id)

@@ -98,7 +98,7 @@ def cmd_to_hfsm(args) -> int:
 
 def cmd_run(args) -> int:
     policy = documents.parse_policy_document(_read(args.policy))
-    scenario = simworld.parse_scenario_document(_read(args.scenario))
+    scenario = documents.parse_scenario_document(_read(args.scenario))
     if args.max_ticks is not None:
         scenario.max_ticks = args.max_ticks
     trace = simworld.run_episode(policy, scenario)

@@ -1,4 +1,4 @@
-"""Serialized document formats: policies, action libraries, goals.
+"""Serialized document formats: policies, action libraries, goals, scenarios.
 
 All documents are UTF-8 JSON with a ``version: 1`` field. Serialization
 is canonical (fixed key order, nodes sorted by id, two-space indent) so
@@ -13,10 +13,11 @@ newline, which a differential test pins; it exists because any
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Union
 
-from . import bt, fsm, hfsm
+from . import bt, fsm, hfsm, simworld
 from .core import (
     ActionLibrary,
     ActionSpec,
@@ -25,6 +26,7 @@ from .core import (
     Goal,
     Guard,
     KNOWN_SKILLS,
+    MOTION_SKILLS,
     Status,
     ValidationError,
     validate_action_library,
@@ -276,12 +278,32 @@ def _parse_nodes(doc: dict, types: dict) -> bt.PolicyTree:
             literal=_literal_from(entry, path, "predicate") if kind == "condition" else None,
             threshold=entry.get("threshold", 0),
         )
+    for index, node in enumerate(nodes.values()):
+        if node.kind == "parallel":
+            moving = sum(_holds_motion(nodes, child) for child in node.children)
+            if moving > 1:
+                raise DocumentError(f"nodes[{index}]: parallel has motion actions under "
+                                    f"{moving} children, but one motion runs at a time")
     tree = bt.PolicyTree(nodes=nodes, root=_id(_require(doc, "root", "top level"), "root"))
     try:
         tree.validate()
     except ValidationError as exc:
         raise DocumentError(str(exc)) from None
     return tree
+
+
+def _holds_motion(nodes: dict, node_id) -> bool:
+    """Whether a motion action is reachable from ``node_id``; safe on the
+    cycles and dangling ids that ``PolicyTree.validate`` rejects next."""
+    seen, stack = set(), [node_id]
+    while stack:
+        node = nodes.get(stack.pop())
+        if node is not None and node.id not in seen:
+            seen.add(node.id)
+            if node.kind == "action" and node.skill in MOTION_SKILLS:
+                return True
+            stack.extend(node.children)
+    return False
 
 
 def _node_entry(node, children) -> dict:
@@ -477,3 +499,58 @@ def serialize_goal(goal: Goal) -> str:
     if goal.initially:
         doc["initially"] = [_literal_doc(lit) for lit in goal.initially]
     return _dump(doc)
+
+
+# ---------------------------------------------------------------------------
+# scenarios
+
+
+def parse_scenario_document(data) -> simworld.Scenario:
+    """Build and validate a scenario; absent fields keep their defaults."""
+    doc = _load(data)
+    values = {}
+    for f in fields(simworld.Scenario):
+        if f.name not in doc:
+            continue
+        value = doc[f.name]
+        if f.name in _SCENARIO_ENTRIES:
+            entries = enumerate(_expect(value, list, f.name))
+            value = tuple(_SCENARIO_ENTRIES[f.name](entry, f"{f.name}[{i}]")
+                          for i, entry in entries)
+        elif isinstance(f.default, tuple):
+            value = tuple(_expect(value, list, f.name))
+        elif f.default_factory is dict:
+            value = dict(_expect(value, dict, f.name))
+        values[f.name] = value
+    scenario = simworld.Scenario(**values)
+    scenario.validate()
+    return scenario
+
+
+def _failure_from(entry, path: str) -> tuple:
+    skill = _require(entry, "skill", path)
+    args = None if entry.get("args") is None else _args(entry, path)
+    return skill, args, entry.get("invocation", 1)
+
+
+def _perturbation_from(entry, path: str) -> simworld.Perturbation:
+    return simworld.Perturbation(_require(entry, "tick", path), _require(entry, "event", path),
+                                 tuple(_expect(entry.get("args", []), list, f"{path}.args")))
+
+
+#: scenario field -> reader of one entry of its list
+_SCENARIO_ENTRIES = {"failures": _failure_from, "perturbations": _perturbation_from}
+
+
+def serialize_scenario(scenario: simworld.Scenario) -> str:
+    return _dump(_scenario_doc(scenario))
+
+
+def _scenario_doc(scenario: simworld.Scenario) -> dict:
+    """Every field in declaration order; ``_dump`` writes tuples as lists."""
+    doc = {"version": VERSION, **{f.name: getattr(scenario, f.name) for f in fields(scenario)}}
+    doc["failures"] = [{"skill": skill, "args": args, "invocation": nth}
+                       for skill, args, nth in scenario.failures]
+    doc["perturbations"] = [{"tick": p.tick, "event": p.event, "args": p.args}
+                            for p in scenario.perturbations]
+    return doc

@@ -225,10 +225,6 @@ def development_bt() -> bt.PolicyTree:
     return bt_with_dock(bt_with_recharge(fetch_bt()))
 
 
-def scalability_bt_with_recharge() -> bt.PolicyTree:
-    return bt_with_recharge(scalability_bt())
-
-
 # ---------------------------------------------------------------------------
 # state machine modification recipes
 
@@ -275,10 +271,6 @@ def fsm_with_dock(machine: fsm.StateMachine) -> fsm.StateMachine:
 
 def development_fsm() -> fsm.StateMachine:
     return fsm_with_dock(fsm_with_recharge(fetch_fsm()))
-
-
-def scalability_fsm_with_recharge() -> fsm.StateMachine:
-    return fsm_with_recharge(scalability_fsm())
 
 
 #: fixture name -> builder of each derived policy document, with stable node ids

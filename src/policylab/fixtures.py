@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import documents, experiments
 from .core import DocumentError
-from .simworld import Scenario, parse_scenario_document
+from .simworld import Scenario
 
 
 def data_dir() -> Path:
@@ -22,14 +22,6 @@ def data_dir() -> Path:
 
 def policy_path(name: str) -> Path:
     return data_dir() / f"{name}.json"
-
-
-def available_policies() -> list[str]:
-    root = data_dir()
-    if not root.is_dir():
-        raise DocumentError(f"fixture directory {root} is missing")
-    return sorted(p.stem for p in root.glob("*.json")
-                  if not p.stem.endswith(("_library", "_goal")))
 
 
 def _load(path: Path, what: str, name: str, parse):
@@ -43,11 +35,14 @@ def load_policy(name: str):
 
 
 def load_library(name: str):
+    """The packaged action library ``name``; with ``load_goal``, the fixture
+    API for the library and goal documents, which only tests call today."""
     return _load(data_dir() / f"{name}_library.json", "library fixture", name,
                  documents.parse_library_document)
 
 
 def load_goal(name: str):
+    """The packaged goal ``name``, the counterpart of ``load_library``."""
     return _load(data_dir() / f"{name}_goal.json", "goal fixture", name,
                  documents.parse_goal_document)
 
@@ -58,7 +53,7 @@ def scenario_path(name: str) -> Path:
 
 def load_scenario(name: str) -> Scenario:
     return _load(scenario_path(name), "scenario fixture", name,
-                 parse_scenario_document)
+                 documents.parse_scenario_document)
 
 
 def write_fixtures(target: Path | None = None) -> list[Path]:

@@ -372,7 +372,8 @@ def remove_state(sm: StateMachine, state_id: int) -> StateMachine:
 
     Every transition and interrupt referencing the state is removed;
     success edges into it are retargeted to its own success target so no
-    dangling plan entry remains.
+    dangling plan entry remains. Kept in the library though only tests
+    call it: it is one of the paper's modification operations.
     """
     victim = sm.state(state_id)
     if victim.kind == "selector":

@@ -563,7 +563,9 @@ def brute_force_ged(g1: PolicyGraph, g2: PolicyGraph,
 
     Independent of the best-first solver: plain recursion over every
     map-or-delete choice, pruned only by the incumbent, with its own
-    vertex and edge costing on the label sets of ``_label_sets``.
+    vertex and edge costing on the label sets of ``_label_sets``. The
+    costs of every vertex and vertex-pair choice are tabled before the
+    recursion starts.
     """
     cost = cost or GedCostModel()
     if g1.order() > BRUTE_FORCE_LIMIT or g2.order() > BRUTE_FORCE_LIMIT:
@@ -575,7 +577,8 @@ def brute_force_ged(g1: PolicyGraph, g2: PolicyGraph,
     pair1 = _label_sets(g1)
     pair2 = _label_sets(g2)
     none = frozenset()
-    best = [float("inf")]
+    targets = ids2 + [None]  # candidate k is g2 vertex ids2[k], or deletion at the end
+    deleted = len(ids2)
 
     def labels_cost(labels1: frozenset, labels2: frozenset) -> float:
         """Labels on one side only pair up as substitutions, the rest are
@@ -588,43 +591,43 @@ def brute_force_ged(g1: PolicyGraph, g2: PolicyGraph,
         return (paired * cost.edge_substitute + (only1 - paired) * cost.edge_delete
                 + (only2 - paired) * cost.edge_insert)
 
-    def edge_cost_between(v1, c, chosen) -> float:
-        subtotal = labels_cost(pair1.get((v1, v1), none), pair2.get((c, c), none))
-        for w1, w2 in chosen:
-            subtotal += labels_cost(pair1.get((v1, w1), none), pair2.get((c, w2), none))
-            subtotal += labels_cost(pair1.get((w1, v1), none), pair2.get((w2, c), none))
-        return subtotal
+    # vertex[i][k]: order1[i] onto candidate k, its self-loops included;
+    # edges[i][k][j][m]: the edges between order1[i] on k and order1[j] on m
+    vertex = [[(cost.node_delete if c is None else
+                cost.node_substitute if g1.vertices[v1] != g2.vertices[c] else 0.0)
+               + labels_cost(pair1.get((v1, v1), none), pair2.get((c, c), none))
+               for c in targets] for v1 in order1]
+    edges = [[[[labels_cost(pair1.get((v1, w1), none), pair2.get((c, w2), none))
+                + labels_cost(pair1.get((w1, v1), none), pair2.get((w2, c), none))
+                for w2 in targets] for w1 in order1[:i]] for c in targets]
+             for i, v1 in enumerate(order1)]
+    edges2 = [(ids2.index(source), ids2.index(target)) for source, target, _ in g2.edges]
+    chosen: list = []
+    used: set = set()
+    best = [float("inf")]
 
-    def recurse(index: int, chosen: list, running: float) -> None:
+    def recurse(index: int, running: float) -> None:
         if running >= best[0]:
             return
         if index == len(order1):
-            used = {w2 for _, w2 in chosen if w2 is not None}
-            total = running
-            for v2 in ids2:
-                if v2 not in used:
-                    total += cost.node_insert
-            covered = {(a2, b2) for _, a2 in chosen for _, b2 in chosen}
-            for source, target, _ in g2.edges:
-                if (source, target) not in covered:
-                    total += cost.edge_insert
-            best[0] = min(best[0], total)
+            unmapped = sum(source not in used or target not in used
+                           for source, target in edges2)
+            best[0] = min(best[0], running + (len(ids2) - len(used)) * cost.node_insert
+                          + unmapped * cost.edge_insert)
             return
-        v1 = order1[index]
-        used = {w2 for _, w2 in chosen if w2 is not None}
-        for candidate in ids2 + [None]:
-            if candidate is not None and candidate in used:
+        for k in range(deleted + 1):
+            if k in used:
                 continue
-            if candidate is None:
-                increment = cost.node_delete
-            elif g1.vertices[v1] != g2.vertices[candidate]:
-                increment = cost.node_substitute
-            else:
-                increment = 0.0
-            increment += edge_cost_between(v1, candidate, chosen)
-            recurse(index + 1, chosen + [(v1, candidate)], running + increment)
+            row = edges[index][k]
+            increment = vertex[index][k] + sum(row[j][m] for j, m in enumerate(chosen))
+            chosen.append(k)
+            if k != deleted:
+                used.add(k)
+            recurse(index + 1, running + increment)
+            chosen.pop()
+            used.discard(k)
 
-    recurse(0, [], 0.0)
+    recurse(0, 0.0)
     return best[0]
 
 
@@ -698,7 +701,8 @@ def ged_hfsm_formula(delta_conditions: int, delta_actions: int,
 
     Per-node coefficients are each node's footprint in the graph
     encoding: a condition is a vertex plus two exits, an action a vertex
-    plus three, a control node a vertex plus four.
+    plus three, a control node a vertex plus four. Kept in the library
+    though only tests call it: it is one of the paper's closed forms.
     """
     for value in (delta_conditions, delta_actions, delta_controls):
         if value < 0:
@@ -715,7 +719,11 @@ def effort(sequential_states: int, connected_states: int) -> int:
 
 
 def effort_m(total_states: int, connected_states: int) -> int:
-    """Same effort expressed over the total state count."""
+    """Same effort expressed over the total state count.
+
+    Kept in the library though only tests call it: it is one of the
+    paper's closed forms.
+    """
     if connected_states > total_states or connected_states < 0:
         raise ValidationError("connected states cannot exceed the total")
     return 3 * (total_states + 1) + connected_states * (total_states - 1)
@@ -742,7 +750,11 @@ def formula_estimates(kind: str, actions: int, connected: int = 0) -> dict:
 
 
 def fully_connected_elements(states: int) -> int:
-    """Element count of the alternative everything-to-everything design."""
+    """Element count of the alternative everything-to-everything design.
+
+    Kept in the library though only tests call it: it is one of the
+    paper's closed forms.
+    """
     if states < 0:
         raise ValidationError("state count must be non-negative")
     return states * (states - 1)

@@ -337,28 +337,3 @@ def extract_plan(goal: Goal, library: ActionLibrary) -> Plan:
     alternative states instead.
     """
     return synthesize(goal, library)[1]
-
-
-def order_preconditions(action: ActionSpec, plan: Plan,
-                        initially=()) -> list[ConditionLiteral]:
-    """Sort an action's preconditions by when the plan achieves them.
-
-    Conditions that hold initially and are never produced by a step come
-    first; ties keep the declared order.
-    """
-    initially = tuple(initially)
-
-    def sort_index(literal: ConditionLiteral) -> int:
-        achieved_at = [
-            index for index, step in enumerate(plan.steps)
-            if literal in step.spec.postconditions
-        ]
-        if achieved_at:
-            return achieved_at[-1]
-        if literal in initially:
-            return -1
-        raise PlanError(
-            f"{literal} is not achieved by any plan step and does not hold initially"
-        )
-
-    return sorted(action.preconditions, key=sort_index)

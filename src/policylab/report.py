@@ -38,6 +38,7 @@ class Cell:
 @dataclass
 class Report:
     title: str
+    row_label: str  # what the rows are, heading their name column
     columns: list
     rows: list = field(default_factory=list)  # (row name, {column: Cell})
     notes: list = field(default_factory=list)
@@ -67,7 +68,7 @@ class Report:
             for column, text in rendered.items():
                 widths[column] = max(widths[column], len(text))
             body.append((name, rendered))
-        head = "  ".join(["modification".ljust(name_width)]
+        head = "  ".join([self.row_label.ljust(name_width)]
                          + [column.ljust(widths[column]) for column in self.columns])
         lines = header + [head, "-" * len(head)]
         for name, rendered in body:
@@ -135,6 +136,7 @@ def modification_distance_report(budget: float = DEFAULT_GED_BUDGET) -> Report:
     """Edit distances of the four modified policies to their baselines."""
     report = Report(
         title="Structure edit distances of the modification case studies",
+        row_label="modification",
         columns=["bt", "fsm", "hfsm"],
     )
     baseline = _encode(load_policy("fetch_bt"), load_policy("fetch_fsm"))
@@ -186,6 +188,7 @@ def experiment_table_report(budget: float = DEFAULT_GED_BUDGET) -> Report:
     """Cyclomatic complexity, edit distance and element counts per experiment."""
     report = Report(
         title="Structure metrics of the experiment policies (tree/machine)",
+        row_label="experiment",
         columns=["cc", "ed", "graphical", "active"],
     )
     graphs = {}

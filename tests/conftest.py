@@ -88,6 +88,12 @@ def packaged_documents() -> list:
     return sorted(root.glob("*.json")) + sorted((root / "scenarios").glob("*.json"))
 
 
+def packaged_policies() -> list:
+    """The names of the packaged policies."""
+    return sorted(path.stem for path in fixtures.data_dir().glob("*.json")
+                  if not path.stem.endswith(("_library", "_goal")))
+
+
 def packaged_scenarios() -> list:
     """The names of the packaged scenarios."""
     return sorted(path.stem for path in (fixtures.data_dir() / "scenarios").glob("*.json"))
@@ -96,7 +102,7 @@ def packaged_scenarios() -> list:
 def codec(path: Path) -> tuple:
     """(parse, serialize) for the document kind at ``path``."""
     if path.parent.name == "scenarios":
-        return simworld.parse_scenario_document, simworld.serialize_scenario
+        return documents.parse_scenario_document, documents.serialize_scenario
     if path.stem.endswith("_library"):
         return documents.parse_library_document, documents.serialize_library
     if path.stem.endswith("_goal"):

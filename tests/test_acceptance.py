@@ -58,7 +58,7 @@ def test_criterion_2_cyclomatic_column():
         experiments.fsm_with_recharge(experiments.fetch_fsm()),
         experiments.development_fsm(),
         experiments.scalability_fsm(),
-        experiments.scalability_fsm_with_recharge(),
+        experiments.fsm_with_recharge(experiments.scalability_fsm()),
     ]
     values = [metrics.cyclomatic(metrics.fsm_to_graph(m)) for m in machines]
     assert values == [14, 20, 24, 68, 92]
@@ -67,7 +67,7 @@ def test_criterion_2_cyclomatic_column():
         experiments.bt_with_recharge(experiments.fetch_bt()),
         experiments.development_bt(),
         experiments.scalability_bt(),
-        experiments.scalability_bt_with_recharge(),
+        experiments.bt_with_recharge(experiments.scalability_bt()),
     ]
     assert [metrics.cyclomatic(metrics.bt_to_graph(t)) for t in trees] == [1] * 5
     assert time.monotonic() - started < 1.0
@@ -84,8 +84,9 @@ def test_criterion_3_element_counts():
          (41, 38), (21, 38)),
         (experiments.scalability_bt(), experiments.scalability_fsm(),
          (153, 114), (77, 114)),
-        (experiments.scalability_bt_with_recharge(),
-         experiments.scalability_fsm_with_recharge(), (159, 140), (80, 140)),
+        (experiments.bt_with_recharge(experiments.scalability_bt()),
+         experiments.fsm_with_recharge(experiments.scalability_fsm()),
+         (159, 140), (80, 140)),
     ]
     for tree, machine, graphical, active in rows:
         tree_counts = bt.count_elements(tree)
@@ -118,9 +119,11 @@ def test_criterion_4_experiment_edit_distances():
     assert docking_cell.computed == [6, machine_docking]
 
     scal_bt = metrics.bt_to_graph(experiments.scalability_bt())
-    scal_bt_re = metrics.bt_to_graph(experiments.scalability_bt_with_recharge())
+    scal_bt_re = metrics.bt_to_graph(
+        experiments.bt_with_recharge(experiments.scalability_bt()))
     scal_fsm = metrics.fsm_to_graph(experiments.scalability_fsm())
-    scal_fsm_re = metrics.fsm_to_graph(experiments.scalability_fsm_with_recharge())
+    scal_fsm_re = metrics.fsm_to_graph(
+        experiments.fsm_with_recharge(experiments.scalability_fsm()))
     assert metrics.ged_anchored(scal_bt, scal_bt_re).distance == 6
     assert metrics.ged_anchored(scal_fsm, scal_fsm_re).distance == 26
     announce(4, f"recharge distances 8/8 exact, docking 6 for the tree and "

@@ -5,7 +5,7 @@ import copy
 import pytest
 
 from policylab import bt, experiments, fixtures, simworld
-from policylab.core import ConditionLiteral as L, EditError, Status
+from policylab.core import ConditionLiteral as L, EditError, Status, ValidationError
 
 
 FETCH_CONDITIONS = (
@@ -149,6 +149,42 @@ class TestParallel:
         tree = builder.build(root)
         scripted_world.set_true("docked()")
         assert bt.tick(tree, scripted_world) is Status.RUNNING
+
+    def test_motion_under_two_children_is_rejected(self):
+        builder = bt.TreeBuilder()
+        look = builder.add("sequence", "s", children=[builder.action("search")])
+        children = [builder.action("move_to", ("fetch1",)), builder.action("pick", ("cube2",)),
+                    look]
+        root = builder.add("parallel", "p", children=children, threshold=1)
+        with pytest.raises(ValidationError, match=f"node {root}: parallel has motion actions "
+                                                  "under 2 children"):
+            builder.build(root)
+
+    def test_motion_under_one_child_is_accepted(self):
+        builder = bt.TreeBuilder()
+        children = [builder.action("move_to", ("fetch1",)), builder.action("pick", ("cube2",))]
+        builder.build(builder.add("parallel", "p", children=children, threshold=1))
+
+    def one_of_docked_or_tuck(self):
+        builder = bt.TreeBuilder()
+        children = [builder.condition(L("docked")), builder.action("tuck")]
+        return builder.build(builder.add("parallel", "p", children=children, threshold=1))
+
+    def test_decided_parallel_halts_its_running_children(self, scripted_world):
+        tree = self.one_of_docked_or_tuck()
+        assert bt.tick(tree, scripted_world) is Status.RUNNING
+        bt.halt_unvisited(tree, scripted_world)
+        scripted_world.set_true("docked()")
+        assert bt.tick(tree, scripted_world) is Status.SUCCESS
+        assert bt.halt_unvisited(tree, scripted_world) == {("tuck", ())}
+        assert scripted_world.cancelled == [("tuck", ())]
+
+    def test_decided_parallel_drops_the_starts_of_this_tick(self, scripted_world):
+        tree = self.one_of_docked_or_tuck()
+        scripted_world.set_true("docked()")
+        assert bt.tick(tree, scripted_world) is Status.SUCCESS
+        bt.halt_unvisited(tree, scripted_world)
+        assert scripted_world.started == [] and tree.active_actions == set()
 
 
 class TestEdits:

@@ -210,6 +210,22 @@ class TestRun:
                                 "expected a string or a number, got [1]\n")
         assert captured.out == ""
 
+    def test_parallel_over_two_motions_exits_one_before_the_episode(self, tmp_path,
+                                                                    capsys):
+        policy = tmp_path / "parallel.json"
+        policy.write_text(json.dumps({"version": 1, "kind": "bt", "root": 0, "nodes": [
+            {"id": 0, "type": "parallel", "name": "p", "children": [1, 2], "threshold": 2},
+            {"id": 1, "type": "action", "name": "a", "skill": "move_to", "args": ["fetch1"]},
+            {"id": 2, "type": "action", "name": "b", "skill": "move_to",
+             "args": ["delivery"]}]}))
+        trace = tmp_path / "trace.jsonl"
+        assert cli.main(["run", str(policy), scenario("baseline"),
+                         "--trace", str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: nodes[0]: parallel has motion actions under "
+                                "2 children, but one motion runs at a time\n")
+        assert captured.out == "" and not trace.exists()
+
     @pytest.mark.parametrize("ticks", ["0", "-5"])
     def test_max_ticks_below_one_exits_one(self, ticks, capsys):
         assert cli.main(["run", data("fetch_bt"), scenario("baseline"),

@@ -53,6 +53,27 @@ def test_unknown_node_kind():
         documents.parse_policy_document(json.dumps(doc))
 
 
+def test_parallel_over_two_motions_names_the_node():
+    doc = {"version": 1, "kind": "bt", "root": 0, "nodes": [
+        {"id": 0, "type": "parallel", "name": "both", "children": [1, 2], "threshold": 1},
+        {"id": 1, "type": "action", "name": "go", "skill": "move_to", "args": ["fetch1"]},
+        {"id": 2, "type": "sequence", "name": "s", "children": [3]},
+        {"id": 3, "type": "action", "name": "look", "skill": "search", "args": []}]}
+    with pytest.raises(DocumentError, match=r"^nodes\[0\]: parallel has motion actions "
+                                            r"under 2 children"):
+        documents.parse_policy_document(json.dumps(doc))
+    doc["nodes"][3]["skill"] = "tuck"
+    assert isinstance(documents.parse_policy_document(json.dumps(doc)), PolicyTree)
+
+
+def test_parallel_inside_a_cycle_reaches_the_structure_check():
+    doc = {"version": 1, "kind": "bt", "root": 0, "nodes": [
+        {"id": 0, "type": "parallel", "name": "p", "children": [1], "threshold": 1},
+        {"id": 1, "type": "sequence", "name": "s", "children": [0]}]}
+    with pytest.raises(DocumentError, match="root must not be a child"):
+        documents.parse_policy_document(json.dumps(doc))
+
+
 #: (case, nodes as (id, role, children), root, message); a role is spelled
 #: per document kind by NODE_LIST_TYPES, and a {role} in a message by its type
 STRUCTURAL_RULES = [

@@ -276,7 +276,7 @@ class TestValidation:
             experiments.fsm_with_dock(experiments.fetch_fsm()),
             experiments.fsm_with_recharge(experiments.fetch_fsm()),
             experiments.development_fsm(),
-            experiments.scalability_fsm_with_recharge(),
+            experiments.fsm_with_recharge(experiments.scalability_fsm()),
         ]
         for machine in machines:
             machine.validate()

@@ -398,9 +398,11 @@ class TestAnchoredDistance:
 
     def test_scalability_distances(self):
         bt_pair = (metrics.bt_to_graph(experiments.scalability_bt()),
-                   metrics.bt_to_graph(experiments.scalability_bt_with_recharge()))
+                   metrics.bt_to_graph(
+                       experiments.bt_with_recharge(experiments.scalability_bt())))
         fsm_pair = (metrics.fsm_to_graph(experiments.scalability_fsm()),
-                    metrics.fsm_to_graph(experiments.scalability_fsm_with_recharge()))
+                    metrics.fsm_to_graph(
+                        experiments.fsm_with_recharge(experiments.scalability_fsm())))
         assert ged_anchored(*bt_pair).distance == 6
         assert ged_anchored(*fsm_pair).distance == 26
 

@@ -6,7 +6,7 @@ import pytest
 
 from policylab import documents, experiments, metrics
 from policylab.core import ActionSpec, ConditionLiteral as L, Goal, PlanError, validate_action_library
-from policylab.planner import backchain, extract_plan, order_preconditions, synthesize
+from policylab.planner import backchain, extract_plan, synthesize
 
 
 def leaf_actions(tree):
@@ -196,6 +196,31 @@ class TestSynthesize:
             documents.serialize_policy(experiments.scalability_bt())
         assert documents.serialize_policy(machine) == \
             documents.serialize_policy(experiments.scalability_fsm())
+
+
+def order_preconditions(action: ActionSpec, plan, initially=()) -> list:
+    """Sort an action's preconditions by when the plan achieves them: the
+    reference the synthesis ordering is checked against.
+
+    Conditions that hold initially and are never produced by a step come
+    first; ties keep the declared order.
+    """
+    initially = tuple(initially)
+
+    def sort_index(literal: L) -> int:
+        achieved_at = [
+            index for index, step in enumerate(plan.steps)
+            if literal in step.spec.postconditions
+        ]
+        if achieved_at:
+            return achieved_at[-1]
+        if literal in initially:
+            return -1
+        raise PlanError(
+            f"{literal} is not achieved by any plan step and does not hold initially"
+        )
+
+    return sorted(action.preconditions, key=sort_index)
 
 
 class TestOrderPreconditions:

@@ -6,17 +6,18 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import packaged_scenarios, relocation_scenario
+from conftest import packaged_policies, packaged_scenarios, relocation_scenario
 from policylab import bt, experiments, fixtures, fsm, hfsm, simworld
-from policylab.core import ConditionLiteral as L, DocumentError, Status, TRANSIT, WorldError
+from policylab.core import (
+    ConditionLiteral as L, DocumentError, Status, TRANSIT, ValidationError, WorldError,
+)
+from policylab.documents import parse_scenario_document, serialize_scenario
 from policylab.simworld import (
     Perturbation,
     Scenario,
     World,
     detect_chattering,
-    parse_scenario_document,
     run_episode,
-    serialize_scenario,
     traces_equivalent,
 )
 
@@ -229,6 +230,21 @@ class TestEpisodes:
         trace = run_episode(machine, fixtures.load_scenario("post_success"))
         assert trace.to_jsonl().splitlines()[10:] == POST_SUCCESS_TUCK_MACHINE_TAIL
 
+    def test_failed_parallel_leaves_the_motion_to_the_next_branch(self):
+        """The parallel fails on ``docked`` in the tick its other child asks
+        for ``safe_move_to``: that start is dropped, so the fallback's next
+        branch can move the robot."""
+        builder = bt.TreeBuilder()
+        both = builder.add("parallel", "both", threshold=2, children=[
+            builder.condition(L("docked")), builder.action("safe_move_to", ("delivery",))])
+        root = builder.add("fallback", "root",
+                           children=[both, builder.action("move_to", ("fetch1",))])
+        trace = run_episode(builder.build(root), fixtures.load_scenario("baseline"))
+        starts = [(event.payload["skill"], event.payload["args"])
+                  for event in trace.skill_events("skill_start")]
+        assert starts[0] == ("move_to", ["fetch1"])
+        assert ("safe_move_to", ["delivery"]) not in starts
+
 
 class TestEquivalence:
     def test_projection_ignores_absolute_ticks(self, fetch_tree):
@@ -341,7 +357,7 @@ class TestScenarioDocuments:
 
     @staticmethod
     def _baseline_with(**fields) -> str:
-        doc = fixtures.load_scenario("baseline").to_dict()
+        doc = json.loads(serialize_scenario(fixtures.load_scenario("baseline")))
         doc.update(fields)
         return json.dumps(doc)
 
@@ -522,10 +538,11 @@ def random_literal(rng):
 
 
 def random_tree(rng, nested_only):
-    """A seeded random tree over the fetch world. With ``nested_only`` it
-    uses sequences and fallbacks only, so it has a nested machine."""
+    """A seeded random tree over the fetch world that ``validate`` accepts:
+    a draw with a parallel node over two motions is drawn again. With
+    ``nested_only`` it uses sequences and fallbacks only, so it has a
+    nested machine."""
     controls = ("sequence", "fallback") if nested_only else bt.CONTROL_KINDS
-    builder = bt.TreeBuilder()
 
     def grow(depth):
         if depth >= 3 or (depth > 0 and rng.random() < 0.4):
@@ -538,7 +555,12 @@ def random_tree(rng, nested_only):
         threshold = rng.randint(1, len(children)) if kind == "parallel" else 0
         return builder.add(kind, kind, children=children, threshold=threshold)
 
-    return builder.build(grow(0))
+    while True:
+        builder = bt.TreeBuilder()
+        try:
+            return builder.build(grow(0))
+        except ValidationError:
+            continue
 
 
 def random_scenario(rng):
@@ -601,11 +623,12 @@ class TestRunnerMatchesThePerTickLoop:
         got = episode_record(run_episode, policy, scenario)
         want = episode_record(reference_run_episode, policy, scenario)
         assert got == want, where
+        return got
 
     def test_packaged_policies_and_scenarios(self):
         scenarios = packaged_scenarios()
         runs = 0
-        for name in fixtures.available_policies():
+        for name in packaged_policies():
             for scenario in scenarios:
                 self.assert_same(fixtures.load_policy(name),
                                  fixtures.load_scenario(scenario), (name, scenario))
@@ -630,14 +653,15 @@ class TestRunnerMatchesThePerTickLoop:
             tree = random_tree(rng, nested_only=index % 3 == 0)
             kinds.update(node.kind for node in tree.nodes.values())
             scenario = random_scenario(rng)
-            self.assert_same(tree, scenario, (index, "tree"))
+            # a tree validate accepts never asks the world for two motions at once
+            assert self.assert_same(tree, scenario, (index, "tree"))[0] != "raised", index
             if index % 3 == 0:
                 self.assert_same(hfsm.from_bt(tree), scenario, (index, "nested"))
         assert {"parallel", "memory_sequence"} <= kinds
 
     def test_packaged_machines_in_seeded_random_scenarios(self):
         rng = random.Random(20241019)
-        names = [name for name in fixtures.available_policies() if "_fsm" in name]
+        names = [name for name in packaged_policies() if "_fsm" in name]
         for index in range(120):
             name = names[index % len(names)]
             self.assert_same(fixtures.load_policy(name), random_scenario(rng), (index, name))

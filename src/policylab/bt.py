@@ -230,7 +230,8 @@ def _tick_parallel(tree, node, world, visited) -> Status:
     """Tick every child; a decided parallel halts the children still running.
 
     A halted child's subtree leaves the visited set, so ``halt_unvisited``
-    cancels its skills, and the starts it requested this tick are dropped.
+    cancels its skills, the starts it requested this tick are dropped, and
+    its memory sequences restart, as after a BehaviorTree.CPP halt.
     """
     buffers = [_StartBuffer(world) for _ in node.children]
     results = [_tick_node(tree, child, buffer, visited)
@@ -245,7 +246,10 @@ def _tick_parallel(tree, node, world, visited) -> Status:
         status = Status.RUNNING
     for child, buffer, result in zip(node.children, buffers, results):
         if status is not Status.RUNNING and result is Status.RUNNING:
-            visited.difference_update(tree.subtree_ids(child))
+            halted = tree.subtree_ids(child)
+            visited.difference_update(halted)
+            for node_id in halted:
+                tree.memory_marks.pop(node_id, None)
         else:
             for key in buffer.starts:
                 world.request_start(*key)

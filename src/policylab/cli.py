@@ -13,6 +13,7 @@ overrides the edit distance search budget.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 from pathlib import Path
@@ -25,6 +26,16 @@ EXIT_INPUT = 1
 EXIT_FAILURE = 2
 EXIT_TIMEOUT = 3
 EXIT_INCOMPLETE = 4
+
+
+class _WarningLines(logging.Handler):
+    """Print the library's log records as ``warning: <message>`` on stderr."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        print(f"warning: {record.getMessage()}", file=sys.stderr)
+
+
+_WARNINGS = _WarningLines(logging.WARNING)
 
 
 def _ged_budget() -> float:
@@ -212,6 +223,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    logging.getLogger("policylab").addHandler(_WARNINGS)  # a no-op once attached
     try:
         return args.func(args)
     except PolicyError as exc:

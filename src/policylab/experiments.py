@@ -1,11 +1,12 @@
 """Canonical tasks and the policy modification recipes.
 
 Two tasks anchor everything: the single-cube fetch (move, pick, move,
-place) and the five-cube scalability task (search, five fetch rounds,
-dock). The modification recipes reproduce the four case studies used by
-the structure metrics: tucking the arm after grasping, a safer motion
-alternative, docking at the end, and battery recharge as a connected
-high-priority behavior.
+place) and the scalability task, which :func:`generated_task` builds
+with five cubes (search, one fetch round per cube, dock) and which it
+grows to any size. The modification recipes reproduce the four case
+studies used by the structure metrics: tucking the arm after grasping,
+a safer motion alternative, docking at the end, and battery recharge as
+a connected high-priority behavior.
 
 The libraries and goals are built here, as are the trees and machines
 derived from them by the planner and the recipes. The hand-written
@@ -67,35 +68,37 @@ def fetch_goal() -> Goal:
     return Goal(conditions=(L("object_at", (CUBE, "delivery")),))
 
 
+def generated_task(tables, goal_order=None):
+    """(goal, library) of the grown task: search, fetch each cube, dock.
+
+    Cube ``n`` sits on station ``fetch{tables[n-1]}``; the goal lists the
+    cubes delivered in ``goal_order`` (cube numbers, 1..n by default).
+    """
+    cubes = {number: f"cube{number}" for number in range(1, len(tables) + 1)}
+    specs = [ActionSpec("search", (), postconditions=(L("found"),))]
+    for cube, table in zip(cubes.values(), tables):
+        station = f"fetch{table}"
+        specs += [
+            ActionSpec("move_to", (station,), postconditions=(L("robot_at", (station,)),)),
+            ActionSpec("pick", (cube,), preconditions=(L("robot_at", (station,)),),
+                       postconditions=(L("in_hand", (cube,)),)),
+            ActionSpec("place", (cube,),
+                       preconditions=(L("robot_at", ("delivery",)), L("in_hand", (cube,))),
+                       postconditions=(L("object_at", (cube, "delivery")),)),
+        ]
+    specs += [ActionSpec("move_to", ("delivery",), postconditions=(L("robot_at", ("delivery",)),)),
+              ActionSpec("dock", (), postconditions=(L("docked"),))]
+    delivered = [L("object_at", (cubes[number], "delivery")) for number in goal_order or cubes]
+    return Goal(conditions=(L("found"), *delivered, L("docked"))), validate_action_library(specs)
+
+
 def scalability_library():
     """Search plus five fetch rounds plus docking: 18 ground actions."""
-    specs = [ActionSpec("search", (), postconditions=(L("found"),), skill="search")]
-    for index in range(1, 6):
-        cube, station = f"cube{index}", f"fetch{index}"
-        specs.append(ActionSpec("move_to", (station,),
-                                postconditions=(L("robot_at", (station,)),),
-                                skill="move_to"))
-        specs.append(ActionSpec("pick", (cube,),
-                                preconditions=(L("robot_at", (station,)),),
-                                postconditions=(L("in_hand", (cube,)),),
-                                skill="pick"))
-        specs.append(ActionSpec("place", (cube,),
-                                preconditions=(L("robot_at", ("delivery",)),
-                                               L("in_hand", (cube,))),
-                                postconditions=(L("object_at", (cube, "delivery")),),
-                                skill="place"))
-    specs.append(ActionSpec("move_to", ("delivery",),
-                            postconditions=(L("robot_at", ("delivery",)),),
-                            skill="move_to"))
-    specs.append(ActionSpec("dock", (), postconditions=(L("docked"),), skill="dock"))
-    return validate_action_library(specs)
+    return generated_task(range(1, 6))[1]
 
 
 def scalability_goal() -> Goal:
-    conditions = [L("found")]
-    conditions += [L("object_at", (f"cube{i}", "delivery")) for i in range(1, 6)]
-    conditions.append(L("docked"))
-    return Goal(conditions=tuple(conditions))
+    return generated_task(range(1, 6))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +122,15 @@ def fetch_fsm() -> fsm.StateMachine:
 
 
 def scalability_bt() -> bt.PolicyTree:
-    return backchain(scalability_goal(), scalability_library())
+    return scalability_policies()[0]
 
 
 def scalability_fsm() -> fsm.StateMachine:
-    return fsm.build_fault_tolerant(
-        extract_plan(scalability_goal(), scalability_library())
-    )
+    return scalability_policies()[1]
 
 
 def scalability_policies() -> tuple[bt.PolicyTree, fsm.StateMachine]:
-    """``scalability_bt()`` and ``scalability_fsm()`` from one planner expansion."""
+    """The scalability tree and fault-tolerant machine from one planner expansion."""
     tree, plan = synthesize(scalability_goal(), scalability_library())
     return tree, fsm.build_fault_tolerant(plan)
 
@@ -289,3 +290,9 @@ FIXTURE_BUILDERS = {
     "fetch_fsm_recharge": lambda: fsm_with_recharge(fetch_fsm()),
 }
 
+#: task name -> builder of its (goal, library), written as packaged documents
+TASKS = {
+    "fetch": lambda: (fetch_goal(), fetch_library()),
+    "fetch_safe": lambda: (fetch_goal(), fetch_library(with_safe_move=True)),
+    "scalability": lambda: (scalability_goal(), scalability_library()),
+}

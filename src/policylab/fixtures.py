@@ -67,14 +67,8 @@ def write_fixtures(target: Path | None = None) -> list[Path]:
         path.write_text(documents.serialize_policy(builder()))
         written.append(path)
 
-    tasks = {
-        "fetch": (experiments.fetch_library(), experiments.fetch_goal()),
-        "fetch_safe": (experiments.fetch_library(with_safe_move=True),
-                       experiments.fetch_goal()),
-        "scalability": (experiments.scalability_library(),
-                        experiments.scalability_goal()),
-    }
-    for task, (library, goal) in tasks.items():
+    for task, builder in experiments.TASKS.items():
+        goal, library = builder()
         lib_path = root / f"{task}_library.json"
         lib_path.write_text(documents.serialize_library(library))
         goal_path = root / f"{task}_goal.json"

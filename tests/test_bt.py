@@ -186,6 +186,23 @@ class TestParallel:
         bt.halt_unvisited(tree, scripted_world)
         assert scripted_world.started == [] and tree.active_actions == set()
 
+    def test_halted_memory_sequence_restarts_from_its_first_child(self, scripted_world):
+        builder = bt.TreeBuilder()
+        steps = builder.add("memory_sequence", "tuck then pick",
+                            children=[builder.action("tuck"), builder.action("pick", ("cube2",))])
+        children = [builder.condition(L("docked")), steps]
+        tree = builder.build(builder.add("parallel", "p", children=children, threshold=1))
+        bt.tick(tree, scripted_world)
+        scripted_world.advance(2)
+        assert bt.tick(tree, scripted_world) is Status.RUNNING
+        assert scripted_world.started == [("tuck", ()), ("pick", ("cube2",))]
+        scripted_world.set_true("docked()")
+        assert bt.tick(tree, scripted_world) is Status.SUCCESS
+        bt.halt_unvisited(tree, scripted_world)
+        scripted_world.set_false("docked()")
+        assert bt.tick(tree, scripted_world) is Status.RUNNING
+        assert scripted_world.started[-1] == ("tuck", ())
+
 
 class TestEdits:
     def test_insert_touches_exactly_the_parent(self, fetch_tree):

@@ -121,10 +121,9 @@ class TestBuild:
         assert captured.out == ""
         assert captured.err == "error: actions[0].skill: unknown skill 'deliver_and_dock'\n"
 
-    def test_side_effect_warning_reaches_stderr(self, tmp_path):
+    def side_effect_task(self, tmp_path) -> list:
         # one action achieves both goal conditions, so the planner keeps the
-        # second as a reference check and warns through logging; with no
-        # handler configured, logging's last-resort handler prints it
+        # second as a reference check and warns through logging
         post = [{"pred": "object_at", "args": ["cube2", "delivery"]},
                 {"pred": "docked", "args": []}]
         goal = tmp_path / "goal.json"
@@ -133,11 +132,22 @@ class TestBuild:
         library.write_text(json.dumps({"version": 1, "actions": [
             {"name": "deliver_and_dock", "params": [], "pre": [], "post": post,
              "skill": "dock"}]}))
-        done = run_in_a_process(["build", str(goal), str(library)])
+        return ["build", str(goal), str(library)]
+
+    SIDE_EFFECT_WARNING = ("warning: condition docked() is a side effect of already "
+                           "expanded deliver_and_dock()!; keeping a reference check only\n")
+
+    def test_side_effect_warning_reaches_stderr(self, tmp_path):
+        done = run_in_a_process(self.side_effect_task(tmp_path))
         assert done.returncode == 0
-        assert done.stderr == ("condition docked() is a side effect of already expanded "
-                               "deliver_and_dock()!; keeping a reference check only\n")
+        assert done.stderr == self.SIDE_EFFECT_WARNING
         assert isinstance(documents.parse_policy_document(done.stdout), PolicyTree)
+
+    def test_side_effect_warning_is_printed_once_per_call(self, tmp_path, capsys):
+        argv = self.side_effect_task(tmp_path)
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().err == self.SIDE_EFFECT_WARNING
 
     def test_ordering_rejected_for_machines(self, capsys):
         goal, library = goal_and_library()

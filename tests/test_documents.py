@@ -7,10 +7,9 @@ import random
 import pytest
 
 from conftest import codec, packaged_documents
-from policylab import documents, fixtures, fsm, hfsm, planner
+from policylab import documents, experiments, fixtures, fsm, hfsm, planner
 from policylab.bt import PolicyTree
-from policylab.core import (ActionSpec, ConditionLiteral as L, DocumentError, Goal,
-                            validate_action_library)
+from policylab.core import DocumentError
 from policylab.fsm import StateMachine
 from policylab.hfsm import HfsmContainer
 
@@ -358,30 +357,9 @@ def test_writer_matches_json_on_every_packaged_document():
         assert_written_as_json_does(json.loads(path.read_text()))
 
 
-def fetch_task(cubes: int):
-    """A goal/library pair: search, fetch each cube from its own table, then dock."""
-    specs = [ActionSpec("search", (), postconditions=(L("found"),))]
-    for number in range(1, cubes + 1):
-        cube, station = f"cube{number}", f"fetch{number}"
-        specs += [
-            ActionSpec("move_to", (station,), postconditions=(L("robot_at", (station,)),)),
-            ActionSpec("pick", (cube,), preconditions=(L("robot_at", (station,)),),
-                       postconditions=(L("in_hand", (cube,)),)),
-            ActionSpec("place", (cube,),
-                       preconditions=(L("robot_at", ("delivery",)), L("in_hand", (cube,))),
-                       postconditions=(L("object_at", (cube, "delivery")),)),
-        ]
-    specs += [ActionSpec("move_to", ("delivery",),
-                         postconditions=(L("robot_at", ("delivery",)),)),
-              ActionSpec("dock", (), postconditions=(L("docked"),))]
-    cubes_delivered = [L("object_at", (f"cube{n}", "delivery")) for n in range(1, cubes + 1)]
-    goal = Goal(conditions=(L("found"), *cubes_delivered, L("docked")))
-    return goal, validate_action_library(specs)
-
-
 @pytest.mark.parametrize("cubes", range(1, 7))
 def test_writer_matches_json_on_synthesized_policies(cubes):
-    goal, library = fetch_task(cubes)
+    goal, library = experiments.generated_task(range(1, cubes + 1))
     safe = planner.backchain(goal, library, "safe")
     plan = planner.extract_plan(goal, library)
     for policy in (safe, planner.backchain(goal, library, "naive"), fsm.build_sequential(plan),

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from policylab import experiments, fixtures, hfsm, metrics, report
+from policylab import bt, experiments, fixtures, fsm, hfsm, metrics, planner, report
 from policylab.core import ValidationError
 from policylab.metrics import (
     EditScript,
@@ -476,3 +476,35 @@ class TestScalarMetrics:
         assert estimate == {"graphical": 5 * 5 + 4 + 4, "active": 5 * 5 + 4 + 4}
         with pytest.raises(ValidationError, match="cannot exceed"):
             formula_estimates("fsm", 1, 2)
+
+
+def generated_tasks():
+    """Tables and goal order of tasks with 1-9 cubes: in order, then seeded."""
+    rng = random.Random(7)
+    for cubes in range(1, 10):
+        yield list(range(1, cubes + 1)), None
+        yield rng.sample(range(1, 10), cubes), rng.sample(range(1, cubes + 1), cubes)
+
+
+def test_closed_forms_hold_over_generated_task_sizes():
+    # the paper's maintainability claim as the task grows: the tree's
+    # recharge edit stays at 6 while the machine's grows with the plan
+    for tables, goal_order in generated_tasks():
+        tree, plan = planner.synthesize(*experiments.generated_task(tables, goal_order))
+        machine = fsm.build_fault_tolerant(plan)
+        steps = len(plan.steps)
+        assert steps == 4 * len(tables) + 2, tables
+        tree_counts = bt.count_elements(tree)
+        assert (tree_counts["graphical"], tree_counts["active"]) == (7 * steps - 1, 3.5 * steps)
+        assert formula_estimates("bt", steps) == {"graphical": 7 * steps - 1,
+                                                  "active": 3.5 * steps}
+        machine_graphical = fsm.count_elements(machine)["graphical"]
+        assert machine_graphical == formula_estimates("fsm", steps)["graphical"] == 5 * steps + 4
+        tree_graph, machine_graph = metrics.bt_to_graph(tree), metrics.fsm_to_graph(machine)
+        assert (cyclomatic(tree_graph), cyclomatic(machine_graph)) == (1, 3 * steps + 2)
+        tree_edit = ged_exact(tree_graph,
+                              metrics.bt_to_graph(experiments.bt_with_recharge(tree)))
+        machine_edit = ged_exact(machine_graph,
+                                 metrics.fsm_to_graph(experiments.fsm_with_recharge(machine)))
+        assert (tree_edit.distance, tree_edit.complete) == (6, True), tables
+        assert (machine_edit.distance, machine_edit.complete) == (steps + 4, True), tables

@@ -164,38 +164,22 @@ class TestExtractPlan:
         }
 
 
-TASKS = {
-    "fetch": lambda: (experiments.fetch_goal(), experiments.fetch_library()),
-    "fetch_safe": lambda: (experiments.fetch_goal(),
-                           experiments.fetch_library(with_safe_move=True)),
-    "scalability": lambda: (experiments.scalability_goal(),
-                            experiments.scalability_library()),
-}
-
-
 class TestSynthesize:
-    @pytest.mark.parametrize("task", sorted(TASKS))
+    @pytest.mark.parametrize("task", sorted(experiments.TASKS))
     @pytest.mark.parametrize("ordering", ["safe", "naive"])
     def test_tree_equals_the_backchained_one(self, task, ordering):
-        goal, library = TASKS[task]()
+        goal, library = experiments.TASKS[task]()
         tree, _ = synthesize(goal, library, ordering)
         assert documents.serialize_policy(tree) == \
             documents.serialize_policy(backchain(goal, library, ordering))
 
-    @pytest.mark.parametrize("task", sorted(TASKS))
+    @pytest.mark.parametrize("task", sorted(experiments.TASKS))
     def test_plan_equals_the_extracted_one(self, task):
-        goal, library = TASKS[task]()
+        goal, library = experiments.TASKS[task]()
         _, plan = synthesize(goal, library)
         expected = extract_plan(goal, library)
         assert plan.steps == expected.steps
         assert plan.goal == expected.goal
-
-    def test_scalability_policies_equal_the_separate_builders(self):
-        tree, machine = experiments.scalability_policies()
-        assert documents.serialize_policy(tree) == \
-            documents.serialize_policy(experiments.scalability_bt())
-        assert documents.serialize_policy(machine) == \
-            documents.serialize_policy(experiments.scalability_fsm())
 
 
 def order_preconditions(action: ActionSpec, plan, initially=()) -> list:

@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Protocol
 
-from .core import ConditionLiteral, EditError, MOTION_SKILLS, Status, ValidationError
+from .core import (
+    ConditionLiteral, EditError, FAILURE, MOTION_SKILLS, RUNNING, SUCCESS, Status,
+    ValidationError,
+)
 
 CONTROL_KINDS = ("sequence", "fallback", "parallel", "memory_sequence")
 LEAF_KINDS = ("action", "condition")
@@ -155,61 +158,60 @@ def tick(tree: PolicyTree, world: TickWorld) -> Status:
 def _tick_node(tree: PolicyTree, node_id: int, world: TickWorld, visited: set[int]) -> Status:
     node = tree.node(node_id)
     visited.add(node_id)
+    kind = node.kind
 
-    if node.kind == "condition":
-        status = Status.SUCCESS if world.evaluate(node.literal) else Status.FAILURE
-    elif node.kind == "action":
-        status = _tick_action(tree, node, world)
-    elif node.kind == "sequence":
-        status = Status.SUCCESS
+    if kind == "condition":
+        return SUCCESS if world.evaluate(node.literal) else FAILURE
+    if kind == "action":
+        return _tick_action(tree, node, world)
+    if kind == "sequence":
         for child in node.children:
             status = _tick_node(tree, child, world, visited)
-            if status is not Status.SUCCESS:
-                break
-    elif node.kind == "fallback":
-        status = Status.FAILURE
+            if status is not SUCCESS:
+                return status
+        return SUCCESS
+    if kind == "fallback":
         for child in node.children:
             status = _tick_node(tree, child, world, visited)
-            if status is not Status.FAILURE:
-                break
-    elif node.kind == "memory_sequence":
-        status = _tick_memory_sequence(tree, node, world, visited)
-    elif node.kind == "parallel":
-        status = _tick_parallel(tree, node, world, visited)
-    else:  # pragma: no cover - validate() rejects unknown kinds
-        raise ValidationError(f"cannot tick node kind {node.kind!r}")
-
-    return status
+            if status is not FAILURE:
+                return status
+        return FAILURE
+    if kind == "memory_sequence":
+        return _tick_memory_sequence(tree, node, world, visited)
+    if kind == "parallel":
+        return _tick_parallel(tree, node, world, visited)
+    # validate() rejects unknown kinds
+    raise ValidationError(f"cannot tick node kind {kind!r}")  # pragma: no cover
 
 
 def _tick_action(tree: PolicyTree, node: BtNode, world: TickWorld) -> Status:
     key = node.skill_key()
     if node.id in tree.active_actions:
         if world.skill_running(*key):
-            return Status.RUNNING
+            return RUNNING
         tree.active_actions.discard(node.id)
         result = world.skill_result(*key)
         # A cancelled or vanished runtime while we believed we were running
         # reads as a failed attempt; the next visit starts afresh.
-        return result if result is not None else Status.FAILURE
+        return result if result is not None else FAILURE
     world.request_start(*key)
     tree.active_actions.add(node.id)
-    return Status.RUNNING
+    return RUNNING
 
 
 def _tick_memory_sequence(tree, node, world, visited) -> Status:
     start = tree.memory_marks.get(node.id, 0)
     for index in range(start, len(node.children)):
         status = _tick_node(tree, node.children[index], world, visited)
-        if status is Status.RUNNING:
+        if status is RUNNING:
             tree.memory_marks[node.id] = index
             return status
-        if status is Status.FAILURE:
+        if status is FAILURE:
             tree.memory_marks[node.id] = 0
             return status
         tree.memory_marks[node.id] = index + 1
     tree.memory_marks[node.id] = 0
-    return Status.SUCCESS
+    return SUCCESS
 
 
 class _StartBuffer:
@@ -236,16 +238,16 @@ def _tick_parallel(tree, node, world, visited) -> Status:
     buffers = [_StartBuffer(world) for _ in node.children]
     results = [_tick_node(tree, child, buffer, visited)
                for child, buffer in zip(node.children, buffers)]
-    successes = sum(r is Status.SUCCESS for r in results)
-    failures = sum(r is Status.FAILURE for r in results)
+    successes = sum(r is SUCCESS for r in results)
+    failures = sum(r is FAILURE for r in results)
     if successes >= node.threshold:
-        status = Status.SUCCESS
+        status = SUCCESS
     elif failures > len(node.children) - node.threshold:
-        status = Status.FAILURE
+        status = FAILURE
     else:
-        status = Status.RUNNING
+        status = RUNNING
     for child, buffer, result in zip(node.children, buffers, results):
-        if status is not Status.RUNNING and result is Status.RUNNING:
+        if status is not RUNNING and result is RUNNING:
             halted = tree.subtree_ids(child)
             visited.difference_update(halted)
             for node_id in halted:

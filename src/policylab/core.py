@@ -22,6 +22,9 @@ class Status(enum.Enum):
         return self.value
 
 
+#: the members as globals for the per-node engine loops: ``Status.X`` reads go through ``EnumType``
+SUCCESS, FAILURE, RUNNING = Status.SUCCESS, Status.FAILURE, Status.RUNNING
+
 #: Robot position while a motion skill is in flight; matches no station.
 TRANSIT = "TRANSIT"
 

@@ -131,7 +131,7 @@ def scalability_fsm() -> fsm.StateMachine:
 
 def scalability_policies() -> tuple[bt.PolicyTree, fsm.StateMachine]:
     """The scalability tree and fault-tolerant machine from one planner expansion."""
-    tree, plan = synthesize(scalability_goal(), scalability_library())
+    tree, plan = synthesize(*generated_task(range(1, 6)))
     return tree, fsm.build_fault_tolerant(plan)
 
 
@@ -294,5 +294,5 @@ FIXTURE_BUILDERS = {
 TASKS = {
     "fetch": lambda: (fetch_goal(), fetch_library()),
     "fetch_safe": lambda: (fetch_goal(), fetch_library(with_safe_move=True)),
-    "scalability": lambda: (scalability_goal(), scalability_library()),
+    "scalability": lambda: generated_task(range(1, 6)),
 }

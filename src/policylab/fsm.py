@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .core import ConditionLiteral, EditError, Guard, Status, ValidationError
+from .core import (
+    ConditionLiteral, EditError, FAILURE, Guard, RUNNING, SUCCESS, Status, ValidationError,
+)
 from .planner import Plan, PlanStep
 
 STATE_KINDS = ("skill", "selector", "outcome")
@@ -207,7 +209,7 @@ def build_sequential(plan: Plan) -> StateMachine:
         sm.states[index] = _skill_state(index, step)
     outcome_id = len(plan.steps)
     sm.states[outcome_id] = FsmState(
-        id=outcome_id, kind="outcome", name="SUCCESS", outcome=Status.SUCCESS
+        id=outcome_id, kind="outcome", name="SUCCESS", outcome=SUCCESS
     )
     for index in range(len(plan.steps)):
         sm.states[index].transitions[_SUCCESS] = index + 1
@@ -251,7 +253,7 @@ def build_fault_tolerant(plan: Plan) -> StateMachine:
         }
         sm.states[sid] = state
     sm.states[outcome_id] = FsmState(
-        id=outcome_id, kind="outcome", name="SUCCESS", outcome=Status.SUCCESS
+        id=outcome_id, kind="outcome", name="SUCCESS", outcome=SUCCESS
     )
     sm.initial = selector_id
     sm.plan_order = list(range(first_skill, first_skill + len(plan.steps)))
@@ -444,8 +446,8 @@ def step(sm: StateMachine, world) -> Status:
                 continue
             target = _dispatch(sm, world)
             if target is None:
-                sm.terminated = Status.FAILURE  # deadlock surfaced, not hidden
-                return Status.FAILURE
+                sm.terminated = FAILURE  # deadlock surfaced, not hidden
+                return FAILURE
             sm.current = target
             continue
 
@@ -454,19 +456,19 @@ def step(sm: StateMachine, world) -> Status:
         if state.id not in sm.started:
             world.request_start(*key)
             sm.started.add(state.id)
-            return Status.RUNNING
+            return RUNNING
         if world.skill_running(*key):
-            return Status.RUNNING
+            return RUNNING
         result = world.skill_result(*key)
         sm.started.discard(state.id)
-        if result is Status.SUCCESS:
+        if result is SUCCESS:
             sm.current = sm.resolve(state, _SUCCESS)
         else:
             sm.failed.add(state.id)
             target = sm.resolve(state, _FAILURE)
             if target is None:
-                sm.terminated = Status.FAILURE
-                return Status.FAILURE
+                sm.terminated = FAILURE
+                return FAILURE
             sm.current = target
         continue
 

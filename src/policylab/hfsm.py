@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bt import PolicyTree, TickWorld
-from .core import ConditionLiteral, Status, ValidationError
+from .core import ConditionLiteral, FAILURE, RUNNING, SUCCESS, Status, ValidationError
 
 CONTAINER_KINDS = ("sequence_container", "fallback_container")
 LEAF_KINDS = ("action", "condition")
@@ -101,25 +101,25 @@ def _run(machine: HfsmContainer, node: HfsmContainer, world: TickWorld,
     visited.add(node.id)
 
     if node.kind == "condition":
-        return Status.SUCCESS if world.evaluate(node.literal) else Status.FAILURE
+        return SUCCESS if world.evaluate(node.literal) else FAILURE
 
     if node.kind == "action":
         key = node.skill_key()
         if node.id in machine.active_leaves:
             if world.skill_running(*key):
-                return Status.RUNNING
+                return RUNNING
             del machine.active_leaves[node.id]
             result = world.skill_result(*key)
-            return result if result is not None else Status.FAILURE
+            return result if result is not None else FAILURE
         world.request_start(*key)
         machine.active_leaves[node.id] = node
-        return Status.RUNNING
+        return RUNNING
 
     # a child's advancing outcome (SUCCESS in a sequence, FAILURE in a
     # fallback) enters the next sibling; any other leaves the container
     # with that outcome, and running off the last child leaves with the
     # advancing one
-    advancing = Status.SUCCESS if node.kind == "sequence_container" else Status.FAILURE
+    advancing = SUCCESS if node.kind == "sequence_container" else FAILURE
     for child in node.children:
         outcome = _run(machine, child, world, visited)
         if outcome is not advancing:

@@ -25,13 +25,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import bt, fsm, hfsm
-from .core import Status, ValidationError
+from .core import FAILURE, RUNNING, SUCCESS, ValidationError
 
 DEFAULT_GED_BUDGET = 60.0
 BRUTE_FORCE_LIMIT = 7
 
 #: shared sink ids for the nested-machine encoding, stable across graphs
-OUTCOME_SINKS = {Status.SUCCESS: -1, Status.FAILURE: -2, Status.RUNNING: -3}
+OUTCOME_SINKS = {SUCCESS: -1, FAILURE: -2, RUNNING: -3}
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,10 @@ def hfsm_to_graph(machine: hfsm.HfsmContainer) -> PolicyGraph:
         else:
             role = node.kind
         vertices[node.id] = f"{role}:{node.name}"
-        edges.add((node.id, OUTCOME_SINKS[Status.SUCCESS], "SUCCESS"))
-        edges.add((node.id, OUTCOME_SINKS[Status.FAILURE], "FAILURE"))
+        edges.add((node.id, OUTCOME_SINKS[SUCCESS], "SUCCESS"))
+        edges.add((node.id, OUTCOME_SINKS[FAILURE], "FAILURE"))
         if node.kind != "condition":
-            edges.add((node.id, OUTCOME_SINKS[Status.RUNNING], "RUNNING"))
+            edges.add((node.id, OUTCOME_SINKS[RUNNING], "RUNNING"))
         if node.kind in hfsm.CONTAINER_KINDS:
             edges.add((node.id, node.children[0].id, "enter"))
     return PolicyGraph(vertices=vertices, edges=edges,

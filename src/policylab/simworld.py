@@ -24,9 +24,11 @@ from . import bt, fsm, hfsm
 from .core import (
     ConditionLiteral,
     DocumentError,
+    FAILURE,
     KNOWN_SKILLS,
     MOTION_SKILLS,
     Status,
+    SUCCESS,
     TRANSIT,
     WorldError,
 )
@@ -345,6 +347,8 @@ class World:
         count, battery = self._mark
         if len(self.events) != count:
             return True
+        if not self._thresholds:
+            return False
         now = self.state.battery
         return any((battery > threshold) != (now > threshold)
                    for threshold in self._thresholds)
@@ -359,7 +363,7 @@ class World:
         runtime = self.runtimes.get((name, tuple(args)))
         if runtime is None or runtime.state == "running":
             return None
-        return Status.SUCCESS if runtime.state == "succeeded" else Status.FAILURE
+        return SUCCESS if runtime.state == "succeeded" else FAILURE
 
     def request_start(self, name: str, args: tuple) -> None:
         key = (name, tuple(args))
@@ -597,7 +601,7 @@ def run_episode(policy: bt.PolicyTree | fsm.StateMachine | hfsm.HfsmContainer,
         if preempt is None and policy.terminated is not None:  # machines only
             outcome, timed_out = policy.terminated.value, False
             break
-        if status is Status.SUCCESS:
+        if status is SUCCESS:
             success_streak += 1
             if success_streak >= scenario.success_hold_ticks:
                 outcome, timed_out = "SUCCESS", False

@@ -1,7 +1,11 @@
 """Vocabulary types and action library validation."""
 
+import ast
+import inspect
+
 import pytest
 
+from policylab import bt, core, fsm, hfsm, metrics, simworld
 from policylab.core import (
     ActionSpec,
     ConditionLiteral as L,
@@ -15,6 +19,28 @@ from policylab.experiments import fetch_library
 
 def test_status_values():
     assert {s.value for s in Status} == {"SUCCESS", "FAILURE", "RUNNING"}
+
+
+def test_status_constants_are_the_members():
+    assert core.SUCCESS is Status.SUCCESS
+    assert core.FAILURE is Status.FAILURE
+    assert core.RUNNING is Status.RUNNING
+
+
+@pytest.mark.parametrize("module", [bt, hfsm, fsm, simworld, metrics],
+                         ids=lambda module: module.__name__)
+def test_engine_functions_read_the_status_constants(module):
+    """A ``Status.X`` read goes through ``EnumType`` each time; the engines
+    run per node and per tick, so their functions read ``core.X`` instead."""
+    reads = []
+    for function in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            reads += [f"{getattr(function, 'name', 'lambda')}:{node.lineno}"
+                      for node in ast.walk(function)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name) and node.value.id == "Status"
+                      and node.attr in ("SUCCESS", "FAILURE", "RUNNING")]
+    assert reads == []
 
 
 class TestConditionLiteral:

@@ -312,6 +312,38 @@ class TestNestedMachineUnderPreemption:
         assert preempted > 0
 
 
+class TestScalabilityRecoveryLoop:
+    """Knocking a delivered cube2 back to fetch2 at tick 79, while cube4 is
+    in the hand, is a known representation difference.
+
+    The tree and its nested machine react: they drop the delivery, go back
+    to fetch2 and retry ``pick(cube2)``, which fails while cube4 is held.
+    The closed predicate set has no hand-empty condition to route them to
+    ``place(cube4)`` first, so they retry until ``max_ticks``. The
+    fault-tolerant machine never rechecks a finished step: it delivers
+    cube4 and cube5, docks and ends at its SUCCESS outcome with cube2
+    still at fetch2.
+    """
+
+    def test_tree_and_nested_machine_time_out_and_the_machine_succeeds(self):
+        knock = Perturbation(79, "set_item_location", ("cube2", "fetch2"))
+        scenario = replace(fixtures.load_scenario("scalability"), perturbations=(knock,))
+        tree, machine = experiments.scalability_policies()
+        nested = hfsm.from_bt(tree)
+        traces = {"tree": run_episode(tree, scenario), "nested": run_episode(nested, scenario)}
+        for name, trace in traces.items():
+            assert (trace.outcome, trace.ticks, trace.timed_out) == ("TIMEOUT", 400, True), name
+            picks = [event for event in trace.events
+                     if event.payload.get("skill") == "pick"
+                     and event.payload["args"] == ["cube2"]]
+            assert sum(event.kind == "skill_start" for event in picks) == 159, name
+            assert sum(event.payload.get("reason") == "already holding cube4"
+                       for event in picks) == 158, name
+        assert traces_equivalent(traces["tree"], traces["nested"])
+        trace = run_episode(machine, scenario)
+        assert (trace.outcome, trace.ticks, trace.timed_out) == ("SUCCESS", 104, False)
+
+
 class TestChattering:
     def test_naive_ordering_chatters_forever(self):
         trace = run_episode(experiments.fetch_bt("naive"),

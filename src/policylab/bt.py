@@ -89,6 +89,14 @@ class PolicyTree:
             stack.extend(self.node(nid).children)
         return out
 
+    def copy(self) -> "PolicyTree":
+        """An equal tree that shares no list, dict or set with this one; the
+        engine bookkeeping starts empty."""
+        nodes = {nid: BtNode(n.id, n.kind, n.name, list(n.children), n.skill, n.args,
+                             n.literal, n.threshold)
+                 for nid, n in self.nodes.items()}
+        return PolicyTree(nodes, self.root)
+
     def reset_runtime(self) -> None:
         self.last_tick_visited.clear()
         self.memory_marks.clear()

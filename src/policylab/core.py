@@ -88,6 +88,8 @@ class ConditionLiteral:
 
     predicate: str
     args: tuple = ()
+    #: ``key()`` once built; not annotated, so not a field that ``==`` or ``hash`` reads
+    _key = None
 
     def __post_init__(self):
         if self.predicate not in _PREDICATE_ARITY:
@@ -107,7 +109,11 @@ class ConditionLiteral:
 
     def key(self) -> str:
         """Stable string form used as transition labels and display names."""
-        return f"{self.predicate}({', '.join(str(a) for a in self.args)})"
+        key = self._key
+        if key is None:
+            key = f"{self.predicate}({', '.join(str(a) for a in self.args)})"
+            object.__setattr__(self, "_key", key)
+        return key
 
     def __str__(self) -> str:
         return self.key()

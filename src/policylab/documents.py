@@ -138,6 +138,15 @@ def _ids(values, path: str) -> list:
     return values
 
 
+def _integer(entry: dict, path: str, key: str) -> int:
+    """Field ``key`` of ``entry``, 0 when absent, when it is an integer
+    (JSON ``true`` is not one)."""
+    value = entry.get(key, 0)
+    if type(value) is not int:
+        raise DocumentError(f"{path}.{key}: expected an integer, got {value!r}")
+    return value
+
+
 def _string(value, path: str, key: str) -> str:
     """``value`` when it is a string; the error names field ``key`` of ``path``."""
     if not isinstance(value, str):
@@ -201,7 +210,11 @@ def _literal_doc(literal: ConditionLiteral) -> dict:
 
 
 def _guard_from(obj, path: str) -> Guard:
-    return Guard(_literal_from(obj, path), bool(obj.get("negated", False)))
+    literal = _literal_from(obj, path)
+    negated = obj.get("negated", False)
+    if type(negated) is not bool:
+        raise DocumentError(f"{path}.negated: expected true or false, got {negated!r}")
+    return Guard(literal, negated)
 
 
 def _guard_doc(guard: Guard) -> dict:
@@ -276,7 +289,7 @@ def _parse_nodes(doc: dict, types: dict) -> bt.PolicyTree:
             skill=_skill(entry, path) if kind == "action" else entry.get("skill", ""),
             args=_args(entry, path) if kind == "action" else (),
             literal=_literal_from(entry, path, "predicate") if kind == "condition" else None,
-            threshold=entry.get("threshold", 0),
+            threshold=_integer(entry, path, "threshold"),
         )
     for index, node in enumerate(nodes.values()):
         if node.kind == "parallel":
@@ -372,7 +385,7 @@ def _parse_fsm(doc: dict) -> fsm.StateMachine:
                                                  f"{path}.interrupts"))
             ],
             transitions=transitions,
-            rank=entry.get("rank", 0),
+            rank=_integer(entry, path, "rank"),
             outcome=outcome,
         )
         machine.states[sid] = state

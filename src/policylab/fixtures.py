@@ -9,6 +9,7 @@ trees and the scenarios have no builder: each file is its definition.
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 
 from . import documents, experiments
@@ -16,8 +17,11 @@ from .core import DocumentError
 from .simworld import Scenario
 
 
+_DATA_DIR = Path(__file__).parent / "data"
+
+
 def data_dir() -> Path:
-    return Path(__file__).parent / "data"
+    return _DATA_DIR
 
 
 def policy_path(name: str) -> Path:
@@ -30,8 +34,16 @@ def _load(path: Path, what: str, name: str, parse):
     return parse(path.read_text())
 
 
+@functools.cache
+def _parsed_policy(text: str):
+    """The policy ``text`` spells, parsed once per process: a rewritten file
+    has a new text, and callers get copies, never this object."""
+    return documents.parse_policy_document(text)
+
+
 def load_policy(name: str):
-    return _load(policy_path(name), "fixture", name, documents.parse_policy_document)
+    """A fresh copy of the packaged policy ``name``."""
+    return _load(policy_path(name), "fixture", name, _parsed_policy).copy()
 
 
 def load_library(name: str):

@@ -94,6 +94,16 @@ class StateMachine:
     def outcome_ids(self) -> set[int]:
         return {s.id for s in self.states.values() if s.kind == "outcome"}
 
+    def copy(self) -> "StateMachine":
+        """An equal machine that shares no list, dict or set with this one;
+        the runtime bookkeeping starts empty."""
+        states = {sid: FsmState(s.id, s.kind, s.name, s.skill, s.args, s.dispatch_pre,
+                                s.achieves, list(s.interrupts), dict(s.transitions),
+                                s.rank, s.outcome)
+                  for sid, s in self.states.items()}
+        return StateMachine(states, self.initial, list(self.plan_order), self.goal,
+                            list(self.connected))
+
     def reset_runtime(self) -> None:
         self.current = None
         self.terminated = None
@@ -174,7 +184,9 @@ def iter_edges(sm: StateMachine) -> Iterator[tuple]:
 def count_elements(sm: StateMachine) -> dict:
     """Node/edge counts; for a state machine every element is active."""
     nodes = len(sm.states)
-    edges = sum(1 for _ in iter_edges(sm))
+    edges = sum(len(s.transitions) + len(s.interrupts) for s in sm.states.values())
+    if sm.selector_id is not None:
+        edges += len(sm.plan_order)  # the selector's dispatch edges
     total = nodes + edges
     return {"nodes": nodes, "edges": edges, "graphical": total, "active": total}
 

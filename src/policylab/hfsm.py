@@ -44,6 +44,13 @@ class HfsmContainer:
         for child in self.children:
             yield from child.walk()
 
+    def copy(self) -> "HfsmContainer":
+        """An equal machine that shares no list, dict or set with this one;
+        the engine bookkeeping starts empty."""
+        return HfsmContainer(self.id, self.kind, self.name,
+                             [child.copy() for child in self.children],
+                             self.skill, self.args, self.literal)
+
     def reset_runtime(self) -> None:
         self.active_leaves.clear()
         self.last_visited.clear()

@@ -336,6 +336,16 @@ class TestMetrics:
         assert cli.main(["metrics", "--cc", str(policy)]) == 1
         assert capsys.readouterr().err == message
 
+    def test_parallel_with_a_string_threshold_exits_one(self, tmp_path, capsys):
+        doc = {"version": 1, "kind": "bt", "root": 0, "nodes": [
+            {"id": 0, "type": "parallel", "name": "both", "children": [1], "threshold": "1"},
+            {"id": 1, "type": "action", "name": "tuck", "skill": "tuck", "args": []}]}
+        policy = tmp_path / "parallel.json"
+        policy.write_text(json.dumps(doc))
+        assert cli.main(["metrics", "--cc", str(policy)]) == 1
+        assert capsys.readouterr().err == \
+            "error: nodes[0].threshold: expected an integer, got '1'\n"
+
     @pytest.mark.parametrize("name, path", [
         ("fetch_fsm", ["plan_order", 0]),
         ("fetch_fsm_recharge", ["connected", 0, "state"]),

@@ -49,6 +49,11 @@ class TestConditionLiteral:
         assert L("object_at", ("cube2", "delivery")).key() == "object_at(cube2, delivery)"
         assert L("docked").key() == "docked()"
 
+    def test_kept_key_stays_out_of_equality_hash_and_repr(self):
+        used, fresh = (L("object_at", ("cube2", "delivery")) for _ in range(2))
+        assert used.key() is used.key()
+        assert (used == fresh, hash(used), repr(used)) == (True, hash(fresh), repr(fresh))
+
     def test_unknown_predicate_rejected(self):
         with pytest.raises(ValidationError, match="unknown predicate"):
             L("grasped", ("cube2",))

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -63,6 +64,19 @@ def test_parallel_over_two_motions_names_the_node():
         documents.parse_policy_document(json.dumps(doc))
     doc["nodes"][3]["skill"] = "tuck"
     assert isinstance(documents.parse_policy_document(json.dumps(doc)), PolicyTree)
+
+
+@pytest.mark.parametrize("threshold", ["2", None, True, 1.5])
+def test_parallel_threshold_must_be_an_integer(threshold):
+    doc = {"version": 1, "kind": "bt", "root": 0, "nodes": [
+        {"id": 0, "type": "parallel", "name": "both", "children": [1, 2], "threshold": 2},
+        {"id": 1, "type": "action", "name": "tuck", "skill": "tuck", "args": []},
+        {"id": 2, "type": "condition", "name": "docked?", "predicate": "docked", "args": []}]}
+    assert documents.parse_policy_document(json.dumps(doc)).nodes[0].threshold == 2
+    doc["nodes"][0]["threshold"] = threshold
+    with pytest.raises(DocumentError, match=rf"^nodes\[0\]\.threshold: expected an integer, "
+                                            rf"got {re.escape(repr(threshold))}$"):
+        documents.parse_policy_document(json.dumps(doc))
 
 
 def test_parallel_inside_a_cycle_reaches_the_structure_check():
@@ -266,6 +280,11 @@ MISTYPED_FIELDS = [  # (fixture document, path to the field, value, error)
      r"actions\[1\]\.params\[0\]: expected a string or a number, got \[1\]"),
     ("fetch_library.json", ["actions", 0, "params", 0], {},
      r"actions\[0\]\.params\[0\]: expected a string or a number, got \{\}"),
+    # a rank is an integer, and a guard's negated flag is true or false
+    ("fetch_fsm_safe_move.json", ["states", 6, "rank"], "1",
+     r"states\[6\]\.rank: expected an integer, got '1'"),
+    ("fetch_fsm_recharge.json", ["states", 2, "interrupts", 0, "negated"], "false",
+     r"states\[2\]\.interrupts\[0\]\.negated: expected true or false, got 'false'"),
 ]
 
 

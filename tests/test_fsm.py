@@ -2,9 +2,10 @@
 
 import pytest
 
+from conftest import packaged_policies
 from policylab import experiments, fixtures, fsm, simworld
 from policylab.core import ConditionLiteral as L, EditError, Status, ValidationError
-from policylab.planner import Plan, PlanStep
+from policylab.planner import Plan, PlanStep, synthesize
 from policylab.core import ActionSpec
 
 
@@ -75,6 +76,19 @@ class TestBuilders:
                         achieves=None)
         with pytest.raises(ValidationError, match="dispatch"):
             fsm.build_fault_tolerant(Plan(steps=[step], goal=(L("arm_tucked"),)))
+
+    def test_edge_count_matches_the_drawn_edges(self):
+        names = [name for name in packaged_policies() if "_fsm" in name]
+        machines = [fixtures.load_policy(name) for name in names]
+        for cubes in range(1, 10):
+            _, plan = synthesize(*experiments.generated_task(range(1, cubes + 1)))
+            machines += [fsm.build_sequential(plan), fsm.build_fault_tolerant(plan)]
+        machines += [recipe(experiments.fetch_fsm())
+                     for recipe in (experiments.fsm_with_tuck, experiments.fsm_with_safe_move,
+                                    experiments.fsm_with_dock, experiments.fsm_with_recharge)]
+        assert len(machines) == len(names) + 22
+        for machine in machines:
+            assert fsm.count_elements(machine)["edges"] == sum(1 for _ in fsm.iter_edges(machine))
 
 
 class TestInsertions:

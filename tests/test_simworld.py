@@ -262,7 +262,7 @@ class TestEquivalence:
         nested_trace = run_episode(hfsm.from_bt(experiments.fetch_bt()),
                                    fixtures.load_scenario("baseline"))
         assert traces_equivalent(tree_trace, machine_trace)
-        assert traces_equivalent(tree_trace, nested_trace)
+        assert nested_trace.to_jsonl() == tree_trace.to_jsonl()
 
     def test_divergent_policies_are_not_equivalent(self, fetch_tree):
         baseline = run_episode(fetch_tree, fixtures.load_scenario("baseline"))
@@ -305,7 +305,7 @@ class TestNestedMachineUnderPreemption:
             nested = hfsm.from_bt(tree)
             tree_trace = run_episode(tree, scenario_at(tick))
             nested_trace = run_episode(nested, scenario_at(tick))
-            assert traces_equivalent(tree_trace, nested_trace), f"{case} @ tick {tick}"
+            assert nested_trace.to_jsonl() == tree_trace.to_jsonl(), f"{case} @ tick {tick}"
             assert nested_trace.outcome == tree_trace.outcome
             preempted += len(nested_trace.skill_events("skill_preempt"))
         # the sweep must actually exercise the preemption path
@@ -339,7 +339,7 @@ class TestScalabilityRecoveryLoop:
             assert sum(event.kind == "skill_start" for event in picks) == 159, name
             assert sum(event.payload.get("reason") == "already holding cube4"
                        for event in picks) == 158, name
-        assert traces_equivalent(traces["tree"], traces["nested"])
+        assert traces["nested"].to_jsonl() == traces["tree"].to_jsonl()
         trace = run_episode(machine, scenario)
         assert (trace.outcome, trace.ticks, trace.timed_out) == ("SUCCESS", 104, False)
 
@@ -645,6 +645,20 @@ def fixture_variants(tree_name, scenario_name):
             out.append(replace(base, perturbations=tuple(sorted(
                 base.perturbations + (event,), key=lambda p: p.tick))))
     return out
+
+
+class TestTreeAndNestedMachineByteForByte:
+    """``hfsm.from_bt`` of a tree issues, on every step, exactly the commands
+    one tick of the tree would, so the two traces are the same bytes."""
+
+    def test_seeded_random_trees(self):
+        rng = random.Random(20241021)
+        for index in range(500):
+            tree = random_tree(rng, nested_only=True)
+            nested = hfsm.from_bt(tree)
+            scenario = random_scenario(rng)
+            want = run_episode(tree, scenario).to_jsonl()
+            assert run_episode(nested, scenario).to_jsonl() == want, index
 
 
 class TestRunnerMatchesThePerTickLoop:

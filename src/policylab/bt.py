@@ -1,8 +1,9 @@
 """Behavior tree data model, tick engine and constant-touch edit operations.
 
-The engine talks to its environment through a small protocol (see
-:class:`TickWorld`): condition evaluation plus a start/poll/cancel skill
-lifecycle. Skill starts are *requested* during a tick and applied by the
+The engine talks to its environment through a four-call protocol (see
+:class:`TickWorld`): condition evaluation, one status question per skill,
+and start and cancel requests. A skill is named by its ``(skill, args)``
+key. Skill starts are *requested* during a tick and applied by the
 caller afterwards, so one tick always sees one consistent world snapshot
 and preemption can cancel the losing branch before the winner's skill
 actually starts.
@@ -28,13 +29,14 @@ class TickWorld(Protocol):
 
     def evaluate(self, literal: ConditionLiteral) -> bool: ...
 
-    def skill_running(self, skill: str, args: tuple) -> bool: ...
+    def skill_status(self, key: tuple) -> Optional[Status]:
+        """None before the skill's first start, RUNNING while it runs, then
+        SUCCESS, or FAILURE once it failed or was cancelled."""
 
-    def skill_result(self, skill: str, args: tuple) -> Optional[Status]: ...
+    def request_start(self, key: tuple) -> None: ...
 
-    def request_start(self, skill: str, args: tuple) -> None: ...
-
-    def request_cancel(self, skill: str, args: tuple) -> None: ...
+    def request_cancel(self, key: tuple) -> None:
+        """Cancel the skill if it runs; otherwise do nothing."""
 
 
 @dataclass
@@ -195,14 +197,14 @@ def _tick_node(tree: PolicyTree, node_id: int, world: TickWorld, visited: set[in
 def _tick_action(tree: PolicyTree, node: BtNode, world: TickWorld) -> Status:
     key = node.skill_key()
     if node.id in tree.active_actions:
-        if world.skill_running(*key):
+        status = world.skill_status(key)
+        if status is RUNNING:
             return RUNNING
         tree.active_actions.discard(node.id)
-        result = world.skill_result(*key)
-        # A cancelled or vanished runtime while we believed we were running
-        # reads as a failed attempt; the next visit starts afresh.
-        return result if result is not None else FAILURE
-    world.request_start(*key)
+        # A vanished runtime while we believed we were running reads as a
+        # failed attempt; the next visit starts afresh.
+        return status if status is not None else FAILURE
+    world.request_start(key)
     tree.active_actions.add(node.id)
     return RUNNING
 
@@ -229,8 +231,8 @@ class _StartBuffer:
         self.world = world
         self.starts: list[tuple] = []
 
-    def request_start(self, skill: str, args: tuple) -> None:
-        self.starts.append((skill, args))
+    def request_start(self, key: tuple) -> None:
+        self.starts.append(key)
 
     def __getattr__(self, name: str):
         return getattr(self.world, name)
@@ -262,7 +264,7 @@ def _tick_parallel(tree, node, world, visited) -> Status:
                 tree.memory_marks.pop(node_id, None)
         else:
             for key in buffer.starts:
-                world.request_start(*key)
+                world.request_start(key)
     return status
 
 
@@ -277,8 +279,8 @@ def halt_unvisited(tree: PolicyTree, world: TickWorld) -> set[tuple]:
     for node_id in sorted(tree.active_actions - tree.last_tick_visited):
         node = tree.node(node_id)
         key = node.skill_key()
-        if world.skill_running(*key):
-            world.request_cancel(*key)
+        if world.skill_status(key) is RUNNING:
+            world.request_cancel(key)
             cancelled.add(key)
         tree.active_actions.discard(node_id)
     return cancelled

@@ -92,15 +92,6 @@ def generated_task(tables, goal_order=None):
     return Goal(conditions=(L("found"), *delivered, L("docked"))), validate_action_library(specs)
 
 
-def scalability_library():
-    """Search plus five fetch rounds plus docking: 18 ground actions."""
-    return generated_task(range(1, 6))[1]
-
-
-def scalability_goal() -> Goal:
-    return generated_task(range(1, 6))[0]
-
-
 # ---------------------------------------------------------------------------
 # base policies
 

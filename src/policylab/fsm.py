@@ -12,6 +12,12 @@ RUNNING stays in place, and SUCCESS/FAILURE fall back to the selector
 when the machine has one (a machine without a selector terminates with
 FAILURE on an unmapped failure). This keeps the stored structure equal to
 what the diagrams show while the engine remains total.
+
+A machine with a selector ends SUCCESS only while every goal literal
+holds: reaching the SUCCESS outcome with the goal false hands control
+back to the selector. A machine without one reports what its last skill
+did. The engine asks the world one question per running skill,
+``skill_status(key)``, as the tree engine does (see ``bt.TickWorld``).
 """
 
 from __future__ import annotations
@@ -212,7 +218,8 @@ def build_sequential(plan: Plan) -> StateMachine:
     """One state per plan step, success-chained to a single outcome.
 
     There is no selector: any failure terminates the machine and the
-    whole sequence has to be restarted by the caller.
+    whole sequence has to be restarted by the caller. The machine reports
+    what its last skill did, without checking the goal.
     """
     if not plan.steps:
         raise ValidationError("empty plan")
@@ -439,6 +446,11 @@ def step(sm: StateMachine, world) -> Status:
         state = sm.state(sm.current)
 
         if state.kind == "outcome":
+            selector = sm.selector_id
+            if (state.outcome is SUCCESS and selector is not None
+                    and not all(world.evaluate(lit) for lit in sm.goal)):
+                sm.current = selector  # the goal was undone: dispatch again
+                continue
             sm.terminated = state.outcome
             return state.outcome
 
@@ -466,12 +478,12 @@ def step(sm: StateMachine, world) -> Status:
         # skill state
         key = state.skill_key()
         if state.id not in sm.started:
-            world.request_start(*key)
+            world.request_start(key)
             sm.started.add(state.id)
             return RUNNING
-        if world.skill_running(*key):
+        result = world.skill_status(key)
+        if result is RUNNING:
             return RUNNING
-        result = world.skill_result(*key)
         sm.started.discard(state.id)
         if result is SUCCESS:
             sm.current = sm.resolve(state, _SUCCESS)
@@ -489,9 +501,7 @@ def step(sm: StateMachine, world) -> Status:
 
 def _exit_state(sm: StateMachine, state: FsmState, world) -> None:
     if state.kind == "skill" and state.id in sm.started:
-        key = state.skill_key()
-        if world.skill_running(*key):
-            world.request_cancel(*key)
+        world.request_cancel(state.skill_key())
         sm.started.discard(state.id)
 
 

@@ -113,12 +113,12 @@ def _run(machine: HfsmContainer, node: HfsmContainer, world: TickWorld,
     if node.kind == "action":
         key = node.skill_key()
         if node.id in machine.active_leaves:
-            if world.skill_running(*key):
+            status = world.skill_status(key)
+            if status is RUNNING:
                 return RUNNING
             del machine.active_leaves[node.id]
-            result = world.skill_result(*key)
-            return result if result is not None else FAILURE
-        world.request_start(*key)
+            return status if status is not None else FAILURE
+        world.request_start(key)
         machine.active_leaves[node.id] = node
         return RUNNING
 
@@ -143,7 +143,7 @@ def halt_unvisited(machine: HfsmContainer, world: TickWorld) -> set[tuple]:
     cancelled: set[tuple] = set()
     for leaf_id in sorted(machine.active_leaves.keys() - machine.last_visited):
         key = machine.active_leaves.pop(leaf_id).skill_key()
-        if world.skill_running(*key):
-            world.request_cancel(*key)
+        if world.skill_status(key) is RUNNING:
+            world.request_cancel(key)
             cancelled.add(key)
     return cancelled

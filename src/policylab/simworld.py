@@ -27,6 +27,7 @@ from .core import (
     FAILURE,
     KNOWN_SKILLS,
     MOTION_SKILLS,
+    RUNNING,
     Status,
     SUCCESS,
     TRANSIT,
@@ -68,10 +69,9 @@ class WorldState:
 class SkillRuntime:
     name: str
     args: tuple
-    state: str = "running"  # running | succeeded | failed | cancelled
+    status: Status = RUNNING  # FAILURE also once cancelled
     remaining: int = 0
     will_fail: bool = False
-    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -355,26 +355,19 @@ class World:
 
     # -- skill lifecycle -------------------------------------------------------
 
-    def skill_running(self, name: str, args: tuple) -> bool:
-        runtime = self.runtimes.get((name, tuple(args)))
-        return runtime is not None and runtime.state == "running"
+    def skill_status(self, key: tuple) -> Optional[Status]:
+        runtime = self.runtimes.get(key)
+        return None if runtime is None else runtime.status
 
-    def skill_result(self, name: str, args: tuple) -> Optional[Status]:
-        runtime = self.runtimes.get((name, tuple(args)))
-        if runtime is None or runtime.state == "running":
-            return None
-        return SUCCESS if runtime.state == "succeeded" else FAILURE
-
-    def request_start(self, name: str, args: tuple) -> None:
-        key = (name, tuple(args))
+    def request_start(self, key: tuple) -> None:
         if key not in self.pending_starts:
             self.pending_starts.append(key)
 
-    def request_cancel(self, name: str, args: tuple) -> None:
-        runtime = self.runtimes.get((name, tuple(args)))
-        if runtime is not None and runtime.state == "running":
-            runtime.state = "cancelled"
-            self._log("skill_preempt", skill=name, args=list(args))
+    def request_cancel(self, key: tuple) -> None:
+        runtime = self.runtimes.get(key)
+        if runtime is not None and runtime.status is RUNNING:
+            runtime.status = FAILURE
+            self._log("skill_preempt", skill=runtime.name, args=list(runtime.args))
 
     def apply_starts(self) -> None:
         pending, self.pending_starts = self.pending_starts, []
@@ -382,15 +375,14 @@ class World:
             self.start_skill(name, args)
 
     def start_skill(self, name: str, args: tuple) -> SkillRuntime:
-        args = tuple(args)
         if name not in KNOWN_SKILLS:
             raise WorldError(f"unknown skill {name!r}")
         existing = self.runtimes.get((name, args))
-        if existing is not None and existing.state == "running":
+        if existing is not None and existing.status is RUNNING:
             return existing  # goal already sent; polling continues
         if name in MOTION_SKILLS:
             for runtime in self.runtimes.values():
-                if runtime.state == "running" and runtime.name in MOTION_SKILLS:
+                if runtime.status is RUNNING and runtime.name in MOTION_SKILLS:
                     raise WorldError(
                         f"cannot start {name}: motion skill {runtime.name} still running"
                     )
@@ -409,8 +401,7 @@ class World:
         self._log("skill_start", skill=name, args=list(args))
         guard_error = self._start_guard(name, args)
         if guard_error:
-            runtime.state = "failed"
-            runtime.reason = guard_error
+            runtime.status = FAILURE
             self._log("skill_end", skill=name, args=list(args),
                       outcome="failure", reason=guard_error)
         else:
@@ -498,7 +489,7 @@ class World:
         completed = []
         motion_ticked = False
         for runtime in self.runtimes.values():
-            if runtime.state != "running":
+            if runtime.status is not RUNNING:
                 continue
             runtime.remaining -= 1
             if runtime.name in MOTION_SKILLS:
@@ -517,12 +508,11 @@ class World:
             else:
                 reason = self._start_guard(runtime.name, runtime.args)
             if reason:
-                runtime.state = "failed"
-                runtime.reason = reason
+                runtime.status = FAILURE
                 self._log("skill_end", skill=runtime.name, args=list(runtime.args),
                           outcome="failure", reason=reason)
             else:
-                runtime.state = "succeeded"
+                runtime.status = SUCCESS
                 self._completion_effects(runtime.name, runtime.args)
                 self._log("skill_end", skill=runtime.name, args=list(runtime.args),
                           outcome="success")

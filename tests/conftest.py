@@ -39,23 +39,19 @@ class ScriptedWorld:
     def evaluate(self, literal) -> bool:
         return literal.key() in self.truths
 
-    def skill_running(self, skill, args) -> bool:
-        return (skill, tuple(args)) in self.running
+    def skill_status(self, key):
+        return Status.RUNNING if key in self.running else self.finished.get(key)
 
-    def skill_result(self, skill, args):
-        return self.finished.get((skill, tuple(args)))
-
-    def request_start(self, skill, args) -> None:
-        key = (skill, tuple(args))
+    def request_start(self, key) -> None:
         self.started.append(key)
         if key not in self.running:
             self.finished.pop(key, None)
-            self.running[key] = self.durations.get(skill, 2)
+            self.running[key] = self.durations.get(key[0], 2)
 
-    def request_cancel(self, skill, args) -> None:
-        key = (skill, tuple(args))
+    def request_cancel(self, key) -> None:
         if key in self.running:
             del self.running[key]
+            self.finished[key] = Status.FAILURE
             self.cancelled.append(key)
 
     def advance(self, ticks: int = 1) -> None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import packaged_policies
+from conftest import ScriptedWorld, packaged_policies
 from policylab import experiments, fixtures, fsm, simworld
 from policylab.core import ConditionLiteral as L, EditError, Status, ValidationError
 from policylab.planner import Plan, PlanStep, synthesize
@@ -278,6 +278,39 @@ class TestStep:
         scripted_world.set_false("object_at(cube2, delivery)")
         assert fsm.step(fetch_machine, scripted_world) is Status.SUCCESS
         assert scripted_world.started == []
+
+
+class TestSuccessNeedsTheGoal:
+    """A machine with a selector ends SUCCESS only while its goal holds."""
+
+    def placed_cube2(self, machine, world):
+        """Run the fetch machine's ``place`` to success from the delivery station."""
+        world.set_true("in_hand(cube2)", "robot_at(delivery)")
+        assert fsm.step(machine, world) is Status.RUNNING
+        assert world.started == [("place", ("cube2",))]
+        world.advance(2)
+        world.set_false("in_hand(cube2)")
+
+    def test_place_without_the_goal_dispatches_again(self, fetch_machine, scripted_world):
+        self.placed_cube2(fetch_machine, scripted_world)  # cube2 not at delivery
+        assert fsm.step(fetch_machine, scripted_world) is Status.RUNNING
+        assert fetch_machine.terminated is None
+        assert scripted_world.started[-1] == ("move_to", ("fetch1",))
+
+    def test_place_with_the_goal_ends_success(self, fetch_machine, scripted_world):
+        self.placed_cube2(fetch_machine, scripted_world)
+        scripted_world.set_true("object_at(cube2, delivery)")
+        assert fsm.step(fetch_machine, scripted_world) is Status.SUCCESS
+        assert fetch_machine.terminated is Status.SUCCESS
+        assert len(scripted_world.started) == 1
+
+    def test_sequential_machine_reports_its_last_skill(self):
+        machine, world = experiments.fetch_fsm_sequential(), ScriptedWorld()
+        for _ in range(4):
+            assert fsm.step(machine, world) is Status.RUNNING
+            world.advance(2)
+        assert fsm.step(machine, world) is Status.SUCCESS  # goal never set true
+        assert [skill for skill, _ in world.started] == ["move_to", "pick", "move_to", "place"]
 
 
 class TestValidation:

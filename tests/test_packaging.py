@@ -1,5 +1,7 @@
-"""The package needs nothing beyond the standard library."""
+"""The package needs nothing beyond the standard library, and its source
+follows the rules that keep the layers apart."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +31,38 @@ def test_every_module_imports_from_the_standard_library_alone():
 def test_pyproject_declares_no_runtime_dependencies():
     lines = (ROOT / "pyproject.toml").read_text().splitlines()
     assert "dependencies = []" in lines
+
+
+def _parsed_modules(*directories):
+    for directory in directories:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            yield path.relative_to(ROOT), ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_no_library_or_test_module_imports_the_benchmark():
+    """perfbench imports the library, never the other way round, so the
+    library and its tests stay runnable without the benchmark."""
+    bench = {"perfbench"} | {path.stem for path in (ROOT / "perfbench").glob("*.py")}
+    imports = []
+    for path, tree in _parsed_modules("src", "tests"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imports += [f"{path}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] in bench]
+    assert imports == []
+
+
+def test_no_module_defines_or_calls_the_retired_skill_queries():
+    """``skill_status`` is the one skill question of the tick protocol."""
+    retired = {"skill_running", "skill_result"}
+    uses = [f"{path}:{node.lineno}" for path, tree in _parsed_modules("src", "tests")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in retired
+            or isinstance(node, ast.Attribute) and node.attr in retired
+            or isinstance(node, ast.Name) and node.id in retired]
+    assert uses == []

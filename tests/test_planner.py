@@ -132,7 +132,7 @@ class TestExtractPlan:
     def test_plan_equals_the_tree_leaf_sequence(self):
         for goal, library in (
             (experiments.fetch_goal(), experiments.fetch_library()),
-            (experiments.scalability_goal(), experiments.scalability_library()),
+            experiments.TASKS["scalability"](),
         ):
             plan = extract_plan(goal, library)
             tree = backchain(goal, library)
@@ -140,8 +140,7 @@ class TestExtractPlan:
                 == leaf_actions(tree)
 
     def test_scalability_plan_has_22_steps(self):
-        plan = extract_plan(experiments.scalability_goal(),
-                            experiments.scalability_library())
+        plan = extract_plan(*experiments.TASKS["scalability"]())
         assert len(plan.steps) == 22
         assert plan.steps[0].spec.skill == "search"
         assert plan.steps[-1].spec.skill == "dock"
@@ -154,8 +153,7 @@ class TestExtractPlan:
         assert len(plan.steps) == 1
 
     def test_dispatch_contexts_carry_the_causal_links(self):
-        plan = extract_plan(experiments.scalability_goal(),
-                            experiments.scalability_library())
+        plan = extract_plan(*experiments.TASKS["scalability"]())
         by_label = {(s.spec.name, s.spec.params): s for s in plan.steps}
         pick3 = by_label[("pick", ("cube3",))]
         assert set(map(str, pick3.dispatch_pre)) == {
@@ -239,7 +237,7 @@ class TestOrderPreconditions:
     def test_matches_the_synthesis_ordering_on_the_canonical_tasks(self):
         for goal, library in (
             (experiments.fetch_goal(), experiments.fetch_library()),
-            (experiments.scalability_goal(), experiments.scalability_library()),
+            experiments.TASKS["scalability"](),
         ):
             plan = extract_plan(goal, library)
             tree = backchain(goal, library)

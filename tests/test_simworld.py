@@ -6,7 +6,9 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import packaged_policies, packaged_scenarios, relocation_scenario
+from conftest import (
+    ScriptedWorld, packaged_policies, packaged_scenarios, relocation_scenario,
+)
 from policylab import bt, experiments, fixtures, fsm, hfsm, simworld
 from policylab.core import (
     ConditionLiteral as L, DocumentError, Status, TRANSIT, ValidationError, WorldError,
@@ -52,22 +54,39 @@ def fresh_world(**overrides):
     return World(replace(fixtures.load_scenario("baseline"), **overrides))
 
 
+TO_DELIVERY = ("move_to", ("delivery",))
+
+
 class TestSkillLifecycle:
+    def test_world_and_the_stub_define_the_whole_tick_protocol(self):
+        members = [name for name in vars(bt.TickWorld) if not name.startswith("_")]
+        assert members == ["evaluate", "skill_status", "request_start", "request_cancel"]
+        for world in (World, ScriptedWorld):
+            assert all(callable(getattr(world, name, None)) for name in members), world
+
+    def test_status_is_none_before_the_first_start(self):
+        world = fresh_world()
+        assert world.skill_status(TO_DELIVERY) is None
+        world.request_start(TO_DELIVERY)
+        assert world.skill_status(TO_DELIVERY) is None  # requested, not started
+        world.apply_starts()
+        assert world.skill_status(TO_DELIVERY) is Status.RUNNING
+
     def test_motion_runs_for_its_duration_then_arrives(self):
         world = fresh_world()
-        world.start_skill("move_to", ("delivery",))
+        world.start_skill(*TO_DELIVERY)
         assert world.state.robot_location == TRANSIT
         for _ in range(4):
             world.advance()
-            assert world.skill_running("move_to", ("delivery",))
+            assert world.skill_status(TO_DELIVERY) is Status.RUNNING
         world.advance()
-        assert world.skill_result("move_to", ("delivery",)) is Status.SUCCESS
+        assert world.skill_status(TO_DELIVERY) is Status.SUCCESS
         assert world.state.robot_location == "delivery"
 
     def test_pick_away_from_the_item_fails_immediately(self):
         world = fresh_world()
         world.start_skill("pick", ("cube2",))
-        assert world.skill_result("pick", ("cube2",)) is Status.FAILURE
+        assert world.skill_status(("pick", ("cube2",))) is Status.FAILURE
         ends = world.events[-1]
         assert ends.kind == "skill_end" and ends.payload["outcome"] == "failure"
 
@@ -94,11 +113,23 @@ class TestSkillLifecycle:
 
     def test_cancel_strands_the_robot_in_transit(self):
         world = fresh_world()
-        world.start_skill("move_to", ("delivery",))
+        world.start_skill(*TO_DELIVERY)
         world.advance()
-        world.request_cancel("move_to", ("delivery",))
+        world.request_cancel(TO_DELIVERY)
         assert world.state.robot_location == TRANSIT
-        assert not world.skill_running("move_to", ("delivery",))
+        assert world.skill_status(TO_DELIVERY) is Status.FAILURE
+        assert [e.kind for e in world.events] == ["skill_start", "skill_preempt"]
+
+    def test_cancelling_a_finished_skill_does_nothing(self):
+        world = fresh_world()
+        world.start_skill(*TO_DELIVERY)
+        for _ in range(5):
+            world.advance()
+        events = list(world.events)
+        world.request_cancel(TO_DELIVERY)
+        world.request_cancel(("pick", ("cube2",)))  # never started
+        assert world.skill_status(TO_DELIVERY) is Status.SUCCESS
+        assert world.events == events
 
     def test_unknown_skill_rejected(self):
         with pytest.raises(WorldError, match="unknown skill"):
@@ -321,8 +352,9 @@ class TestScalabilityRecoveryLoop:
     The closed predicate set has no hand-empty condition to route them to
     ``place(cube4)`` first, so they retry until ``max_ticks``. The
     fault-tolerant machine never rechecks a finished step: it delivers
-    cube4 and cube5, docks and ends at its SUCCESS outcome with cube2
-    still at fetch2.
+    cube4 and cube5 and docks. Its SUCCESS outcome then finds cube2 still
+    at fetch2 and hands control back to the selector, which fetches and
+    delivers cube2 and docks again before the machine ends SUCCESS.
     """
 
     def test_tree_and_nested_machine_time_out_and_the_machine_succeeds(self):
@@ -341,7 +373,15 @@ class TestScalabilityRecoveryLoop:
                        for event in picks) == 158, name
         assert traces["nested"].to_jsonl() == traces["tree"].to_jsonl()
         trace = run_episode(machine, scenario)
-        assert (trace.outcome, trace.ticks, trace.timed_out) == ("SUCCESS", 104, False)
+        assert (trace.outcome, trace.ticks, trace.timed_out) == ("SUCCESS", 129, False)
+        # cube2 ends at delivery: its last skill is a place after a move there
+        lifecycle = trace.skill_lifecycle()
+        last = max(index for index, (_, args, _) in enumerate(lifecycle)
+                   if args == ("cube2",))
+        assert lifecycle[last] == ("place", ("cube2",), "success")
+        moves = [args for skill, args, outcome in lifecycle[:last]
+                 if skill == "move_to" and outcome == "success"]
+        assert moves[-1] == ("delivery",)
 
 
 class TestChattering:

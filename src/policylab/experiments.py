@@ -9,12 +9,17 @@ a safer motion alternative, docking at the end, and battery recharge as
 a connected high-priority behavior.
 
 The libraries and goals are built here, as are the trees and machines
-derived from them by the planner and the recipes. The hand-written
+derived from them by the planner and the recipes. The scalability tree
+and machine are synthesized once per process (``_scalability_policies``,
+a ``functools.cache``) and every caller gets copies, as
+:mod:`policylab.fixtures` does for each parsed document. The hand-written
 trees and the scenarios have no builder: their packaged documents
 define them (see :mod:`policylab.fixtures`).
 """
 
 from __future__ import annotations
+
+import functools
 
 from . import bt, fsm
 from .core import ActionSpec, ConditionLiteral as L, EditError, Goal, Guard, validate_action_library
@@ -113,15 +118,23 @@ def fetch_fsm() -> fsm.StateMachine:
 
 
 def scalability_bt() -> bt.PolicyTree:
-    return scalability_policies()[0]
+    return _scalability_policies()[0].copy()
 
 
 def scalability_fsm() -> fsm.StateMachine:
-    return scalability_policies()[1]
+    return _scalability_policies()[1].copy()
 
 
 def scalability_policies() -> tuple[bt.PolicyTree, fsm.StateMachine]:
-    """The scalability tree and fault-tolerant machine from one planner expansion."""
+    """Fresh copies of the scalability tree and fault-tolerant machine."""
+    tree, machine = _scalability_policies()
+    return tree.copy(), machine.copy()
+
+
+@functools.cache
+def _scalability_policies() -> tuple[bt.PolicyTree, fsm.StateMachine]:
+    """The scalability tree and machine from one planner expansion per
+    process; callers get copies, never these objects."""
     tree, plan = synthesize(*generated_task(range(1, 6)))
     return tree, fsm.build_fault_tolerant(plan)
 

@@ -29,9 +29,11 @@ def policy_path(name: str) -> Path:
 
 
 def _load(path: Path, what: str, name: str, parse):
-    if not path.is_file():
-        raise DocumentError(f"{what} {name!r} not found at {path}")
-    return parse(path.read_text())
+    try:
+        text = path.read_text()
+    except OSError as error:
+        raise DocumentError(f"{what} {name!r} not found at {path}") from error
+    return parse(text)
 
 
 @functools.cache

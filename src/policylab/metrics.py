@@ -9,10 +9,12 @@ edges per placed vertex (those to unplaced vertices, which only its
 image's can match) and among the unplaced vertices. The root bound,
 counts alone, is checked against the incumbent before any set-up; only
 a pair it does not prove gets its edges indexed into neighbour lists,
-from which each search step is costed sparsely. An incomplete result
-returns the best mapping's cost, at worst the incumbent's, as an upper
-bound. A tiny exhaustive solver serves as its ground-truth oracle on
-small graphs.
+from which each search step is costed sparsely. The bound is also
+consistent (no child's f below its parent's), so an expansion costs its
+candidates in order only until one ties its f, and the rest only if the
+search comes back to them. An incomplete result returns the best
+mapping's cost, at worst the incumbent's, as an upper bound. A tiny
+exhaustive solver serves as its ground-truth oracle on small graphs.
 """
 
 from __future__ import annotations
@@ -99,16 +101,19 @@ def hfsm_to_graph(machine: hfsm.HfsmContainer) -> PolicyGraph:
     edges = set()
     for status, sink in OUTCOME_SINKS.items():
         vertices[sink] = f"outcome:{status.value}"
+    # read once: each lookup hashes a Status in Python code
+    succeeded, failed, running = (OUTCOME_SINKS[SUCCESS], OUTCOME_SINKS[FAILURE],
+                                  OUTCOME_SINKS[RUNNING])
     for node in machine.walk():
         if node.kind in hfsm.CONTAINER_KINDS:
             role = "control"
         else:
             role = node.kind
         vertices[node.id] = f"{role}:{node.name}"
-        edges.add((node.id, OUTCOME_SINKS[SUCCESS], "SUCCESS"))
-        edges.add((node.id, OUTCOME_SINKS[FAILURE], "FAILURE"))
+        edges.add((node.id, succeeded, "SUCCESS"))
+        edges.add((node.id, failed, "FAILURE"))
         if node.kind != "condition":
-            edges.add((node.id, OUTCOME_SINKS[RUNNING], "RUNNING"))
+            edges.add((node.id, running, "RUNNING"))
         if node.kind in hfsm.CONTAINER_KINDS:
             edges.add((node.id, node.children[0].id, "enter"))
     return PolicyGraph(vertices=vertices, edges=edges,
@@ -315,6 +320,22 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     number, into neighbour lists, and each step costs a candidate, and
     the cross counts it changes, from the edges it shares with vertices
     already placed, on either side, rather than from every placed pair.
+
+    The bound is also consistent: no child's f (cost so far plus bound)
+    is below its parent's. Each bound term is a weighted count gap, and
+    gap(a + x, b + y) <= gap(a, b) + gap(x, y); a step takes x edges of
+    g1 and y of g2 out of one counted pool and charges at least
+    gap(x, y) for settling them (vertices likewise). So an expansion
+    costs its candidates in order, g2 ids then deletion, only until a
+    child ties the parent's f: nothing it has not costed can pop before
+    that child, and the rest waits in a resume entry until the search
+    reaches it. Nodes pop in the same order as when every candidate is
+    costed at once, with the same mapping and script, wherever the cost
+    sums are exact in floating point (integer costs, or halves and
+    quarters); with costs such as 0.1 a child's f can round a few ulps
+    below its parent's, and another mapping of equal cost, to rounding,
+    may be returned.
+
     When the time budget runs out the best mapping known, at worst the
     incumbent, is returned with its cost as an upper bound and
     ``complete`` set to False; the result is never silently wrong.
@@ -425,38 +446,54 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
                     changed.append((slot, was - settled))
         return increment, change, changed, out2, in2
 
+    # A node is keyed (f, -depth, the number of the expansion that made
+    # it, its candidate position), with g2 vertices at their places in
+    # g2_ids and deletion at n2: among equal f, deeper first, then earlier
+    # expansions, then candidate order. An expansion stops costing
+    # candidates right after a child ties its f and leaves a resume entry
+    # keyed at that f, with the next position and the context the rest
+    # of the scan needs. The bound is consistent, so no child costed
+    # later sorts below that entry.
     complete = True
-    counter = itertools.count()
-    heap = [(root_h, 0, next(counter), 0.0, (), (), total_e2)]
+    expansions = 0
+    heap = [(root_h, 0, -1, 0, 0.0, (), (), total_e2)]
     while heap:
-        f, neg_depth, _, g_cost, assigned, cross2, inner2 = heapq.heappop(heap)
+        entry = heapq.heappop(heap)
+        f = entry[0]
         if f >= best_cost:
             break
-        index = -neg_depth
-        placed = {v2: j for j, v2 in enumerate(assigned) if v2 is not None}
-        if index == n1:
-            # g2 vertices left unplaced are inserted with every edge touching them
-            total = g_cost + ((n2 - len(placed)) * cost.node_insert
-                              + (inner2 + sum(cross2)) * edge_insert)
-            if total < best_cost:
-                best_cost = total
-                best_mapping = dict(zip(order, assigned))
-                script = None
-            continue
+        if len(entry) == 5:  # a resume entry
+            _, _, number, start, (g_cost, assigned, placed, cross2, inner2, base) = entry
+            index = len(assigned)
+        else:
+            _, neg_depth, _, _, g_cost, assigned, cross2, inner2 = entry
+            index = -neg_depth
+            placed = {v2: j for j, v2 in enumerate(assigned) if v2 is not None}
+            if index == n1:
+                # g2 vertices left unplaced are inserted with every edge touching them
+                total = g_cost + ((n2 - len(placed)) * cost.node_insert
+                                  + (inner2 + sum(cross2)) * edge_insert)
+                if total < best_cost:
+                    best_cost = total
+                    best_mapping = dict(zip(order, assigned))
+                    script = None
+                continue
+            # the placed positions' terms against the g1 counts once this
+            # position is placed; a candidate changes only those it touches
+            base = sum(map(gap, cross1[index + 1], cross2))
+            number, start = expansions, 0
+            expansions += 1
         if time.monotonic() > deadline:
             complete = False
             break
 
-        # the placed positions' terms against the g1 counts once this
-        # position is placed; a candidate changes only those it touches
         counts1 = cross1[index + 1]
         out1, in1 = counts1[-2:]
         inner = inner1[index + 1]
-        base = sum(map(gap, counts1, cross2))
         rem1, rem2 = n1 - index - 1, n2 - len(placed)
         mapped_h = vertex_gap(rem1, rem2 - 1) + base
-        scored = []
-        for candidate in g2_ids:
+        for position in range(start, n2):
+            candidate = g2_ids[position]
             if candidate in placed:
                 continue
             increment, change, changed, out2, in2 = assignment_cost(
@@ -466,22 +503,23 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
             new_f = new_g + (mapped_h + change + gap(out1, out2) + gap(in1, in2)
                              + gap(inner, new_inner2))
             if new_f < best_cost:
-                scored.append((new_f, candidate, new_g, changed, out2, in2, new_inner2))
-        new_g = g_cost + deleting[index]
-        new_f = new_g + (vertex_gap(rem1, rem2) + base + (out1 + in1) * edge_delete
-                         + gap(inner, inner2))
-        if new_f < best_cost:
-            scored.append((new_f, None, new_g, (), 0, 0, inner2))
-        scored.sort(key=lambda item: item[0])  # stable: ties keep g2 id order, deletion last
-        for new_f, candidate, new_g, changed, out2, in2, new_inner2 in scored:
-            child = list(cross2)
-            for slot, count in changed:
-                child[slot] = count
-            child += (out2, in2)
-            heapq.heappush(heap, (
-                new_f, -(index + 1), next(counter), new_g,
-                assigned + (candidate,), tuple(child), new_inner2,
-            ))
+                child = list(cross2)
+                for slot, count in changed:
+                    child[slot] = count
+                child += (out2, in2)
+                heapq.heappush(heap, (new_f, -(index + 1), number, position, new_g,
+                                      assigned + (candidate,), tuple(child), new_inner2))
+                if new_f <= f:
+                    context = g_cost, assigned, placed, cross2, inner2, base
+                    heapq.heappush(heap, (f, -(index + 1), number, position + 1, context))
+                    break
+        else:
+            new_g = g_cost + deleting[index]
+            new_f = new_g + (vertex_gap(rem1, rem2) + base + (out1 + in1) * edge_delete
+                             + gap(inner, inner2))
+            if new_f < best_cost:
+                heapq.heappush(heap, (new_f, -(index + 1), number, n2, new_g,
+                                      assigned + (None,), cross2 + (0, 0), inner2))
 
     if script is None:  # the search replaced the seed mapping
         script = _script_for_mapping(g1, g2, best_mapping, cost)

@@ -9,7 +9,7 @@ import shutil
 import pytest
 
 from conftest import packaged_policies
-from policylab import bt, documents, fixtures, fsm, hfsm
+from policylab import bt, documents, experiments, fixtures, fsm, hfsm, planner
 from policylab.core import ConditionLiteral as L, DocumentError, Guard, Status
 
 
@@ -112,6 +112,25 @@ def test_mutating_a_load_leaves_the_next_load_unchanged():
     for name in ("fetch_bt", "fetch_fsm_recharge", "pick_place_hfsm"):
         text = fixtures.policy_path(name).read_text()
         assert documents.serialize_policy(fixtures.load_policy(name)) == text, name
+
+
+def test_growing_the_scalability_policies_leaves_the_next_call_unchanged():
+    tree, machine = experiments.scalability_policies()
+    experiments.bt_with_recharge(tree)
+    experiments.fsm_with_recharge(machine)
+    fresh_tree, plan = planner.synthesize(*experiments.TASKS["scalability"]())
+    fresh = fresh_tree, fsm.build_fault_tolerant(plan)
+    for got, want in zip(experiments.scalability_policies(), fresh):
+        assert documents.serialize_policy(got) == documents.serialize_policy(want)
+
+
+def test_an_unreadable_fixture_is_a_document_error(tmp_path, monkeypatch):
+    with pytest.raises(DocumentError, match="fixture 'no_such_policy' not found"):
+        fixtures.load_policy("no_such_policy")
+    monkeypatch.setattr(fixtures, "data_dir", lambda: tmp_path)
+    fixtures.policy_path("fetch_bt").mkdir()  # a directory where the file should be
+    with pytest.raises(DocumentError, match="fixture 'fetch_bt' not found"):
+        fixtures.load_policy("fetch_bt")
 
 
 def test_a_rewritten_fixture_is_read_anew(tmp_path, monkeypatch):

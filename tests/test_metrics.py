@@ -1,7 +1,11 @@
 """Graph encodings, edit distance solvers and the closed-form measures."""
 
+import heapq
 import itertools
 import random
+import time
+from dataclasses import dataclass, field
+from typing import Optional
 
 import pytest
 
@@ -10,6 +14,7 @@ from policylab.core import ValidationError
 from policylab.metrics import (
     EditScript,
     GedCostModel,
+    GedResult,
     PolicyGraph,
     apply_script,
     brute_force_ged,
@@ -276,6 +281,12 @@ def experiment_pairs():
             yield from zip(rows[ed_from], rows[name])
 
 
+def report_pairs():
+    """The 18 graph pairs of tables 2 and 3: the reference pairs, then the
+    experiment pairs."""
+    return [(g1, g2) for _, _, g1, g2, _ in reference_pairs()] + list(experiment_pairs())
+
+
 def reference_script_for_mapping(g1: PolicyGraph, g2: PolicyGraph, mapping: dict,
                                  cost: GedCostModel) -> EditScript:
     """The previous ``_script_for_mapping``, kept verbatim as the reference:
@@ -363,8 +374,7 @@ class TestScriptForMapping:
             assert got.cost == want.cost, (where, model)
 
     def test_report_pairs(self):
-        pairs = [(g1, g2) for _, _, g1, g2, _ in reference_pairs()]
-        pairs += experiment_pairs()
+        pairs = report_pairs()
         assert len(pairs) == 18
         rng = random.Random(37)
         for index, (g1, g2) in enumerate(pairs):
@@ -380,6 +390,246 @@ class TestScriptForMapping:
         for index in range(1200):
             g1, g2 = random_graph(rng), random_graph(rng)
             self.assert_same_script(g1, g2, random_injective_mapping(rng, g1, g2), index)
+
+
+def reference_ged_exact(g1: PolicyGraph, g2: PolicyGraph,
+                        cost: Optional[GedCostModel] = None,
+                        budget: float = metrics.DEFAULT_GED_BUDGET) -> GedResult:
+    """The previous ``ged_exact``, kept verbatim as the reference: each
+    expansion costs every candidate, sorts them and pushes them all."""
+    cost = cost or GedCostModel()
+    deadline = time.monotonic() + budget
+    edge_delete, edge_insert = cost.edge_delete, cost.edge_insert
+
+    best_mapping = {v: v if v in g2.vertices else None for v in g1.vertices}
+    script = metrics._script_for_mapping(g1, g2, best_mapping, cost)
+    best_cost = script.cost
+    n1, n2 = len(g1.vertices), len(g2.vertices)
+    total_e1, total_e2 = len(g1.edges), len(g2.edges)
+
+    def vertex_gap(rem1: int, rem2: int) -> float:
+        if rem1 > rem2:
+            return (rem1 - rem2) * cost.node_delete
+        return (rem2 - rem1) * cost.node_insert
+
+    def gap(open1: int, open2: int) -> float:
+        """Least cost of reconciling two edge counts that pair up only
+        with each other: the excess is deleted or inserted."""
+        if open1 > open2:
+            return (open1 - open2) * edge_delete
+        return (open2 - open1) * edge_insert
+
+    # nothing is placed at the root, so every edge is inner
+    root_h = vertex_gap(n1, n2) + gap(total_e1, total_e2)
+    if root_h >= best_cost:
+        return GedResult(distance=best_cost, complete=True, script=script,
+                         mapping=best_mapping)
+
+    degree = metrics._degrees(g1)
+    order = sorted(g1.vertices, key=lambda v: (-degree[v], v))
+    position = {v: i for i, v in enumerate(order)}
+    g2_ids = sorted(g2.vertices)
+    loops1, neighbours1 = metrics._neighbours(g1)
+    loops2, neighbours2 = metrics._neighbours(g2)
+    # per position: the earlier positions it shares an edge with, and the
+    # cost of deleting its vertex with every g1 edge that settles; per
+    # depth: the g1 cross counts, out and in for each placed position in
+    # turn, and the inner count
+    earlier1, deleting = [], []
+    cross1, inner1 = [()], [total_e1]
+    for i, v in enumerate(order):
+        earlier = {}
+        counts = list(cross1[i])
+        settled = len(loops1.get(v, ()))
+        out = into = 0
+        for w, (to_w, from_w) in neighbours1[v].items():
+            j = position[w]
+            if j < i:
+                earlier[j] = to_w, from_w
+                counts[2 * j] -= len(from_w)
+                counts[2 * j + 1] -= len(to_w)
+                settled += len(to_w) + len(from_w)
+            else:
+                out += len(to_w)
+                into += len(from_w)
+        earlier1.append(earlier)
+        deleting.append(cost.vertex_cost(g1.vertices[v], None) + settled * edge_delete)
+        cross1.append((*counts, out, into))
+        inner1.append(inner1[i] - len(loops1.get(v, ())) - out - into)
+
+    def group_cost(labels1, labels2) -> float:
+        if labels1 and labels2:
+            return cost.edge_group_cost(labels1, labels2)
+        return len(labels1) * edge_delete + len(labels2) * edge_insert
+
+    def assignment_cost(index: int, candidate, assigned: tuple, placed: dict,
+                        cross2: tuple) -> tuple:
+        """(incremental cost, bound change, changed counts, out2, in2).
+
+        ``placed`` maps g2 ids to positions and ``cross2`` holds their g2
+        cross counts. The candidate's edges to placed vertices leave those
+        counts, which changes their bound terms (against the g1 counts
+        once ``index`` is placed); its edges to unplaced vertices become
+        its own cross counts, out2 and in2.
+        """
+        v1 = order[index]
+        increment = cost.vertex_cost(g1.vertices[v1], g2.vertices[candidate])
+        increment += group_cost(loops1.get(v1, ()), loops2.get(candidate, ()))
+        earlier = earlier1[index]
+        around = neighbours2[candidate]
+        for j, (out1, into1) in earlier.items():
+            labels2 = around.get(assigned[j])  # None: deleted, or no edge in g2
+            if labels2 is None:
+                increment += (len(out1) + len(into1)) * edge_delete
+            else:
+                increment += group_cost(out1, labels2[0]) + group_cost(into1, labels2[1])
+        counts1 = cross1[index + 1]
+        change = 0.0
+        changed = []
+        out2 = in2 = 0
+        for other2, (to_other, from_other) in around.items():
+            j = placed.get(other2)
+            if j is None:
+                out2 += len(to_other)
+                in2 += len(from_other)
+                continue
+            if j not in earlier:
+                increment += (len(to_other) + len(from_other)) * edge_insert
+            # other2 -> candidate leaves j's out count, candidate -> other2 its in count
+            for slot, settled in ((2 * j, len(from_other)), (2 * j + 1, len(to_other))):
+                if settled:
+                    was = cross2[slot]
+                    change += gap(counts1[slot], was - settled) - gap(counts1[slot], was)
+                    changed.append((slot, was - settled))
+        return increment, change, changed, out2, in2
+
+    complete = True
+    counter = itertools.count()
+    heap = [(root_h, 0, next(counter), 0.0, (), (), total_e2)]
+    while heap:
+        f, neg_depth, _, g_cost, assigned, cross2, inner2 = heapq.heappop(heap)
+        if f >= best_cost:
+            break
+        index = -neg_depth
+        placed = {v2: j for j, v2 in enumerate(assigned) if v2 is not None}
+        if index == n1:
+            # g2 vertices left unplaced are inserted with every edge touching them
+            total = g_cost + ((n2 - len(placed)) * cost.node_insert
+                              + (inner2 + sum(cross2)) * edge_insert)
+            if total < best_cost:
+                best_cost = total
+                best_mapping = dict(zip(order, assigned))
+                script = None
+            continue
+        if time.monotonic() > deadline:
+            complete = False
+            break
+
+        # the placed positions' terms against the g1 counts once this
+        # position is placed; a candidate changes only those it touches
+        counts1 = cross1[index + 1]
+        out1, in1 = counts1[-2:]
+        inner = inner1[index + 1]
+        base = sum(map(gap, counts1, cross2))
+        rem1, rem2 = n1 - index - 1, n2 - len(placed)
+        mapped_h = vertex_gap(rem1, rem2 - 1) + base
+        scored = []
+        for candidate in g2_ids:
+            if candidate in placed:
+                continue
+            increment, change, changed, out2, in2 = assignment_cost(
+                index, candidate, assigned, placed, cross2)
+            new_g = g_cost + increment
+            new_inner2 = inner2 - len(loops2.get(candidate, ())) - out2 - in2
+            new_f = new_g + (mapped_h + change + gap(out1, out2) + gap(in1, in2)
+                             + gap(inner, new_inner2))
+            if new_f < best_cost:
+                scored.append((new_f, candidate, new_g, changed, out2, in2, new_inner2))
+        new_g = g_cost + deleting[index]
+        new_f = new_g + (vertex_gap(rem1, rem2) + base + (out1 + in1) * edge_delete
+                         + gap(inner, inner2))
+        if new_f < best_cost:
+            scored.append((new_f, None, new_g, (), 0, 0, inner2))
+        scored.sort(key=lambda item: item[0])  # stable: ties keep g2 id order, deletion last
+        for new_f, candidate, new_g, changed, out2, in2, new_inner2 in scored:
+            child = list(cross2)
+            for slot, count in changed:
+                child[slot] = count
+            child += (out2, in2)
+            heapq.heappush(heap, (
+                new_f, -(index + 1), next(counter), new_g,
+                assigned + (candidate,), tuple(child), new_inner2,
+            ))
+
+    if script is None:  # the search replaced the seed mapping
+        script = metrics._script_for_mapping(g1, g2, best_mapping, cost)
+    return GedResult(distance=best_cost, complete=complete, script=script,
+                     mapping=best_mapping)
+
+
+#: fractional costs whose sums stay exact in floating point
+DYADIC = GedCostModel(node_insert=1.5, node_delete=0.75, node_substitute=0.25,
+                      edge_insert=0.625, edge_delete=1.25, edge_substitute=0.375)
+
+
+@dataclass(frozen=True)
+class CountingCandidates(GedCostModel):
+    """A model that records each candidate the search costs: the one
+    vertex costing with a g2 label."""
+
+    costed: list = field(default_factory=list, compare=False)
+
+    def vertex_cost(self, label1: str, label2: Optional[str]) -> float:
+        if label2 is not None:
+            self.costed.append((label1, label2))
+        return super().vertex_cost(label1, label2)
+
+
+def same_result(got: GedResult, want: GedResult) -> bool:
+    return (got.distance, got.mapping, got.script.ops, got.complete) == \
+        (want.distance, want.mapping, want.script.ops, want.complete)
+
+
+class TestLazyExpansion:
+    """Costing candidates only as far as the search reaches them pops the
+    same nodes in the same order as costing them all at once."""
+
+    @pytest.mark.parametrize("model", [GedCostModel(), metrics.LABEL_SENSITIVE,
+                                       ASYMMETRIC, DYADIC],
+                             ids=["default", "label_sensitive", "asymmetric", "dyadic"])
+    def test_same_result_as_the_eager_search(self, model):
+        for index, (g1, g2) in enumerate(report_pairs()):
+            assert same_result(ged_exact(g1, g2, cost=model),
+                               reference_ged_exact(g1, g2, cost=model)), ("report", index)
+        rng = random.Random(43)
+        for index in range(1000):
+            g1, g2 = random_graph(rng), random_graph(rng)
+            assert same_result(ged_exact(g1, g2, cost=model),
+                               reference_ged_exact(g1, g2, cost=model)), index
+
+    def test_inexact_costs_agree_to_rounding(self):
+        # a child's f can round a few ulps below its parent's, so another
+        # mapping of equal cost may win, never a costlier one
+        rng = random.Random(47)
+        for index in range(200):
+            g1, g2 = random_graph(rng), random_graph(rng)
+            got = ged_exact(g1, g2, cost=FRACTIONAL)
+            want = reference_ged_exact(g1, g2, cost=FRACTIONAL)
+            assert got.complete == want.complete, index
+            assert got.distance == pytest.approx(want.distance, abs=1e-9), index
+            assert got.script.cost == pytest.approx(got.distance, abs=1e-9), index
+
+    def test_searching_report_pairs_cost_fewer_candidates(self):
+        # fetch_fsm to tuck and to dock, and recharge to docking, search;
+        # costing every candidate took 27, 27 and 35
+        costed = {}
+        for index, (g1, g2) in enumerate(report_pairs()):
+            model = CountingCandidates()
+            result = ged_exact(g1, g2, cost=model)
+            assert result.complete, index
+            if model.costed:
+                costed[index] = len(model.costed)
+        assert costed == {1: 12, 7: 10, 15: 16}
 
 
 class TestAnchoredDistance:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from policylab import fixtures, planner, report
+from policylab import experiments, fixtures, planner, report
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -25,6 +25,8 @@ def test_regenerated_fixtures_equal_the_packaged_ones(tmp_path):
 
 
 def test_experiment_table_expands_once_and_loads_four_fixtures(monkeypatch):
+    # the scalability policies are synthesized once per process: the first
+    # table after a cleared memo runs one planner expansion, later ones none
     runs = []
     loaded = []
     run = planner._Expansion.run
@@ -40,6 +42,13 @@ def test_experiment_table_expands_once_and_loads_four_fixtures(monkeypatch):
 
     monkeypatch.setattr(planner._Expansion, "run", counting_run)
     monkeypatch.setattr(report, "load_policy", counting_load)
-    assert report.build_report(3).ok
-    assert len(runs) == 1
-    assert len(loaded) == len(set(loaded)) == 4
+    experiments._scalability_policies.cache_clear()
+    fixtures_per_build = []
+    for expansions in (1, 0):
+        runs.clear()
+        loaded.clear()
+        assert report.build_report(3).ok
+        assert len(runs) == expansions
+        assert len(loaded) == len(set(loaded)) == 4
+        fixtures_per_build.append(sorted(loaded))
+    assert fixtures_per_build[0] == fixtures_per_build[1]

@@ -173,10 +173,10 @@ def find_state(machine: fsm.StateMachine, skill: str, args=None) -> int:
 # behavior tree modification recipes
 
 
-def _guarded_subtree(start: int, literal: L, skill: str, args=()) -> bt.PolicyTree:
+def _guarded_subtree(start: int, literal: L, skill: str) -> bt.PolicyTree:
     builder = bt.TreeBuilder(start)
     condition = builder.condition(literal)
-    action = builder.action(skill, tuple(args))
+    action = builder.action(skill)
     root = builder.add("fallback", f"{literal.key()}?", children=[condition, action])
     return builder.build(root)
 
@@ -236,42 +236,39 @@ def development_bt() -> bt.PolicyTree:
 
 def fsm_with_tuck(machine: fsm.StateMachine) -> fsm.StateMachine:
     pick = find_state(machine, "pick")
-    following = machine.state(pick).transitions["SUCCESS"]
     tuck = fsm.FsmState(
         id=machine.next_id(), kind="skill", name="tuck()!", skill="tuck",
         dispatch_pre=(L("in_hand", (CUBE,)),), achieves=L("arm_tucked"),
     )
-    return fsm.add_sequential_state(machine, pick, tuck, following)
+    return fsm.add_sequential_state(machine, pick, tuck)
 
 
 def fsm_with_safe_move(machine: fsm.StateMachine) -> fsm.StateMachine:
     mover = find_state(machine, "move_to", (FETCH_STATION,))
-    following = machine.state(mover).transitions["SUCCESS"]
     safer = fsm.FsmState(
         id=machine.next_id(), kind="skill",
         name=f"safe_move_to({FETCH_STATION})!", skill="safe_move_to",
         args=(FETCH_STATION,),
     )
-    return fsm.add_alternative_state(machine, mover, safer, following)
+    return fsm.add_alternative_state(machine, mover, safer)
 
 
 def fsm_with_recharge(machine: fsm.StateMachine) -> fsm.StateMachine:
     recharge = fsm.FsmState(
         id=machine.next_id(), kind="skill", name="recharge()!", skill="recharge",
     )
-    return fsm.add_connected_state(machine, recharge, LOW_BATTERY, LOW_BATTERY)
+    return fsm.add_connected_state(machine, recharge, LOW_BATTERY)
 
 
 def fsm_with_dock(machine: fsm.StateMachine) -> fsm.StateMachine:
     place = find_state(machine, "place")
-    following = machine.state(place).transitions["SUCCESS"]
     task_done = tuple(machine.goal)
     dock = fsm.FsmState(
         id=machine.next_id(), kind="skill", name="dock()!", skill="dock",
         dispatch_pre=task_done, achieves=L("docked"),
     )
     machine.goal = task_done + (L("docked"),)
-    return fsm.add_sequential_state(machine, place, dock, following)
+    return fsm.add_sequential_state(machine, place, dock)
 
 
 def development_fsm() -> fsm.StateMachine:

@@ -18,6 +18,11 @@ holds: reaching the SUCCESS outcome with the goal false hands control
 back to the selector. A machine without one reports what its last skill
 did. The engine asks the world one question per running skill,
 ``skill_status(key)``, as the tree engine does (see ``bt.TickWorld``).
+
+The edit operations are the paper's machine-side modifications. Each
+takes only what the machine cannot tell it, reads the rest (next state,
+selector) off the machine, and checks before it changes anything: a
+refused edit raises ``EditError`` and leaves the machine as it was.
 """
 
 from __future__ import annotations
@@ -157,17 +162,13 @@ class StateMachine:
                     raise ValidationError(
                         f"state {state.id}: interrupt targets missing {target}"
                     )
-            if state.kind == "skill":
-                # totality: SUCCESS must land somewhere; FAILURE may fall back to
-                # the selector or, without one, to machine-level failure
-                if self.resolve(state, _SUCCESS) is None:
-                    raise ValidationError(
-                        f"state {state.id}: SUCCESS transition unresolvable"
-                    )
-                if has_selector and self.resolve(state, _FAILURE) is None:
-                    raise ValidationError(
-                        f"state {state.id}: FAILURE transition unresolvable"
-                    )
+            # totality: SUCCESS lands on a drawn edge or the selector; FAILURE
+            # always resolves, to a drawn edge, the selector or machine failure
+            if (state.kind == "skill" and not has_selector
+                    and _SUCCESS not in state.transitions):
+                raise ValidationError(
+                    f"state {state.id}: SUCCESS transition unresolvable"
+                )
 
 
 def iter_edges(sm: StateMachine) -> Iterator[tuple]:
@@ -284,100 +285,93 @@ def build_fault_tolerant(plan: Plan) -> StateMachine:
 # edit operations
 
 
-def _check_fresh(sm: StateMachine, state: FsmState) -> None:
-    if state.id in sm.states:
-        raise EditError(f"state id {state.id} already in machine")
-
-
-def _wire_connected_interrupts(sm: StateMachine, state: FsmState) -> None:
-    for connected_id, guard in sm.connected:
-        state.interrupts.append((guard, connected_id))
-
-
-def add_sequential_state(sm: StateMachine, preceding: int, new_state: FsmState,
-                         following: int) -> StateMachine:
-    """Insert a new execution step between two chained states.
-
-    The old success edge is removed, the new state takes its place and
-    is wired into the selector like any other plan state. When
-    ``following`` is the outcome, the new step becomes the final one.
-    """
-    _check_fresh(sm, new_state)
-    pred = sm.state(preceding)
-    if pred.transitions.get(_SUCCESS) != following:
-        raise EditError(
-            f"no success transition {preceding} -> {following} to split"
-        )
+def _check_new_state(sm: StateMachine, new_state: FsmState) -> int:
+    """The selector to wire the fresh skill state ``new_state`` to."""
+    if new_state.id in sm.states:
+        raise EditError(f"state id {new_state.id} already in machine")
+    if new_state.kind != "skill":
+        raise EditError(f"a new state must be a skill state, not a {new_state.kind} state")
     selector = sm.selector_id
     if selector is None:
-        raise EditError("sequential insertion requires a selector machine")
-    pred.transitions[_SUCCESS] = new_state.id
-    new_state.transitions = {
+        raise EditError("adding a state requires a selector machine")
+    return selector
+
+
+def _check_plan_insertion(sm: StateMachine, preceding: int, new_state: FsmState) -> tuple:
+    """The selector and the plan state ``preceding``'s drawn SUCCESS target."""
+    selector = _check_new_state(sm, new_state)
+    if preceding not in sm.plan_order:
+        raise EditError(f"state {preceding} is not in the plan order, which leaves out "
+                        f"the selector, the outcomes and the connected states")
+    following = sm.states[preceding].transitions.get(_SUCCESS)
+    if following is None:
+        raise EditError(f"state {preceding} has no success transition to follow")
+    return selector, following
+
+
+def _insert_plan_state(sm: StateMachine, preceding: int, new_state: FsmState,
+                       transitions: dict) -> StateMachine:
+    """Add ``new_state``, watching every connected state, after ``preceding``."""
+    new_state.transitions = transitions
+    new_state.interrupts.extend((guard, connected_id) for connected_id, guard in sm.connected)
+    sm.states[new_state.id] = new_state
+    sm.plan_order.insert(sm.plan_order.index(preceding) + 1, new_state.id)
+    sm.validate()
+    return sm
+
+
+def add_sequential_state(sm: StateMachine, preceding: int,
+                         new_state: FsmState) -> StateMachine:
+    """Insert a new execution step right after the plan state ``preceding``.
+
+    The new state takes over ``preceding``'s drawn SUCCESS edge, so it
+    runs next, and is wired into the selector like any other plan state.
+    When that edge led to the outcome, the new step becomes the final one.
+    A refused edit raises ``EditError`` and changes nothing.
+    """
+    selector, following = _check_plan_insertion(sm, preceding, new_state)
+    sm.states[preceding].transitions[_SUCCESS] = new_state.id
+    return _insert_plan_state(sm, preceding, new_state, {
         _RUNNING: new_state.id,
         _FAILURE: selector,
         _SUCCESS: following,
-    }
-    _wire_connected_interrupts(sm, new_state)
-    sm.states[new_state.id] = new_state
-    sm.plan_order.insert(sm.plan_order.index(preceding) + 1, new_state.id)
-    sm.validate()
-    return sm
+    })
 
 
-def add_alternative_state(sm: StateMachine, preceding: int, new_state: FsmState,
-                          following: int) -> StateMachine:
-    """Register a fallback strategy for an existing step.
+def add_alternative_state(sm: StateMachine, preceding: int,
+                          new_state: FsmState) -> StateMachine:
+    """Register a fallback strategy for the plan state ``preceding``.
 
-    The alternative copies the preceding state's success edge and its
+    The alternative copies the preceding state's SUCCESS target and its
     dispatch condition, and is tried by the selector only after the
     primary strategy has failed. Its own failure falls back to the
-    selector implicitly.
+    selector implicitly. A refused edit raises ``EditError`` and changes
+    nothing.
     """
-    _check_fresh(sm, new_state)
-    pred = sm.state(preceding)
-    if pred.kind != "skill":
-        raise EditError(f"cannot attach an alternative to a {pred.kind} state")
-    selector = sm.selector_id
-    if selector is None or sm.resolve(pred, _FAILURE) != selector:
-        raise EditError(
-            f"state {preceding} has no failure route to the selector"
-        )
-    if pred.transitions.get(_SUCCESS) != following:
-        raise EditError(
-            f"state {preceding} does not chain to {following} on success"
-        )
-    new_state.transitions = {
-        _RUNNING: new_state.id,
-        _SUCCESS: following,
-    }
+    _, following = _check_plan_insertion(sm, preceding, new_state)
+    pred = sm.states[preceding]
     new_state.dispatch_pre = tuple(pred.dispatch_pre)
     new_state.achieves = pred.achieves
     new_state.rank = pred.rank + 1
-    _wire_connected_interrupts(sm, new_state)
-    sm.states[new_state.id] = new_state
-    sm.plan_order.insert(sm.plan_order.index(preceding) + 1, new_state.id)
-    sm.validate()
-    return sm
+    return _insert_plan_state(sm, preceding, new_state, {
+        _RUNNING: new_state.id,
+        _SUCCESS: following,
+    })
 
 
-def add_connected_state(sm: StateMachine, new_state: FsmState, condition: Guard,
-                        selector_condition: Guard) -> StateMachine:
+def add_connected_state(sm: StateMachine, new_state: FsmState,
+                        condition: Guard) -> StateMachine:
     """Make a new state reachable from every other state.
 
-    Every existing non-outcome state registers the new state and gains a
-    condition transition to it (the selector under its own condition);
-    the new state keeps a RUNNING self-loop and a FAILURE edge back to
-    the selector.
+    Every existing non-outcome state, the selector included, registers
+    the new state and gains a ``condition`` transition to it; the new
+    state keeps a RUNNING self-loop and a FAILURE edge back to the
+    selector. A refused edit raises ``EditError`` and changes nothing.
     """
-    _check_fresh(sm, new_state)
-    selector = sm.selector_id
-    if selector is None:
-        raise EditError("connected states require a selector machine")
+    selector = _check_new_state(sm, new_state)
     for state in sm.states.values():
-        if state.kind == "outcome":
-            continue
-        guard = selector_condition if state.kind == "selector" else condition
-        state.interrupts.append((guard, new_state.id))
+        if state.kind != "outcome":
+            state.interrupts.append((condition, new_state.id))
     new_state.transitions = {
         _RUNNING: new_state.id,
         _FAILURE: selector,
@@ -393,19 +387,25 @@ def remove_state(sm: StateMachine, state_id: int) -> StateMachine:
 
     Every transition and interrupt referencing the state is removed;
     success edges into it are retargeted to its own success target so no
-    dangling plan entry remains. Kept in the library though only tests
-    call it: it is one of the paper's modification operations.
+    dangling plan entry remains. Removing the selector, or an initial
+    state with no success target to start from instead, raises
+    ``EditError`` and changes nothing. Kept in the library though only
+    tests call it: it is one of the paper's modification operations.
     """
     victim = sm.state(state_id)
     if victim.kind == "selector":
         raise EditError("cannot remove the selector state")
     bypass = victim.transitions.get(_SUCCESS)
+    if bypass == state_id:
+        bypass = None  # a success self-loop leaves with the state
+    if sm.initial == state_id and bypass is None:
+        raise EditError("removing the initial state would orphan the machine")
     for state in sm.states.values():
         if state.id == state_id:
             continue
         for label in list(state.transitions):
             if state.transitions[label] == state_id:
-                if label == _SUCCESS and bypass is not None and bypass != state_id:
+                if label == _SUCCESS and bypass is not None:
                     state.transitions[label] = bypass
                 else:
                     del state.transitions[label]
@@ -418,8 +418,6 @@ def remove_state(sm: StateMachine, state_id: int) -> StateMachine:
     sm.failed.discard(state_id)
     sm.started.discard(state_id)
     if sm.initial == state_id:
-        if bypass is None:
-            raise EditError("removing the initial state would orphan the machine")
         sm.initial = bypass
     sm.validate()
     return sm

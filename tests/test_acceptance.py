@@ -325,8 +325,7 @@ def test_criterion_11_edit_locality():
                   for sid, state in machine.states.items()}
         recharge = fsm.FsmState(id=machine.next_id(), kind="skill",
                                 name="recharge!", skill="recharge")
-        fsm.add_connected_state(machine, recharge, experiments.LOW_BATTERY,
-                                experiments.LOW_BATTERY)
+        fsm.add_connected_state(machine, recharge, experiments.LOW_BATTERY)
         after = {sid: (dict(state.transitions), tuple(state.interrupts))
                  for sid, state in machine.states.items()}
         touched = [sid for sid in before if before[sid] != after[sid]]

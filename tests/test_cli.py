@@ -98,6 +98,25 @@ class TestBuild:
         assert cli.main(["build", str(goal), library]) == 1
         assert "unachievable" in capsys.readouterr().err
 
+    def test_empty_goal_exits_one(self, tmp_path, capsys):
+        goal = tmp_path / "goal.json"
+        goal.write_text(json.dumps({"version": 1, "goal": []}))
+        _, library = goal_and_library()
+        assert cli.main(["build", str(goal), library]) == 1
+        assert capsys.readouterr().err == "error: goal must contain at least one condition\n"
+
+    @pytest.mark.parametrize("kind", ["bt", "fsm-ft"])
+    def test_goal_the_plan_undoes_exits_one(self, kind, tmp_path, capsys):
+        goal = tmp_path / "goal.json"
+        goal.write_text(json.dumps({"version": 1, "goal": [
+            {"pred": "robot_at", "args": ["fetch1"]},
+            {"pred": "robot_at", "args": ["delivery"]}]}))
+        _, library = goal_and_library()
+        assert cli.main(["build", str(goal), library, "--kind", kind]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: plan leaves goal condition robot_at(fetch1) unmet\n"
+
     def test_library_with_a_list_param_exits_one(self, tmp_path, capsys):
         goal, library = goal_and_library()
         doc = json.loads(Path(library).read_text())

@@ -79,6 +79,16 @@ def test_parallel_threshold_must_be_an_integer(threshold):
         documents.parse_policy_document(json.dumps(doc))
 
 
+def test_parallel_threshold_round_trips():
+    doc = {"version": 1, "kind": "bt", "root": 0, "nodes": [
+        {"id": 0, "type": "parallel", "name": "both", "children": [1, 2], "threshold": 2},
+        {"id": 1, "type": "action", "name": "go", "skill": "move_to", "args": ["fetch1"]},
+        {"id": 2, "type": "condition", "name": "docked?", "predicate": "docked",
+         "args": []}]}
+    text = json.dumps(doc, indent=2) + "\n"
+    assert documents.serialize_policy(documents.parse_policy_document(text)) == text
+
+
 def test_parallel_inside_a_cycle_reaches_the_structure_check():
     doc = {"version": 1, "kind": "bt", "root": 0, "nodes": [
         {"id": 0, "type": "parallel", "name": "p", "children": [1], "threshold": 1},
@@ -187,6 +197,18 @@ def test_library_and_goal_round_trip():
     goal = fixtures.load_goal("fetch")
     text = documents.serialize_goal(goal)
     assert documents.serialize_goal(documents.parse_goal_document(text)) == text
+
+
+def test_goal_with_initial_conditions_round_trips():
+    doc = {"version": 1, "goal": [{"pred": "docked", "args": []}],
+           "initially": [{"pred": "robot_at", "args": ["fetch1"]}]}
+    text = json.dumps(doc, indent=2) + "\n"
+    assert documents.serialize_goal(documents.parse_goal_document(text)) == text
+
+
+def test_empty_goal_is_rejected():
+    with pytest.raises(DocumentError, match="^goal must contain at least one condition$"):
+        documents.parse_goal_document(json.dumps({"version": 1, "goal": []}))
 
 
 def test_library_document_errors_carry_the_field_path():

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import ScriptedWorld, packaged_policies
-from policylab import experiments, fixtures, fsm, simworld
+from policylab import documents, experiments, fixtures, fsm, simworld
 from policylab.core import ConditionLiteral as L, EditError, Status, ValidationError
 from policylab.planner import Plan, PlanStep, synthesize
 from policylab.core import ActionSpec
@@ -128,10 +128,9 @@ class TestInsertions:
     def test_alternative_of_an_alternative_chains(self, fetch_machine):
         machine = experiments.fsm_with_safe_move(fetch_machine)
         safer = experiments.find_state(machine, "safe_move_to")
-        following = machine.state(safer).transitions["SUCCESS"]
         third = fsm.FsmState(id=machine.next_id(), kind="skill",
                              name="crawl!", skill="safe_move_to", args=("fetch1",))
-        fsm.add_alternative_state(machine, safer, third, following)
+        fsm.add_alternative_state(machine, safer, third)
         assert machine.state(third.id).rank == 2
         order = machine.plan_order
         assert order.index(safer) + 1 == order.index(third.id)
@@ -140,12 +139,12 @@ class TestInsertions:
         machine = experiments.fetch_fsm_sequential()
         alt = fsm.FsmState(id=99, kind="skill", name="x", skill="tuck")
         with pytest.raises(EditError):
-            fsm.add_alternative_state(machine, 0, alt, 1)
+            fsm.add_alternative_state(machine, 0, alt)
 
     def test_alternative_rejects_selector_as_preceding(self, fetch_machine):
         alt = fsm.FsmState(id=99, kind="skill", name="x", skill="tuck")
         with pytest.raises(EditError, match="selector"):
-            fsm.add_alternative_state(fetch_machine, fetch_machine.selector_id, alt, 1)
+            fsm.add_alternative_state(fetch_machine, fetch_machine.selector_id, alt)
 
     def test_connected_state_counts(self, fetch_machine):
         machine = experiments.fsm_with_recharge(fetch_machine)
@@ -167,16 +166,14 @@ class TestInsertions:
         machine.states[1] = fsm.FsmState(id=1, kind="outcome", name="SUCCESS",
                                          outcome=Status.SUCCESS)
         recharge = fsm.FsmState(id=2, kind="skill", name="recharge!", skill="recharge")
-        fsm.add_connected_state(machine, recharge, experiments.LOW_BATTERY,
-                                experiments.LOW_BATTERY)
+        fsm.add_connected_state(machine, recharge, experiments.LOW_BATTERY)
         assert len(machine.states[0].interrupts) == 1
         assert len(machine.states[2].transitions) == 2
 
     def test_id_collision_rejected(self, fetch_machine):
         clash = fsm.FsmState(id=0, kind="skill", name="x", skill="tuck")
         with pytest.raises(EditError, match="already"):
-            fsm.add_connected_state(fetch_machine, clash, experiments.LOW_BATTERY,
-                                    experiments.LOW_BATTERY)
+            fsm.add_connected_state(fetch_machine, clash, experiments.LOW_BATTERY)
 
 
 class TestRemoval:
@@ -224,6 +221,73 @@ class TestRemoval:
             fsm.remove_state(fetch_machine, fetch_machine.selector_id)
         with pytest.raises(EditError, match="unknown"):
             fsm.remove_state(fetch_machine, 99)
+
+
+def recharge_machine():
+    return experiments.fsm_with_recharge(experiments.fetch_fsm())
+
+
+def recharge(machine):
+    return experiments.find_state(machine, "recharge")
+
+
+def starting_at_the_connected_state():
+    """Valid: the recharge state has no SUCCESS edge and falls back to the selector."""
+    machine = recharge_machine()
+    machine.initial = recharge(machine)
+    machine.validate()
+    return machine
+
+
+def starting_at_a_success_self_loop():
+    machine = experiments.fetch_fsm()
+    first = machine.plan_order[0]
+    machine.initial = first
+    machine.states[first].transitions["SUCCESS"] = first
+    machine.validate()
+    return machine
+
+
+def new_skill(machine, sid=None):
+    return fsm.FsmState(id=machine.next_id() if sid is None else sid, kind="skill",
+                        name="tuck()!", skill="tuck")
+
+
+#: (case, machine, edit): each edit is refused before it changes the machine
+REFUSED_EDITS = [
+    ("sequential after the selector", experiments.fetch_fsm,
+     lambda m: fsm.add_sequential_state(m, m.selector_id, new_skill(m))),
+    ("sequential after a connected state", recharge_machine,
+     lambda m: fsm.add_sequential_state(m, recharge(m), new_skill(m))),
+    ("alternative after a connected state", recharge_machine,
+     lambda m: fsm.add_alternative_state(m, recharge(m), new_skill(m))),
+    ("sequential without a selector", experiments.fetch_fsm_sequential,
+     lambda m: fsm.add_sequential_state(m, m.plan_order[0], new_skill(m))),
+    ("sequential with a taken id", experiments.fetch_fsm,
+     lambda m: fsm.add_sequential_state(m, m.plan_order[0], new_skill(m, m.plan_order[-1]))),
+    ("sequential of an outcome state", experiments.fetch_fsm,
+     lambda m: fsm.add_sequential_state(m, m.plan_order[0],
+                                        fsm.FsmState(id=m.next_id(), kind="outcome"))),
+    ("connected selector state", experiments.fetch_fsm,
+     lambda m: fsm.add_connected_state(m, fsm.FsmState(id=m.next_id(), kind="selector"),
+                                       experiments.LOW_BATTERY)),
+    ("connected state without a selector", experiments.fetch_fsm_sequential,
+     lambda m: fsm.add_connected_state(m, new_skill(m), experiments.LOW_BATTERY)),
+    ("remove an initial state without a success edge", starting_at_the_connected_state,
+     lambda m: fsm.remove_state(m, m.initial)),
+    ("remove an initial state whose success edge loops", starting_at_a_success_self_loop,
+     lambda m: fsm.remove_state(m, m.initial)),
+]
+
+
+@pytest.mark.parametrize("build, edit", [case[1:] for case in REFUSED_EDITS],
+                         ids=[case[0] for case in REFUSED_EDITS])
+def test_a_refused_edit_leaves_the_machine_unchanged(build, edit):
+    machine = build()
+    before = documents.serialize_policy(machine)
+    with pytest.raises(EditError):
+        edit(machine)
+    assert documents.serialize_policy(machine) == before
 
 
 class TestStep:

@@ -2,9 +2,12 @@
 follows the rules that keep the layers apart."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import policylab
 
@@ -55,6 +58,70 @@ def test_no_library_or_test_module_imports_the_benchmark():
             imports += [f"{path}:{node.lineno} {name}" for name in names
                         if name.split(".")[0] in bench]
     assert imports == []
+
+
+def _dotted(node) -> list | None:
+    """``["a", "b", "c"]`` for the expression ``a.b.c``, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.insert(0, node.attr)
+        node = node.value
+    return [node.id, *parts] if isinstance(node, ast.Name) else None
+
+
+def _benchmark_references() -> set:
+    """Every library name the benchmark reads, as ``module.attribute...``:
+    the modules of ``from policylab import``, their attributes, ``(owner,
+    "name")`` pairs such as the traced ones, and ``from policylab.x import``
+    names."""
+    references = set()
+    for _, tree in _parsed_modules("perfbench"):
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "policylab":
+                modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+                references.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("policylab."):
+                module = node.module.removeprefix("policylab.")
+                references.update(f"{module}.{alias.name}" for alias in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                chain = _dotted(node)
+            elif (isinstance(node, ast.Tuple) and len(node.elts) == 2
+                  and isinstance(node.elts[1], ast.Constant)
+                  and isinstance(node.elts[1].value, str)):
+                chain = _dotted(node.elts[0])
+                chain = chain and [*chain, node.elts[1].value]
+            else:
+                continue
+            if chain and chain[0] in modules:
+                references.add(".".join([modules[chain[0]], *chain[1:]]))
+    return references
+
+
+def _resolves(reference: str) -> bool:
+    module, *attributes = reference.split(".")
+    try:
+        value = importlib.import_module(f"policylab.{module}")
+    except ImportError:
+        return False
+    for attribute in attributes:
+        if not hasattr(value, attribute):
+            return False
+        value = getattr(value, attribute)
+    return True
+
+
+def test_every_library_name_the_benchmark_reads_exists():
+    """The benchmark changes less often than the library, so a library
+    name it still reads must not go away; read from its source, never
+    imported."""
+    if not (ROOT / "perfbench").is_dir():
+        pytest.skip("no benchmark in this checkout")
+    references = _benchmark_references()
+    assert {"simworld.serialize_scenario", "planner.backchain",
+            "metrics.GedCostModel.edge_group_cost", "core.Goal"} <= references
+    assert sorted(ref for ref in references if not _resolves(ref)) == []
 
 
 def test_no_module_defines_or_calls_the_retired_skill_queries():

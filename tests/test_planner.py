@@ -161,6 +161,15 @@ class TestExtractPlan:
             "robot_at(fetch3)",
         }
 
+    def test_a_plan_that_undoes_a_goal_condition_is_refused(self):
+        # moving to delivery leaves fetch1, so the first condition is lost again
+        goal = Goal((L("robot_at", ("fetch1",)), L("robot_at", ("delivery",))))
+        library = experiments.fetch_library()
+        for synthesis in (backchain, extract_plan):
+            with pytest.raises(PlanError, match=r"^plan leaves goal condition "
+                                                r"robot_at\(fetch1\) unmet$"):
+                synthesis(goal, library)
+
 
 class TestSynthesize:
     @pytest.mark.parametrize("task", sorted(experiments.TASKS))

@@ -140,12 +140,24 @@ class PolicyTree:
             orphans = sorted(set(self.nodes) - reachable)
             raise ValidationError(f"nodes unreachable from root: {orphans}")
         for node in parallels:
-            moving = sum(any(self.nodes[nid].kind == "action"
-                             and self.nodes[nid].skill in MOTION_SKILLS
-                             for nid in self.subtree_ids(child)) for child in node.children)
+            moving = sum(holds_motion(self.nodes, child) for child in node.children)
             if moving > 1:
                 raise ValidationError(f"node {node.id}: parallel has motion actions under "
                                       f"{moving} children, but one motion runs at a time")
+
+
+def holds_motion(nodes: dict, node_id) -> bool:
+    """Whether a motion action is reachable from ``node_id`` in ``nodes``;
+    safe on the cycles and dangling ids that ``PolicyTree.validate`` rejects."""
+    seen, stack = set(), [node_id]
+    while stack:
+        node = nodes.get(stack.pop())
+        if node is not None and node.id not in seen:
+            seen.add(node.id)
+            if node.kind == "action" and node.skill in MOTION_SKILLS:
+                return True
+            stack.extend(node.children)
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bt, documents, fsm, hfsm, metrics, planner, report, simworld
@@ -111,7 +112,7 @@ def cmd_run(args) -> int:
     policy = documents.parse_policy_document(_read(args.policy))
     scenario = documents.parse_scenario_document(_read(args.scenario))
     if args.max_ticks is not None:
-        scenario.max_ticks = args.max_ticks
+        scenario = replace(scenario, max_ticks=args.max_ticks)
     trace = simworld.run_episode(policy, scenario)
     if args.trace:
         _write(args.trace, trace.to_jsonl())

@@ -26,7 +26,6 @@ from .core import (
     Goal,
     Guard,
     KNOWN_SKILLS,
-    MOTION_SKILLS,
     Status,
     ValidationError,
     validate_action_library,
@@ -293,7 +292,7 @@ def _parse_nodes(doc: dict, types: dict) -> bt.PolicyTree:
         )
     for index, node in enumerate(nodes.values()):
         if node.kind == "parallel":
-            moving = sum(_holds_motion(nodes, child) for child in node.children)
+            moving = sum(bt.holds_motion(nodes, child) for child in node.children)
             if moving > 1:
                 raise DocumentError(f"nodes[{index}]: parallel has motion actions under "
                                     f"{moving} children, but one motion runs at a time")
@@ -303,20 +302,6 @@ def _parse_nodes(doc: dict, types: dict) -> bt.PolicyTree:
     except ValidationError as exc:
         raise DocumentError(str(exc)) from None
     return tree
-
-
-def _holds_motion(nodes: dict, node_id) -> bool:
-    """Whether a motion action is reachable from ``node_id``; safe on the
-    cycles and dangling ids that ``PolicyTree.validate`` rejects next."""
-    seen, stack = set(), [node_id]
-    while stack:
-        node = nodes.get(stack.pop())
-        if node is not None and node.id not in seen:
-            seen.add(node.id)
-            if node.kind == "action" and node.skill in MOTION_SKILLS:
-                return True
-            stack.extend(node.children)
-    return False
 
 
 def _node_entry(node, children) -> dict:
@@ -519,7 +504,8 @@ def serialize_goal(goal: Goal) -> str:
 
 
 def parse_scenario_document(data) -> simworld.Scenario:
-    """Build and validate a scenario; absent fields keep their defaults."""
+    """The scenario ``data`` spells, checked as it is made; absent fields
+    keep their defaults."""
     doc = _load(data)
     values = {}
     for f in fields(simworld.Scenario):
@@ -535,9 +521,7 @@ def parse_scenario_document(data) -> simworld.Scenario:
         elif f.default_factory is dict:
             value = dict(_expect(value, dict, f.name))
         values[f.name] = value
-    scenario = simworld.Scenario(**values)
-    scenario.validate()
-    return scenario
+    return simworld.Scenario(**values)
 
 
 def _failure_from(entry, path: str) -> tuple:

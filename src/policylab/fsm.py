@@ -10,8 +10,9 @@ Transition semantics: a state's ``transitions`` dict carries the drawn
 edges only. Statuses without an explicit edge resolve implicitly;
 RUNNING stays in place, and SUCCESS/FAILURE fall back to the selector
 when the machine has one (a machine without a selector terminates with
-FAILURE on an unmapped failure). This keeps the stored structure equal to
-what the diagrams show while the engine remains total.
+FAILURE on an unmapped failure). The selector's own SUCCESS edge, taken
+once the goal holds, is always drawn. This keeps the stored structure
+equal to what the diagrams show while the engine remains total.
 
 A machine with a selector ends SUCCESS only while every goal literal
 holds: reaching the SUCCESS outcome with the goal false hands control
@@ -162,10 +163,11 @@ class StateMachine:
                     raise ValidationError(
                         f"state {state.id}: interrupt targets missing {target}"
                     )
-            # totality: SUCCESS lands on a drawn edge or the selector; FAILURE
-            # always resolves, to a drawn edge, the selector or machine failure
-            if (state.kind == "skill" and not has_selector
-                    and _SUCCESS not in state.transitions):
+            # totality: a skill state's SUCCESS lands on a drawn edge or the
+            # selector, and the selector's on a drawn edge; FAILURE always
+            # resolves, to a drawn edge, the selector or machine failure
+            if _SUCCESS not in state.transitions and (
+                    state.kind == "selector" or state.kind == "skill" and not has_selector):
                 raise ValidationError(
                     f"state {state.id}: SUCCESS transition unresolvable"
                 )
@@ -387,19 +389,30 @@ def remove_state(sm: StateMachine, state_id: int) -> StateMachine:
 
     Every transition and interrupt referencing the state is removed;
     success edges into it are retargeted to its own success target so no
-    dangling plan entry remains. Removing the selector, or an initial
-    state with no success target to start from instead, raises
-    ``EditError`` and changes nothing. Kept in the library though only
-    tests call it: it is one of the paper's modification operations.
+    dangling plan entry remains. Only a skill state can go. Removing the
+    selector or an outcome state, or a state with no success target when
+    the machine would need one (to start from, or for a SUCCESS edge
+    into it that has no selector to fall back to), raises ``EditError``
+    and changes nothing. Kept in the library though only tests call it:
+    it is one of the paper's modification operations.
     """
     victim = sm.state(state_id)
-    if victim.kind == "selector":
-        raise EditError("cannot remove the selector state")
+    if victim.kind != "skill":
+        raise EditError(f"cannot remove the {victim.kind} state")
     bypass = victim.transitions.get(_SUCCESS)
     if bypass == state_id:
         bypass = None  # a success self-loop leaves with the state
-    if sm.initial == state_id and bypass is None:
-        raise EditError("removing the initial state would orphan the machine")
+    if bypass is None:
+        if sm.initial == state_id:
+            raise EditError("removing the initial state would orphan the machine")
+        # a SUCCESS edge into the state goes with it; only a skill state of a
+        # selector machine has the selector to fall back to
+        selector = sm.selector_id
+        for state in sm.states.values():
+            if (state.id != state_id and state.transitions.get(_SUCCESS) == state_id
+                    and (selector is None or state.id == selector)):
+                raise EditError(f"removing state {state_id} would leave state {state.id} "
+                                f"without a SUCCESS transition")
     for state in sm.states.values():
         if state.id == state_id:
             continue

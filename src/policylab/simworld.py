@@ -12,6 +12,11 @@ drain. A tick whose evaluation could only repeat the previous one
 reuses its status instead (see :func:`run_episode`). Every skill
 lifecycle event lands in the trace, which is the substrate for
 cross-representation equivalence and chattering detection.
+
+A :class:`Scenario` scripts an episode: the start state, skill
+durations, scripted failures and timed perturbations. It is frozen and
+checked once, when it is made, so the world acts on it without checking
+it again.
 """
 
 from __future__ import annotations
@@ -85,9 +90,15 @@ def _is_number(value, integer: bool = False) -> bool:
     return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Everything that makes an episode reproducible."""
+    """Everything that makes an episode reproducible.
+
+    A scenario is a value: it is checked once, when it is made, and its
+    fields cannot be assigned afterwards. A malformed field raises
+    ``DocumentError`` naming it; ``dataclasses.replace`` makes a changed
+    copy, checked the same way.
+    """
 
     name: str = "scenario"
     stations: tuple = DEFAULT_STATIONS
@@ -110,23 +121,26 @@ class Scenario:
     #: reproducibility bookkeeping; the failure model itself is fully scripted
     seed: int = 0
 
-    def validate(self) -> None:
-        numbers = [(name, getattr(self, name), False)
-                   for name in ("battery", "drain_per_motion_tick", "battery_threshold")]
-        numbers += [(name, getattr(self, name), True)
-                    for name in ("max_ticks", "success_hold_ticks", "seed")]
-        numbers += [(f"durations.{skill}", duration, True)
+    def __post_init__(self) -> None:
+        # (path, value, integer, least allowed value or None)
+        numbers = [("battery", self.battery, False, None),
+                   ("drain_per_motion_tick", self.drain_per_motion_tick, False, 0),
+                   ("battery_threshold", self.battery_threshold, False, None),
+                   ("max_ticks", self.max_ticks, True, 1),
+                   ("success_hold_ticks", self.success_hold_ticks, True, None),
+                   ("seed", self.seed, True, None)]
+        numbers += [(f"durations.{skill}", duration, True, None)
                     for skill, duration in self.durations.items()]
-        numbers += [(f"failures[{index}].invocation", nth, True)
+        numbers += [(f"failures[{index}].invocation", nth, True, 1)
                     for index, (_, _, nth) in enumerate(self.failures)]
-        numbers += [(f"perturbations[{index}].tick", p.tick, True)
+        numbers += [(f"perturbations[{index}].tick", p.tick, True, 0)
                     for index, p in enumerate(self.perturbations)]
-        for path, value, integer in numbers:
+        for path, value, integer, least in numbers:
             if not _is_number(value, integer):
                 expected = "an integer" if integer else "a number"
                 raise DocumentError(f"{path}: expected {expected}, got {value!r}")
-        if self.max_ticks < 1:
-            raise DocumentError(f"max_ticks: must be at least 1, got {self.max_ticks}")
+            if least is not None and value < least:
+                raise DocumentError(f"{path}: must be at least {least}, got {value}")
         skills = [(f"failures[{index}].skill", skill)
                   for index, (skill, _, _) in enumerate(self.failures)]
         skills += [(f"durations.{skill}", skill) for skill in self.durations]
@@ -273,10 +287,10 @@ def detect_chattering(trace: Trace) -> bool:
 
 
 class World:
-    """Mutable episode state implementing the engines' tick protocol."""
+    """Mutable episode state implementing the engines' tick protocol, over
+    a scenario that was checked when it was made."""
 
     def __init__(self, scenario: Scenario):
-        scenario.validate()
         self.scenario = scenario
         self.state = WorldState(
             robot_location=scenario.robot_location,
@@ -471,17 +485,13 @@ class World:
         event, args = perturbation.event, perturbation.args
         if event == "set_item_location":
             item, station = args
-            if station not in self.state.stations:
-                raise WorldError(f"perturbation moves {item} to unknown {station!r}")
             self.state.item_locations[item] = station
             if self.state.holding == item:
                 self.state.holding = None
         elif event == "set_battery":
             self.state.battery = max(0.0, min(100.0, float(args[0])))
-        elif event == "force_fail_next":
+        else:  # force_fail_next, the one event left that the scenario admits
             self.force_fail.add(args[0])
-        else:
-            raise WorldError(f"unknown perturbation {event!r}")
         self._log("perturbation", event=event, args=list(args))
 
     def advance(self) -> None:

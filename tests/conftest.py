@@ -3,6 +3,7 @@ the packaged documents."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -112,3 +113,32 @@ def relocation_scenario(tick: int = 10) -> simworld.Scenario:
     return replace(fixtures.load_scenario("post_success"), name="relocation",
                    perturbations=(simworld.Perturbation(
                        tick, "set_item_location", ("cube2", "fetch1")),))
+
+
+def _parallel_over_two(**threshold) -> dict:
+    """A tree whose root is a parallel node over two children."""
+    return {"version": 1, "kind": "bt", "root": 0, "nodes": [
+        {"id": 0, "type": "parallel", "name": "both", "children": [1, 2], **threshold},
+        {"id": 1, "type": "action", "name": "tuck", "skill": "tuck", "args": []},
+        {"id": 2, "type": "condition", "name": "docked?", "predicate": "docked",
+         "args": []}]}
+
+
+def _fetch_fsm_with(index: int, **fields) -> dict:
+    """The packaged fetch_fsm document with entry ``index`` of its states updated."""
+    doc = json.loads(fixtures.policy_path("fetch_fsm").read_text())
+    doc["states"][index].update(fields)
+    return doc
+
+
+#: (case, policy document, error) for the defects a policy document reaches
+#: only through ``PolicyTree.validate`` and ``StateMachine.validate``
+POLICY_DEFECTS = [
+    ("threshold above the children", _parallel_over_two(threshold=3),
+     "node 0: parallel threshold out of range"),
+    ("threshold left out", _parallel_over_two(), "node 0: parallel threshold out of range"),
+    ("outcome with transitions", _fetch_fsm_with(5, transitions={"SUCCESS": 0}),
+     "outcome state 5 cannot have transitions"),
+    ("selector without a success edge", _fetch_fsm_with(0, transitions={"RUNNING": 0}),
+     "state 0: SUCCESS transition unresolvable"),
+]

@@ -267,6 +267,27 @@ class TestEdits:
         }
 
 
+#: (case, adds the root to a builder, error); a tree read from a document
+#: meets these checks in the reader first, with the node's path
+BUILDER_DEFECTS = [
+    ("unknown kind", lambda b: b.add("decorator", "d", children=[b.action("tuck")]),
+     "unknown kind 'decorator'"),
+    ("condition with children",
+     lambda b: b.add("condition", "c", children=[b.action("tuck")], literal=L("docked")),
+     "condition leaves cannot have children"),
+    ("empty sequence", lambda b: b.add("sequence", "s"), "sequence needs at least one child"),
+]
+
+
+@pytest.mark.parametrize("add_root, message", [case[1:] for case in BUILDER_DEFECTS],
+                         ids=[case[0] for case in BUILDER_DEFECTS])
+def test_builder_rejects_a_malformed_node(add_root, message):
+    builder = bt.TreeBuilder()
+    root = add_root(builder)
+    with pytest.raises(ValidationError, match=f"^node {root}: {message}$"):
+        builder.build(root)
+
+
 def test_runtime_bookkeeping_stays_out_of_equality_and_repr(fetch_tree):
     simworld.run_episode(fetch_tree, fixtures.load_scenario("baseline"))
     assert fetch_tree.last_tick_visited

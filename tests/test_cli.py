@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import POLICY_DEFECTS
 from policylab import cli, documents, fixtures, report
 from policylab.bt import PolicyTree
 from policylab.fsm import StateMachine
@@ -261,6 +262,19 @@ class TestRun:
                          "--max-ticks", ticks]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: max_ticks: must be at least 1")
+
+    @pytest.mark.parametrize("doc, message", [case[1:] for case in POLICY_DEFECTS],
+                             ids=[case[0] for case in POLICY_DEFECTS])
+    def test_policy_defect_exits_one_before_the_episode(self, doc, message, tmp_path,
+                                                        capsys):
+        policy = tmp_path / "defect.json"
+        policy.write_text(json.dumps(doc))
+        trace = tmp_path / "trace.jsonl"
+        assert cli.main(["run", str(policy), scenario("baseline"),
+                         "--trace", str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and not trace.exists()
 
 
 class TestMetrics:

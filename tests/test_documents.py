@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from conftest import codec, packaged_documents
+from conftest import POLICY_DEFECTS, codec, packaged_documents
 from policylab import documents, experiments, fixtures, fsm, hfsm, planner
 from policylab.bt import PolicyTree
 from policylab.core import DocumentError
@@ -141,6 +141,13 @@ def test_structural_rules_hold_for_both_node_list_kinds(kind, nodes, root, messa
          **ROLE_FIELDS[role]}
         for nid, role, children in nodes]}
     with pytest.raises(DocumentError, match=message.format(**types)):
+        documents.parse_policy_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc, message", [case[1:] for case in POLICY_DEFECTS],
+                         ids=[case[0] for case in POLICY_DEFECTS])
+def test_policy_defects_found_by_the_type_checks(doc, message):
+    with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
         documents.parse_policy_document(json.dumps(doc))
 
 

@@ -248,6 +248,25 @@ def starting_at_a_success_self_loop():
     return machine
 
 
+def selector_succeeding_to_the_last_step():
+    """Valid: the last step has no SUCCESS edge and falls back to the selector,
+    whose own SUCCESS edge leads to that step."""
+    machine = experiments.fetch_fsm()
+    last = machine.plan_order[-1]
+    del machine.states[last].transitions["SUCCESS"]
+    machine.states[machine.selector_id].transitions["SUCCESS"] = last
+    machine.validate()
+    return machine
+
+
+def looping_second_step():
+    machine = experiments.fetch_fsm_sequential()
+    second = machine.plan_order[1]
+    machine.states[second].transitions["SUCCESS"] = second
+    machine.validate()
+    return machine
+
+
 def new_skill(machine, sid=None):
     return fsm.FsmState(id=machine.next_id() if sid is None else sid, kind="skill",
                         name="tuck()!", skill="tuck")
@@ -277,6 +296,14 @@ REFUSED_EDITS = [
      lambda m: fsm.remove_state(m, m.initial)),
     ("remove an initial state whose success edge loops", starting_at_a_success_self_loop,
      lambda m: fsm.remove_state(m, m.initial)),
+    ("remove the outcome of a sequential machine", experiments.fetch_fsm_sequential,
+     lambda m: fsm.remove_state(m, min(m.outcome_ids()))),
+    ("remove the outcome of a selector machine", experiments.fetch_fsm,
+     lambda m: fsm.remove_state(m, min(m.outcome_ids()))),
+    ("remove the selector's success target without one of its own",
+     selector_succeeding_to_the_last_step, lambda m: fsm.remove_state(m, m.plan_order[-1])),
+    ("remove a success target that loops, without a selector", looping_second_step,
+     lambda m: fsm.remove_state(m, m.plan_order[1])),
 ]
 
 
@@ -404,6 +431,13 @@ class TestValidation:
         machine.states[0] = fsm.FsmState(id=0, kind="skill", name="s", skill="tuck")
         with pytest.raises(ValidationError, match="SUCCESS"):
             machine.validate()
+
+    def test_selector_needs_a_drawn_success_edge(self, fetch_machine):
+        # without one, the selector would hand a holding goal back to itself
+        del fetch_machine.states[fetch_machine.selector_id].transitions["SUCCESS"]
+        with pytest.raises(ValidationError,
+                           match=r"^state 0: SUCCESS transition unresolvable$"):
+            fetch_machine.validate()
 
 
 def test_runtime_bookkeeping_stays_out_of_equality_and_repr(fetch_machine):

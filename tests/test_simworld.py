@@ -2,7 +2,7 @@
 
 import json
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -11,7 +11,8 @@ from conftest import (
 )
 from policylab import bt, experiments, fixtures, fsm, hfsm, simworld
 from policylab.core import (
-    ConditionLiteral as L, DocumentError, Status, TRANSIT, ValidationError, WorldError,
+    _PREDICATE_ARITY, ConditionLiteral as L, DocumentError, Status, TRANSIT,
+    ValidationError, WorldError,
 )
 from policylab.documents import parse_scenario_document, serialize_scenario
 from policylab.simworld import (
@@ -162,6 +163,14 @@ class TestEvaluate:
     def test_unknown_station_is_an_error_not_failure(self):
         with pytest.raises(WorldError, match="unknown station"):
             fresh_world().evaluate(L("robot_at", ("moonbase",)))
+
+    @pytest.mark.parametrize("predicate", sorted(_PREDICATE_ARITY))
+    def test_every_predicate_a_policy_may_test_is_answered(self, predicate):
+        # a predicate added to core without a case here fails this test,
+        # not an episode; stations stand in for every argument but a level
+        arity = _PREDICATE_ARITY[predicate]
+        args = (50,) if predicate == "battery_above" else ("center",) * arity
+        assert fresh_world().evaluate(L(predicate, args)) in (True, False)
 
 
 class TestEpisodes:
@@ -421,11 +430,11 @@ class TestScenarioDocuments:
             Scenario(perturbations=(
                 Perturbation(5, "set_battery", (10,)),
                 Perturbation(5, "set_battery", (20,)),
-            )).validate()
+            ))
 
     def test_unknown_perturbation_event(self):
         with pytest.raises(Exception, match="unknown perturbation"):
-            Scenario(perturbations=(Perturbation(1, "teleport", ()),)).validate()
+            Scenario(perturbations=(Perturbation(1, "teleport", ()),))
 
     @staticmethod
     def _baseline_with(**fields) -> str:
@@ -479,6 +488,15 @@ class TestScenarioDocuments:
          r"failures\[0\]\.args\[0\]: expected a string or a number, got True"),
         ({"failures": [{"skill": "pick", "args": "cube2", "invocation": 1}]},
          r"failures\[0\]\.args: expected a list"),
+        # unchecked, a tick below 0 would hold back every later perturbation,
+        # invocation 0 would never fail and a negative drain would charge
+        ({"perturbations": [{"tick": -1, "event": "set_battery", "args": [5]},
+                            {"tick": 3, "event": "set_battery", "args": [10]}]},
+         r"^perturbations\[0\]\.tick: must be at least 0, got -1$"),
+        ({"failures": [{"skill": "pick", "args": None, "invocation": 0}]},
+         r"^failures\[0\]\.invocation: must be at least 1, got 0$"),
+        ({"drain_per_motion_tick": -5},
+         r"^drain_per_motion_tick: must be at least 0, got -5$"),
     ])
     def test_malformed_fields_are_named(self, fields, message):
         with pytest.raises(DocumentError, match=message):
@@ -486,6 +504,29 @@ class TestScenarioDocuments:
 
     def test_absent_fields_take_the_dataclass_defaults(self):
         assert parse_scenario_document('{"version": 1}') == Scenario()
+
+    def test_a_scenario_is_a_value(self):
+        scenario = fixtures.load_scenario("baseline")
+        with pytest.raises(FrozenInstanceError):
+            scenario.max_ticks = 3
+        assert not hasattr(scenario, "validate")
+        assert replace(scenario, max_ticks=3).max_ticks == 3
+        with pytest.raises(DocumentError, match="max_ticks: must be at least 1, got 0"):
+            replace(scenario, max_ticks=0)
+
+    def test_a_scenario_is_checked_once_when_it_is_made(self, monkeypatch, fetch_tree):
+        checks, check = [], Scenario.__post_init__
+
+        def counted(self):
+            checks.append(self.name)
+            check(self)
+
+        monkeypatch.setattr(Scenario, "__post_init__", counted)
+        scenario = parse_scenario_document(
+            fixtures.scenario_path("recharge").read_text())
+        run_episode(fetch_tree, scenario)
+        World(scenario)
+        assert checks == ["recharge"]
 
     def test_packaged_scenarios_still_parse_unchanged(self):
         for name in packaged_scenarios():

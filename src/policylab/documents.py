@@ -4,10 +4,13 @@ All documents are UTF-8 JSON with a ``version: 1`` field. Serialization
 is canonical (fixed key order, nodes sorted by id, two-space indent) so
 that parse/serialize round-trips are byte identical.
 
-Every indented document is written by one in-house writer, ``_dump``.
-Its output is byte-identical to ``json.dumps(doc, indent=2)`` plus a
-newline, which a differential test pins; it exists because any
-``indent`` sends ``json`` to its pure-Python encoder, about twice as slow.
+Every document is written byte for byte as ``json.dumps(doc, indent=2)``
+plus a newline would write it, but not through ``json``: any ``indent``
+sends ``json`` to its pure-Python encoder, about twice as slow.
+Policies are written straight from the object, one text per node or
+state entry (``serialize_policy``); libraries, goals, scenarios and
+report JSON are built as dicts and written by the in-house ``_dump``.
+Differential tests pin both writers.
 """
 
 from __future__ import annotations
@@ -198,10 +201,37 @@ def _literal_from(obj, path: str, key: str = "pred") -> ConditionLiteral:
         raise DocumentError(f"{path}: {exc}") from None
 
 
+def _arg_tuple(values):
+    """``values`` as a tuple when it is a list of strings and numbers, else
+    None; ``_args`` then names the defect."""
+    if type(values) is not list:
+        return None
+    for value in values:
+        if type(value) not in _ARG_TYPES:
+            return None
+    return tuple(values)
+
+
+def _literal(obj, key: str = "pred"):
+    """The literal a well-formed literal object spells, else None;
+    ``_literal_from`` then names the defect."""
+    if type(obj) is dict:
+        predicate = obj.get(key)
+        args = _arg_tuple(obj.get("args", []))
+        if type(predicate) is str and args is not None:
+            try:
+                return ConditionLiteral(predicate, args)
+            except ValidationError:
+                pass
+    return None
+
+
 def _literals(values, path: str) -> tuple:
     """A list of literal objects; entry ``i`` is named ``path[i]``."""
-    return tuple(_literal_from(lit, f"{path}[{i}]")
-                 for i, lit in enumerate(_expect(values, list, path)))
+    if type(values) is not list:
+        _expect(values, list, path)
+    return tuple([_literal(lit) or _literal_from(lit, f"{path}[{i}]")
+                  for i, lit in enumerate(values)])
 
 
 def _literal_doc(literal: ConditionLiteral) -> dict:
@@ -214,12 +244,6 @@ def _guard_from(obj, path: str) -> Guard:
     if type(negated) is not bool:
         raise DocumentError(f"{path}.negated: expected true or false, got {negated!r}")
     return Guard(literal, negated)
-
-
-def _guard_doc(guard: Guard) -> dict:
-    doc = _literal_doc(guard.literal)
-    doc["negated"] = guard.negated
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +264,145 @@ def parse_policy_document(data) -> Policy:
 
 
 def serialize_policy(policy: Policy) -> str:
-    """Canonical JSON for any policy object."""
+    """Canonical JSON for any policy object, written straight from it."""
     if isinstance(policy, bt.PolicyTree):
-        return _dump(_bt_doc(policy))
+        entries = [_node_text(node, node.children if node.is_control() else None)
+                   for node in sorted(policy.nodes.values(), key=lambda n: n.id)]
+        return _node_list_text("bt", policy.root, entries)
     if isinstance(policy, fsm.StateMachine):
-        return _dump(_fsm_doc(policy))
+        return _fsm_text(policy)
     if isinstance(policy, hfsm.HfsmContainer):
-        return _dump(_hfsm_doc(policy))
+        entries = [_node_text(node, [child.id for child in node.children]
+                              if node.kind in hfsm.CONTAINER_KINDS else None)
+                   for node in sorted(policy.walk(), key=lambda n: n.id)]
+        return _node_list_text("hfsm", policy.id, entries)
     raise DocumentError(f"cannot serialize {type(policy).__name__}")
+
+
+# What the policy writer below writes is ``_dump`` of the document, byte
+# for byte; the fixed layout of a node or state entry puts each field at
+# a known indent, so a whole entry is one f-string. The newline constants
+# hold a line break plus the indent of the line they start.
+_N2, _N4, _N6, _N8 = ("\n" + " " * width for width in (2, 4, 6, 8))
+
+
+def _value(value, newline: str) -> str:
+    """The JSON text of a scalar field or list entry on the line ``newline``
+    starts: exact strings and numbers inline, anything else as ``_dump`` writes it."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    out: list = []
+    _write(value, out.append, newline)
+    return "".join(out)
+
+
+def _join(items: list, newline: str) -> str:
+    """A JSON list of written ``items`` whose line starts at ``newline``;
+    the items were written one level deeper."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+def _list(values, newline: str) -> str:
+    """A JSON list of ids or arguments whose line starts at ``newline``."""
+    if not values:
+        return "[]"
+    inner = newline + "  "
+    items = []
+    for value in values:  # ``_value``, with its two common cases inline
+        kind = type(value)
+        if kind is str:
+            items.append(_quote(value))
+        elif kind is int:
+            items.append(int.__repr__(value))
+        else:
+            items.append(_value(value, inner))
+    return _join(items, newline)
+
+
+def _literal_text(literal: ConditionLiteral, newline: str, extra: str = "") -> str:
+    """A literal object starting on the line ``newline`` starts; ``extra``
+    holds any further fields, each written after a comma."""
+    inner = newline + "  "
+    predicate = literal.predicate
+    predicate = _quote(predicate) if type(predicate) is str else _value(predicate, inner)
+    return (f'{{{inner}"pred": {predicate},{inner}"args": {_list(literal.args, inner)}'
+            f'{extra}{newline}}}')
+
+
+def _guard_text(guard: Guard, newline: str, key: str, target) -> str:
+    """A guard object with its ``key`` field (``target`` or ``state``)."""
+    inner = newline + "  "
+    return _literal_text(guard.literal, newline, f',{inner}"negated": '
+                         f'{_value(guard.negated, inner)},{inner}"{key}": {_value(target, inner)}')
+
+
+def _node_text(node, children) -> str:
+    """A tree or nested-machine node's entry; ``children`` is None on a leaf."""
+    text = (f'{{{_N6}"id": {_value(node.id, _N6)},{_N6}"type": {_value(node.kind, _N6)},'
+            f'{_N6}"name": {_value(node.name, _N6)}')
+    if children is not None:
+        text += f',{_N6}"children": {_list(children, _N6)}'
+    kind = node.kind
+    if kind == "parallel":
+        text += f',{_N6}"threshold": {_value(node.threshold, _N6)}'
+    elif kind == "action":
+        text += f',{_N6}"skill": {_value(node.skill, _N6)},{_N6}"args": {_list(node.args, _N6)}'
+    elif kind == "condition":
+        text += (f',{_N6}"predicate": {_value(node.literal.predicate, _N6)},'
+                 f'{_N6}"args": {_list(node.literal.args, _N6)}')
+    return text + _N4 + "}"
+
+
+def _node_list_text(kind: str, root, entries: list) -> str:
+    return (f'{{{_N2}"version": {VERSION},{_N2}"kind": "{kind}",{_N2}"root": '
+            f'{_value(root, _N2)},{_N2}"nodes": {_join(entries, _N2)}\n}}\n')
+
+
+def _fsm_text(machine: fsm.StateMachine) -> str:
+    states = []
+    for sid in sorted(machine.states):
+        state = machine.states[sid]
+        text = (f'{{{_N6}"id": {_value(sid, _N6)},{_N6}"type": {_value(state.kind, _N6)},'
+                f'{_N6}"name": {_value(state.name, _N6)}')
+        if state.kind == "skill":
+            post = ("null" if state.achieves is None
+                    else _literal_text(state.achieves, _N6))
+            pre = _join([_literal_text(lit, _N8) for lit in state.dispatch_pre], _N6)
+            text += (f',{_N6}"skill": {_value(state.skill, _N6)},'
+                     f'{_N6}"args": {_list(state.args, _N6)},{_N6}"pre": {pre},'
+                     f'{_N6}"post": {post}')
+            if state.rank:
+                text += f',{_N6}"rank": {_value(state.rank, _N6)}'
+        if state.kind == "outcome":
+            text += f',{_N6}"status": {_value(state.outcome.value, _N6)}'
+        if state.interrupts:
+            interrupts = [_guard_text(guard, _N8, "target", target)
+                          for guard, target in state.interrupts]
+            text += f',{_N6}"interrupts": {_join(interrupts, _N6)}'
+        if state.transitions:
+            drawn = [f'"{label}": {_value(state.transitions[label], _N8)}'
+                     for label in _STATUS_ORDER if label in state.transitions]
+            edges = "{" + _N8 + ("," + _N8).join(drawn) + _N6 + "}" if drawn else "{}"
+            text += f',{_N6}"transitions": {edges}'
+        states.append(text + _N4 + "}")
+    goal = _join([_literal_text(lit, _N4) for lit in machine.goal], _N2)
+    text = (f'{{{_N2}"version": {VERSION},{_N2}"kind": "fsm",'
+            f'{_N2}"initial": {_value(machine.initial, _N2)},'
+            f'{_N2}"plan_order": {_list(machine.plan_order, _N2)},{_N2}"goal": {goal},'
+            f'{_N2}"states": {_join(states, _N2)}')
+    if machine.connected:
+        connected = [_guard_text(guard, _N4, "state", sid) for sid, guard in machine.connected]
+        text += f',{_N2}"connected": {_join(connected, _N2)}'
+    return text + "\n}\n"
 
 
 #: node ``type`` in a document -> tree node kind, for each node-list kind;
@@ -260,36 +415,53 @@ _NESTED_TYPES = {"sequence_container": "sequence", "fallback_container": "fallba
 def _parse_nodes(doc: dict, types: dict) -> bt.PolicyTree:
     """The tree a ``nodes`` list and ``root`` spell.
 
-    Each entry is checked here, where its path is known; the structure
-    (one parent per node, no cycle, nothing unreachable) is checked by
-    ``PolicyTree.validate``.
+    Each entry is checked here with inline type tests; only an entry that
+    fails one builds its path and calls the helper that names the defect.
+    The structure (one parent per node, no cycle, nothing unreachable) is
+    checked by ``PolicyTree.validate``.
     """
+    entries = _require(doc, "nodes", "top level")
+    if type(entries) is not list:
+        _expect(entries, list, "nodes")
     nodes: dict[int, bt.BtNode] = {}
-    for index, entry in enumerate(_expect(_require(doc, "nodes", "top level"), list,
-                                          "nodes")):
-        path = f"nodes[{index}]"
-        nid = _id(_require(entry, "id", path), path, "id")
-        ntype = _require(entry, "type", path)
-        kind = types.get(ntype) if isinstance(ntype, str) else None
+    for index, entry in enumerate(entries):
+        nid = entry.get("id") if type(entry) is dict else None
+        if type(nid) is not int:
+            _id(_require(entry, "id", f"nodes[{index}]"), f"nodes[{index}]", "id")
+        ntype = entry.get("type")
+        kind = types.get(ntype) if type(ntype) is str else None
         if kind is None:
-            raise DocumentError(f"{path}.type: unknown node kind {ntype!r}")
-        children = _ids(entry.get("children", []), f"{path}.children")
+            ntype = _require(entry, "type", f"nodes[{index}]")
+            raise DocumentError(f"nodes[{index}].type: unknown node kind {ntype!r}")
+        children = entry.get("children", [])
+        if type(children) is not list:
+            _expect(children, list, f"nodes[{index}].children")
+        for child in children:
+            if type(child) is not int:
+                _ids(children, f"nodes[{index}].children")
         if kind in bt.LEAF_KINDS and children:
-            raise DocumentError(f"{path}: {ntype} leaves cannot have children")
+            raise DocumentError(f"nodes[{index}]: {ntype} leaves cannot have children")
         if kind in bt.CONTROL_KINDS and not children:
-            raise DocumentError(f"{path}: {ntype} needs at least one child")
+            raise DocumentError(f"nodes[{index}]: {ntype} needs at least one child")
         if nid in nodes:
-            raise DocumentError(f"{path}.id: duplicate id {nid}")
-        nodes[nid] = bt.BtNode(
-            id=nid,
-            kind=kind,
-            name=entry.get("name", ""),
-            children=list(children),
-            skill=_skill(entry, path) if kind == "action" else entry.get("skill", ""),
-            args=_args(entry, path) if kind == "action" else (),
-            literal=_literal_from(entry, path, "predicate") if kind == "condition" else None,
-            threshold=_integer(entry, path, "threshold"),
-        )
+            raise DocumentError(f"nodes[{index}].id: duplicate id {nid}")
+        name = entry.get("name", "")
+        if type(name) is not str:
+            _string(name, f"nodes[{index}]", "name")
+        skill, args, literal = entry.get("skill", ""), (), None
+        if kind == "action":
+            if type(skill) is not str or skill not in KNOWN_SKILLS:
+                _skill(entry, f"nodes[{index}]")
+            args = _arg_tuple(entry.get("args", []))
+            if args is None:
+                _args(entry, f"nodes[{index}]")
+        elif kind == "condition":
+            literal = (_literal(entry, "predicate")
+                       or _literal_from(entry, f"nodes[{index}]", "predicate"))
+        threshold = entry.get("threshold", 0)
+        if type(threshold) is not int:
+            _integer(entry, f"nodes[{index}]", "threshold")
+        nodes[nid] = bt.BtNode(nid, kind, name, children, skill, args, literal, threshold)
     for index, node in enumerate(nodes.values()):
         if node.kind == "parallel":
             moving = sum(bt.holds_motion(nodes, child) for child in node.children)
@@ -304,76 +476,72 @@ def _parse_nodes(doc: dict, types: dict) -> bt.PolicyTree:
     return tree
 
 
-def _node_entry(node, children) -> dict:
-    """A tree or nested-machine node's entry; ``children`` is None on a leaf."""
-    entry: dict = {"id": node.id, "type": node.kind, "name": node.name}
-    if children is not None:
-        entry["children"] = children
-    if node.kind == "parallel":
-        entry["threshold"] = node.threshold
-    if node.kind == "action":
-        entry["skill"] = node.skill
-        entry["args"] = list(node.args)
-    if node.kind == "condition":
-        entry["predicate"] = node.literal.predicate
-        entry["args"] = list(node.literal.args)
-    return entry
-
-
-def _bt_doc(tree: bt.PolicyTree) -> dict:
-    nodes = [_node_entry(node, list(node.children) if node.is_control() else None)
-             for node in sorted(tree.nodes.values(), key=lambda n: n.id)]
-    return {"version": VERSION, "kind": "bt", "root": tree.root, "nodes": nodes}
-
-
 _STATUS_LABELS = {status.value for status in Status}
+#: the order a state's drawn transitions are written in
+_STATUS_ORDER = ("SUCCESS", "FAILURE", "RUNNING")
 
 
 def _parse_fsm(doc: dict) -> fsm.StateMachine:
+    """The machine a ``states`` list spells; each entry is checked as
+    ``_parse_nodes`` checks a node."""
     machine = fsm.StateMachine(initial=_id(_require(doc, "initial", "top level"), "initial"))
-    for index, entry in enumerate(_expect(_require(doc, "states", "top level"), list,
-                                          "states")):
-        path = f"states[{index}]"
-        sid = _id(_require(entry, "id", path), path, "id")
-        stype = _require(entry, "type", path)
+    states = machine.states
+    entries = _require(doc, "states", "top level")
+    if type(entries) is not list:
+        _expect(entries, list, "states")
+    for index, entry in enumerate(entries):
+        sid = entry.get("id") if type(entry) is dict else None
+        if type(sid) is not int:
+            _id(_require(entry, "id", f"states[{index}]"), f"states[{index}]", "id")
+        stype = entry.get("type")
         if stype not in fsm.STATE_KINDS:
-            raise DocumentError(f"{path}.type: unknown state kind {stype!r}")
-        if sid in machine.states:
-            raise DocumentError(f"{path}.id: duplicate id {sid}")
-        transitions = {}
-        where = f"{path}.transitions"
-        for label, target in _expect(entry.get("transitions", {}), dict, where).items():
+            stype = _require(entry, "type", f"states[{index}]")
+            raise DocumentError(f"states[{index}].type: unknown state kind {stype!r}")
+        if sid in states:
+            raise DocumentError(f"states[{index}].id: duplicate id {sid}")
+        transitions = entry.get("transitions", {})
+        if type(transitions) is not dict:
+            _expect(transitions, dict, f"states[{index}].transitions")
+        for label, target in transitions.items():
             if label not in _STATUS_LABELS:
-                raise DocumentError(f"{where}: unknown label {label!r}")
-            transitions[label] = _id(target, where, label)
+                raise DocumentError(f"states[{index}].transitions: unknown label {label!r}")
+            if type(target) is not int:
+                _id(target, f"states[{index}].transitions", label)
         outcome = None
         if stype == "outcome":
-            status = _require(entry, "status", path)
-            if not isinstance(status, str) or status not in _STATUS_LABELS:
-                raise DocumentError(f"{path}.status: expected SUCCESS, FAILURE or RUNNING, "
-                                    f"got {status!r}")
+            status = entry.get("status")
+            if type(status) is not str or status not in _STATUS_LABELS:
+                status = _require(entry, "status", f"states[{index}]")
+                raise DocumentError(f"states[{index}].status: expected SUCCESS, FAILURE or "
+                                    f"RUNNING, got {status!r}")
             outcome = Status(status)
-        state = fsm.FsmState(
-            id=sid,
-            kind=stype,
-            name=entry.get("name", ""),
-            skill=_skill(entry, path) if stype == "skill" else entry.get("skill", ""),
-            args=_args(entry, path),
-            dispatch_pre=_literals(entry.get("pre", []), f"{path}.pre"),
-            achieves=(
-                _literal_from(entry["post"], f"{path}.post")
-                if entry.get("post") is not None else None
-            ),
-            interrupts=[
-                _interrupt_from(item, f"{path}.interrupts[{i}]")
-                for i, item in enumerate(_expect(entry.get("interrupts", []), list,
-                                                 f"{path}.interrupts"))
-            ],
-            transitions=transitions,
-            rank=_integer(entry, path, "rank"),
-            outcome=outcome,
-        )
-        machine.states[sid] = state
+        name = entry.get("name", "")
+        if type(name) is not str:
+            _string(name, f"states[{index}]", "name")
+        skill = entry.get("skill", "")
+        if stype == "skill" and (type(skill) is not str or skill not in KNOWN_SKILLS):
+            _skill(entry, f"states[{index}]")
+        args = _arg_tuple(entry.get("args", []))
+        if args is None:
+            _args(entry, f"states[{index}]")
+        pre = entry.get("pre", [])
+        if type(pre) is not list:
+            _expect(pre, list, f"states[{index}].pre")
+        dispatch_pre = tuple([_literal(lit) or _literal_from(lit, f"states[{index}].pre[{i}]")
+                              for i, lit in enumerate(pre)])
+        post = entry.get("post")
+        achieves = (None if post is None
+                    else _literal(post) or _literal_from(post, f"states[{index}].post"))
+        interrupts = entry.get("interrupts", [])
+        if type(interrupts) is not list:
+            _expect(interrupts, list, f"states[{index}].interrupts")
+        interrupts = [_interrupt_from(item, f"states[{index}].interrupts[{i}]")
+                      for i, item in enumerate(interrupts)]
+        rank = entry.get("rank", 0)
+        if type(rank) is not int:
+            _integer(entry, f"states[{index}]", "rank")
+        states[sid] = fsm.FsmState(sid, stype, name, skill, args, dispatch_pre, achieves,
+                                   interrupts, transitions, rank, outcome)
     machine.plan_order = list(_ids(doc.get("plan_order", []), "plan_order"))
     machine.goal = _literals(doc.get("goal", []), "goal")
     machine.connected = [
@@ -393,54 +561,6 @@ def _interrupt_from(item, path: str) -> tuple:
 
 def _connection_from(item, path: str) -> tuple:
     return _id(_require(item, "state", path), path, "state"), _guard_from(item, path)
-
-
-def _fsm_doc(machine: fsm.StateMachine) -> dict:
-    states = []
-    for sid in sorted(machine.states):
-        state = machine.states[sid]
-        entry: dict = {"id": sid, "type": state.kind, "name": state.name}
-        if state.kind == "skill":
-            entry["skill"] = state.skill
-            entry["args"] = list(state.args)
-            entry["pre"] = [_literal_doc(lit) for lit in state.dispatch_pre]
-            entry["post"] = _literal_doc(state.achieves) if state.achieves else None
-            if state.rank:
-                entry["rank"] = state.rank
-        if state.kind == "outcome":
-            entry["status"] = state.outcome.value
-        if state.interrupts:
-            entry["interrupts"] = [
-                dict(_guard_doc(guard), target=target)
-                for guard, target in state.interrupts
-            ]
-        if state.transitions:
-            entry["transitions"] = {
-                label: state.transitions[label]
-                for label in ("SUCCESS", "FAILURE", "RUNNING")
-                if label in state.transitions
-            }
-        states.append(entry)
-    doc: dict = {
-        "version": VERSION,
-        "kind": "fsm",
-        "initial": machine.initial,
-        "plan_order": list(machine.plan_order),
-        "goal": [_literal_doc(lit) for lit in machine.goal],
-        "states": states,
-    }
-    if machine.connected:
-        doc["connected"] = [
-            dict(_guard_doc(guard), state=sid) for sid, guard in machine.connected
-        ]
-    return doc
-
-
-def _hfsm_doc(root: hfsm.HfsmContainer) -> dict:
-    nodes = [_node_entry(node, [child.id for child in node.children]
-                         if node.kind in hfsm.CONTAINER_KINDS else None)
-             for node in sorted(root.walk(), key=lambda n: n.id)]
-    return {"version": VERSION, "kind": "hfsm", "root": root.id, "nodes": nodes}
 
 
 # ---------------------------------------------------------------------------

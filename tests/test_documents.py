@@ -7,10 +7,11 @@ import re
 
 import pytest
 
-from conftest import POLICY_DEFECTS, codec, packaged_documents
-from policylab import documents, experiments, fixtures, fsm, hfsm, planner
+from conftest import POLICY_DEFECTS, codec, packaged_documents, packaged_policies
+from policylab import bt, documents, experiments, fixtures, fsm, hfsm, planner
 from policylab.bt import PolicyTree
-from policylab.core import DocumentError
+from policylab.core import ConditionLiteral, DocumentError, Guard, KNOWN_SKILLS, Status
+from policylab.documents import VERSION, _literal_doc
 from policylab.fsm import StateMachine
 from policylab.hfsm import HfsmContainer
 
@@ -314,6 +315,16 @@ MISTYPED_FIELDS = [  # (fixture document, path to the field, value, error)
      r"states\[6\]\.rank: expected an integer, got '1'"),
     ("fetch_fsm_recharge.json", ["states", 2, "interrupts", 0, "negated"], "false",
      r"states\[2\]\.interrupts\[0\]\.negated: expected true or false, got 'false'"),
+    # a node's or state's name is a string
+    ("fetch_bt.json", ["nodes", 0, "name"], 5, r"nodes\[0\]\.name: expected a string, got 5"),
+    ("pick_place_hfsm.json", ["nodes", 2, "name"], None,
+     r"nodes\[2\]\.name: expected a string, got None"),
+    ("fetch_fsm.json", ["states", 1, "name"], [0],
+     r"states\[1\]\.name: expected a string, got \[0\]"),
+    ("fetch_fsm.json", ["states", 0, "name"], True,
+     r"states\[0\]\.name: expected a string, got True"),
+    ("fetch_fsm.json", ["states", 5, "name"], {},
+     r"states\[5\]\.name: expected a string, got \{\}"),
 ]
 
 
@@ -456,3 +467,217 @@ def test_writer_matches_json_on_seeded_random_values():
 def test_writer_rejects_what_json_documents_cannot_hold(value):
     with pytest.raises(TypeError):
         documents._dump(value)
+
+
+# ---------------------------------------------------------------------------
+# the policy writer against the document builders it replaced
+#
+# ``serialize_policy`` writes each entry straight from the policy object;
+# the builders below are the dict documents it wrote through ``_dump``
+# before, kept as the reference its output is compared with.
+
+
+def _node_entry(node, children) -> dict:
+    """A tree or nested-machine node's entry; ``children`` is None on a leaf."""
+    entry: dict = {"id": node.id, "type": node.kind, "name": node.name}
+    if children is not None:
+        entry["children"] = children
+    if node.kind == "parallel":
+        entry["threshold"] = node.threshold
+    if node.kind == "action":
+        entry["skill"] = node.skill
+        entry["args"] = list(node.args)
+    if node.kind == "condition":
+        entry["predicate"] = node.literal.predicate
+        entry["args"] = list(node.literal.args)
+    return entry
+
+
+def _bt_doc(tree: PolicyTree) -> dict:
+    nodes = [_node_entry(node, list(node.children) if node.is_control() else None)
+             for node in sorted(tree.nodes.values(), key=lambda n: n.id)]
+    return {"version": VERSION, "kind": "bt", "root": tree.root, "nodes": nodes}
+
+
+def _guard_doc(guard: Guard) -> dict:
+    doc = _literal_doc(guard.literal)
+    doc["negated"] = guard.negated
+    return doc
+
+
+def _fsm_doc(machine: StateMachine) -> dict:
+    states = []
+    for sid in sorted(machine.states):
+        state = machine.states[sid]
+        entry: dict = {"id": sid, "type": state.kind, "name": state.name}
+        if state.kind == "skill":
+            entry["skill"] = state.skill
+            entry["args"] = list(state.args)
+            entry["pre"] = [_literal_doc(lit) for lit in state.dispatch_pre]
+            entry["post"] = _literal_doc(state.achieves) if state.achieves else None
+            if state.rank:
+                entry["rank"] = state.rank
+        if state.kind == "outcome":
+            entry["status"] = state.outcome.value
+        if state.interrupts:
+            entry["interrupts"] = [
+                dict(_guard_doc(guard), target=target)
+                for guard, target in state.interrupts
+            ]
+        if state.transitions:
+            entry["transitions"] = {
+                label: state.transitions[label]
+                for label in ("SUCCESS", "FAILURE", "RUNNING")
+                if label in state.transitions
+            }
+        states.append(entry)
+    doc: dict = {
+        "version": VERSION,
+        "kind": "fsm",
+        "initial": machine.initial,
+        "plan_order": list(machine.plan_order),
+        "goal": [_literal_doc(lit) for lit in machine.goal],
+        "states": states,
+    }
+    if machine.connected:
+        doc["connected"] = [
+            dict(_guard_doc(guard), state=sid) for sid, guard in machine.connected
+        ]
+    return doc
+
+
+def _hfsm_doc(root: HfsmContainer) -> dict:
+    nodes = [_node_entry(node, [child.id for child in node.children]
+                         if node.kind in hfsm.CONTAINER_KINDS else None)
+             for node in sorted(root.walk(), key=lambda n: n.id)]
+    return {"version": VERSION, "kind": "hfsm", "root": root.id, "nodes": nodes}
+
+
+def reference_doc(policy) -> dict:
+    """The document the policy writer must write, as the builders above made it."""
+    if isinstance(policy, PolicyTree):
+        return _bt_doc(policy)
+    if isinstance(policy, StateMachine):
+        return _fsm_doc(policy)
+    return _hfsm_doc(policy)
+
+
+def assert_written_as_reference(policy):
+    assert documents.serialize_policy(policy) == json.dumps(reference_doc(policy),
+                                                            indent=2) + "\n"
+
+
+def test_policy_writer_matches_the_reference_on_every_packaged_policy():
+    names = packaged_policies()
+    assert len(names) == 16
+    for name in names:
+        assert_written_as_reference(fixtures.load_policy(name))
+
+
+@pytest.mark.parametrize("cubes", range(1, 10))
+def test_policy_writer_matches_the_reference_on_generated_tasks(cubes):
+    goal, library = experiments.generated_task(range(1, cubes + 1))
+    safe, plan = planner.synthesize(goal, library)
+    for policy in (safe, planner.backchain(goal, library, "naive"), fsm.build_sequential(plan),
+                   fsm.build_fault_tolerant(plan), hfsm.from_bt(safe)):
+        assert_written_as_reference(policy)
+
+
+#: names and symbols with quotes, backslashes, control and non-ASCII characters
+NAMES = ["", "fetch1", 'say "hi"', "back\\slash", "tab\there", "café", "中\U0001f916"]
+
+
+def random_literal(rng: random.Random) -> ConditionLiteral:
+    """Any predicate; ``battery_above`` at an int or a float level."""
+    predicate = rng.choice(["robot_at", "in_hand", "object_at", "battery_above",
+                            "arm_tucked", "docked", "found"])
+    if predicate == "battery_above":
+        return ConditionLiteral(predicate, (rng.choice([20, 20.5, 0, 100, 99.75]),))
+    arity = {"robot_at": 1, "in_hand": 1, "object_at": 2}.get(predicate, 0)
+    return ConditionLiteral(predicate, tuple(rng.choice(NAMES) for _ in range(arity)))
+
+
+def random_args(rng: random.Random) -> tuple:
+    return tuple(rng.choice([*NAMES, 0, 20, -3, 20.5, 1e-7])
+                 for _ in range(rng.randint(0, 3)))
+
+
+def random_tree(rng: random.Random) -> PolicyTree:
+    """Nodes of every kind, a parallel one with its threshold, and ids not in order."""
+    ids = rng.sample(range(40), rng.randint(1, 12))
+    nodes = {}
+    for position, nid in enumerate(ids):
+        later = ids[position + 1:]
+        kind = rng.choice(bt.NODE_KINDS) if later else rng.choice(bt.LEAF_KINDS)
+        node = bt.BtNode(nid, kind, rng.choice(NAMES))
+        if kind in bt.CONTROL_KINDS:
+            node.children = rng.sample(later, rng.randint(1, min(3, len(later))))
+            node.threshold = rng.randint(1, len(node.children)) if kind == "parallel" else 0
+        elif kind == "action":
+            node.skill, node.args = rng.choice(sorted(KNOWN_SKILLS)), random_args(rng)
+        else:
+            node.literal = random_literal(rng)
+        nodes[nid] = node
+    return PolicyTree(nodes, ids[0])
+
+
+def random_nested(rng: random.Random) -> HfsmContainer:
+    """A nested machine of both container kinds over both leaf kinds."""
+    counter = iter(rng.sample(range(60), 60))
+
+    def grow(depth: int) -> HfsmContainer:
+        if depth < 3 and rng.random() < 0.5:
+            kind = rng.choice(hfsm.CONTAINER_KINDS)
+            return HfsmContainer(next(counter), kind, rng.choice(NAMES),
+                                 [grow(depth + 1) for _ in range(rng.randint(1, 3))])
+        if rng.random() < 0.5:
+            return HfsmContainer(next(counter), "action", rng.choice(NAMES),
+                                 skill=rng.choice(sorted(KNOWN_SKILLS)), args=random_args(rng))
+        return HfsmContainer(next(counter), "condition", rng.choice(NAMES),
+                             literal=random_literal(rng))
+
+    return grow(0)
+
+
+def random_machine(rng: random.Random) -> StateMachine:
+    """Skill, selector and outcome states with every optional field present or not:
+    ranks, interrupts, each subset of transitions, connected states."""
+    ids = rng.sample(range(30), rng.randint(1, 10))
+    states = {}
+    for sid in ids:
+        kind = rng.choice(fsm.STATE_KINDS)
+        state = fsm.FsmState(sid, kind, rng.choice(NAMES))
+        if kind == "skill":
+            state.skill, state.args = rng.choice(sorted(KNOWN_SKILLS)), random_args(rng)
+            state.dispatch_pre = tuple(random_literal(rng) for _ in range(rng.randint(0, 3)))
+            state.achieves = random_literal(rng) if rng.random() < 0.7 else None
+            state.rank = rng.choice([0, 0, 1, 2])
+        elif kind == "outcome":
+            state.outcome = rng.choice(list(Status))
+        state.interrupts = [(Guard(random_literal(rng), rng.random() < 0.5), rng.choice(ids))
+                            for _ in range(rng.choice([0, 0, 1, 2]))]
+        labels = rng.sample([status.value for status in Status], rng.randint(0, 3))
+        state.transitions = {label: rng.choice(ids) for label in labels}
+        states[sid] = state
+    connected = [(rng.choice(ids), Guard(random_literal(rng), rng.random() < 0.5))
+                 for _ in range(rng.choice([0, 0, 1, 2]))]
+    return StateMachine(states, rng.choice(ids), rng.sample(ids, rng.randint(0, len(ids))),
+                        tuple(random_literal(rng) for _ in range(rng.randint(0, 3))), connected)
+
+
+def test_policy_writer_matches_the_reference_on_seeded_random_policies():
+    rng = random.Random(20261020)
+    subsets = set()
+    for _ in range(400):
+        for policy in (random_tree(rng), random_nested(rng), random_machine(rng)):
+            assert_written_as_reference(policy)
+            if isinstance(policy, StateMachine):
+                subsets.update(frozenset(state.transitions) for state in policy.states.values())
+    assert len(subsets) == 8  # each subset of the three labels was written
+
+
+def test_policy_writer_writes_unusual_python_values_as_dump_does():
+    tree = fixtures.load_policy("fetch_bt")
+    tree.nodes[0].name = None
+    tree.nodes[3].args = (True, ["nested", 1], {"key": 2.5}, math.inf)
+    assert_written_as_reference(tree)

@@ -666,6 +666,7 @@ def serialize_scenario(scenario: simworld.Scenario) -> str:
 def _scenario_doc(scenario: simworld.Scenario) -> dict:
     """Every field in declaration order; ``_dump`` writes tuples as lists."""
     doc = {"version": VERSION, **{f.name: getattr(scenario, f.name) for f in fields(scenario)}}
+    doc["items"], doc["durations"] = dict(scenario.items), dict(scenario.durations)
     doc["failures"] = [{"skill": skill, "args": args, "invocation": nth}
                        for skill, args, nth in scenario.failures]
     doc["perturbations"] = [{"tick": p.tick, "event": p.event, "args": p.args}

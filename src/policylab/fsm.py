@@ -148,6 +148,10 @@ class StateMachine:
         for sid in self.plan_order:
             if self.states[sid].kind != "skill":
                 raise ValidationError(f"plan order entry {sid} is not a skill state")
+            # the selector dispatches a plan state only while its effect is missing
+            if has_selector and self.states[sid].achieves is None:
+                raise ValidationError(f"plan state {sid} has no post for the selector "
+                                      f"to dispatch on")
         for state in self.states.values():
             if state.kind not in STATE_KINDS:
                 raise ValidationError(f"state {state.id}: unknown kind {state.kind!r}")
@@ -332,6 +336,8 @@ def add_sequential_state(sm: StateMachine, preceding: int,
     A refused edit raises ``EditError`` and changes nothing.
     """
     selector, following = _check_plan_insertion(sm, preceding, new_state)
+    if new_state.achieves is None:
+        raise EditError(f"state {new_state.id} has no post for the selector to dispatch on")
     sm.states[preceding].transitions[_SUCCESS] = new_state.id
     return _insert_plan_state(sm, preceding, new_state, {
         _RUNNING: new_state.id,

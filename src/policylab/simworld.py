@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from . import bt, fsm, hfsm
 from .core import (
@@ -95,9 +96,10 @@ class Scenario:
     """Everything that makes an episode reproducible.
 
     A scenario is a value: it is checked once, when it is made, and its
-    fields cannot be assigned afterwards. A malformed field raises
-    ``DocumentError`` naming it; ``dataclasses.replace`` makes a changed
-    copy, checked the same way.
+    fields cannot be assigned afterwards; ``items`` and ``durations`` are
+    read-only views of the scenario's own copies. A malformed field
+    raises ``DocumentError`` naming it; ``dataclasses.replace`` makes a
+    changed copy, checked the same way.
     """
 
     name: str = "scenario"
@@ -107,9 +109,9 @@ class Scenario:
     holding: Optional[str] = None
     arm_tucked: bool = True
     docked: bool = False
-    items: dict = field(default_factory=dict)
+    items: Mapping = field(default_factory=dict)
     markers: tuple = ()
-    durations: dict = field(default_factory=dict)
+    durations: Mapping = field(default_factory=dict)
     #: (skill name, args or None, nth invocation that fails)
     failures: tuple = ()
     drain_per_motion_tick: float = 2.0
@@ -122,14 +124,16 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "items", MappingProxyType(dict(self.items)))
+        object.__setattr__(self, "durations", MappingProxyType(dict(self.durations)))
         # (path, value, integer, least allowed value or None)
         numbers = [("battery", self.battery, False, None),
                    ("drain_per_motion_tick", self.drain_per_motion_tick, False, 0),
                    ("battery_threshold", self.battery_threshold, False, None),
                    ("max_ticks", self.max_ticks, True, 1),
-                   ("success_hold_ticks", self.success_hold_ticks, True, None),
+                   ("success_hold_ticks", self.success_hold_ticks, True, 1),
                    ("seed", self.seed, True, None)]
-        numbers += [(f"durations.{skill}", duration, True, None)
+        numbers += [(f"durations.{skill}", duration, True, 1)
                     for skill, duration in self.durations.items()]
         numbers += [(f"failures[{index}].invocation", nth, True, 1)
                     for index, (_, _, nth) in enumerate(self.failures)]
@@ -147,6 +151,9 @@ class Scenario:
         for path, skill in skills:
             if not (isinstance(skill, str) and skill in KNOWN_SKILLS):
                 raise DocumentError(f"{path}: unknown skill {skill!r}")
+        for index, station in enumerate(self.stations):
+            if not isinstance(station, str):
+                raise DocumentError(f"stations[{index}]: expected a string, got {station!r}")
         if self.robot_location != TRANSIT and self.robot_location not in self.stations:
             raise DocumentError(f"robot_location {self.robot_location!r} not a station")
         if not 0 <= self.battery <= 100:

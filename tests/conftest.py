@@ -141,4 +141,6 @@ POLICY_DEFECTS = [
      "outcome state 5 cannot have transitions"),
     ("selector without a success edge", _fetch_fsm_with(0, transitions={"RUNNING": 0}),
      "state 0: SUCCESS transition unresolvable"),
+    ("plan state without a post", _fetch_fsm_with(1, post=None),
+     "plan state 1 has no post for the selector to dispatch on"),
 ]

@@ -240,6 +240,16 @@ class TestRun:
                                 "expected a string or a number, got [1]\n")
         assert captured.out == ""
 
+    def test_station_that_is_not_a_string_exits_one(self, tmp_path, capsys):
+        scenario_doc = json.loads(fixtures.scenario_path("baseline").read_text())
+        scenario_doc["stations"][2] = [0]
+        path = tmp_path / "list_station.json"
+        path.write_text(json.dumps(scenario_doc))
+        assert cli.main(["run", data("fetch_bt"), str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: stations[2]: expected a string, got [0]\n"
+        assert captured.out == ""
+
     def test_parallel_over_two_motions_exits_one_before_the_episode(self, tmp_path,
                                                                     capsys):
         policy = tmp_path / "parallel.json"

@@ -282,6 +282,8 @@ REFUSED_EDITS = [
      lambda m: fsm.add_alternative_state(m, recharge(m), new_skill(m))),
     ("sequential without a selector", experiments.fetch_fsm_sequential,
      lambda m: fsm.add_sequential_state(m, m.plan_order[0], new_skill(m))),
+    ("sequential without a post", experiments.fetch_fsm,
+     lambda m: fsm.add_sequential_state(m, m.plan_order[0], new_skill(m))),
     ("sequential with a taken id", experiments.fetch_fsm,
      lambda m: fsm.add_sequential_state(m, m.plan_order[0], new_skill(m, m.plan_order[-1]))),
     ("sequential of an outcome state", experiments.fetch_fsm,
@@ -305,6 +307,18 @@ REFUSED_EDITS = [
     ("remove a success target that loops, without a selector", looping_second_step,
      lambda m: fsm.remove_state(m, m.plan_order[1])),
 ]
+
+
+def test_only_the_plan_states_of_a_selector_machine_need_a_post():
+    sequential = experiments.fetch_fsm_sequential()
+    sequential.states[sequential.plan_order[0]].achieves = None
+    sequential.validate()
+    recharge = fixtures.load_policy("fetch_fsm_recharge")
+    assert [sid for sid, _ in recharge.connected] == [6] and recharge.states[6].achieves is None
+    tolerant = experiments.fetch_fsm()
+    tolerant.states[tolerant.plan_order[-1]].achieves = None
+    with pytest.raises(ValidationError, match=f"^plan state {tolerant.plan_order[-1]} has no post"):
+        tolerant.validate()
 
 
 @pytest.mark.parametrize("build, edit", [case[1:] for case in REFUSED_EDITS],

@@ -497,6 +497,15 @@ class TestScenarioDocuments:
          r"^failures\[0\]\.invocation: must be at least 1, got 0$"),
         ({"drain_per_motion_tick": -5},
          r"^drain_per_motion_tick: must be at least 0, got -5$"),
+        # unchecked, 0 and negative counts of ticks would silently mean 1, and a
+        # station that is not a string would end the episode in a TypeError
+        ({"durations": {"move_to": 0}}, r"^durations\.move_to: must be at least 1, got 0$"),
+        ({"durations": {"pick": -3}}, r"^durations\.pick: must be at least 1, got -3$"),
+        ({"success_hold_ticks": 0}, r"^success_hold_ticks: must be at least 1, got 0$"),
+        ({"success_hold_ticks": -2}, r"^success_hold_ticks: must be at least 1, got -2$"),
+        ({"stations": ["center", "fetch1", [0], "delivery"]},
+         r"^stations\[2\]: expected a string, got \[0\]$"),
+        ({"stations": ["center", {}]}, r"^stations\[1\]: expected a string, got \{\}$"),
     ])
     def test_malformed_fields_are_named(self, fields, message):
         with pytest.raises(DocumentError, match=message):
@@ -513,6 +522,17 @@ class TestScenarioDocuments:
         assert replace(scenario, max_ticks=3).max_ticks == 3
         with pytest.raises(DocumentError, match="max_ticks: must be at least 1, got 0"):
             replace(scenario, max_ticks=0)
+
+    def test_items_and_durations_cannot_be_changed_in_place(self):
+        scenario = fixtures.load_scenario("baseline")
+        with pytest.raises(TypeError):
+            scenario.items["cube2"] = "moon"  # a station the scenario does not have
+        with pytest.raises(TypeError):
+            scenario.durations["move_to"] = 0
+        items = dict(scenario.items)
+        made = replace(scenario, items=items)
+        items["cube2"] = "moon"
+        assert made.items["cube2"] != "moon" and made == scenario
 
     def test_a_scenario_is_checked_once_when_it_is_made(self, monkeypatch, fetch_tree):
         checks, check = [], Scenario.__post_init__

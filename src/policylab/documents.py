@@ -325,7 +325,7 @@ def _list(values, newline: str) -> str:
             items.append(int.__repr__(value))
         else:
             items.append(_value(value, inner))
-    return _join(items, newline)
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def _literal_text(literal: ConditionLiteral, newline: str, extra: str = "") -> str:
@@ -345,13 +345,20 @@ def _guard_text(guard: Guard, newline: str, key: str, target) -> str:
                          f'{_value(guard.negated, inner)},{inner}"{key}": {_value(target, inner)}')
 
 
+def _entry_head(nid, kind, name) -> str:
+    """The ``id``, ``type`` and ``name`` fields that open a node or state entry."""
+    if type(nid) is int and type(kind) is str and type(name) is str:  # ``_value`` inline
+        return f'{{{_N6}"id": {nid},{_N6}"type": {_quote(kind)},{_N6}"name": {_quote(name)}'
+    return (f'{{{_N6}"id": {_value(nid, _N6)},{_N6}"type": {_value(kind, _N6)},'
+            f'{_N6}"name": {_value(name, _N6)}')
+
+
 def _node_text(node, children) -> str:
     """A tree or nested-machine node's entry; ``children`` is None on a leaf."""
-    text = (f'{{{_N6}"id": {_value(node.id, _N6)},{_N6}"type": {_value(node.kind, _N6)},'
-            f'{_N6}"name": {_value(node.name, _N6)}')
+    kind = node.kind
+    text = _entry_head(node.id, kind, node.name)
     if children is not None:
         text += f',{_N6}"children": {_list(children, _N6)}'
-    kind = node.kind
     if kind == "parallel":
         text += f',{_N6}"threshold": {_value(node.threshold, _N6)}'
     elif kind == "action":
@@ -371,8 +378,7 @@ def _fsm_text(machine: fsm.StateMachine) -> str:
     states = []
     for sid in sorted(machine.states):
         state = machine.states[sid]
-        text = (f'{{{_N6}"id": {_value(sid, _N6)},{_N6}"type": {_value(state.kind, _N6)},'
-                f'{_N6}"name": {_value(state.name, _N6)}')
+        text = _entry_head(sid, state.kind, state.name)
         if state.kind == "skill":
             post = ("null" if state.achieves is None
                     else _literal_text(state.achieves, _N6))

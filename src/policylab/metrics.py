@@ -13,7 +13,10 @@ from which each search step is costed sparsely. The bound is also
 consistent (no child's f below its parent's), so an expansion costs its
 candidates in order only until one ties its f, and the rest only if the
 search comes back to them. An incomplete result returns the best
-mapping's cost, at worst the incumbent's, as an upper bound. A tiny
+mapping's cost, at worst the incumbent's, as an upper bound. The
+incumbent is costed by set arithmetic on the two edge sets, and a
+result's edit script is built from its mapping only when it is first
+read, so a caller that needs only the distance builds none. A tiny
 exhaustive solver serves as its ground-truth oracle on small graphs.
 """
 
@@ -24,6 +27,7 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from . import bt, fsm, hfsm
@@ -185,10 +189,22 @@ class EditScript:
 
 @dataclass
 class GedResult:
+    """An edit distance, whether it is proven, and the vertex mapping
+    (g1 id -> g2 id | None) that attains it.
+
+    ``script`` is built from the mapping on its first read, once.
+    """
+
     distance: float
     complete: bool
-    script: EditScript
     mapping: dict
+    g1: PolicyGraph = field(repr=False, compare=False)
+    g2: PolicyGraph = field(repr=False, compare=False)
+    model: GedCostModel = field(repr=False, compare=False)
+
+    @cached_property
+    def script(self) -> EditScript:
+        return _script_for_mapping(self.g1, self.g2, self.mapping, self.model)
 
 
 def apply_script(graph: PolicyGraph, script: EditScript) -> PolicyGraph:
@@ -294,6 +310,31 @@ def _script_for_mapping(g1: PolicyGraph, g2: PolicyGraph, mapping: dict,
     return EditScript(ops=ops, cost=total)
 
 
+def _anchored_cost(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel) -> float:
+    """Cost of the anchored mapping's script, without building it.
+
+    The mapping is the identity on shared ids, so the edges to reconcile
+    are the two edge-set differences. A removed and an added edge pair up
+    as a substitution only on the same (source, target), as
+    ``edge_group_cost`` pairs them; an edge that touches a deleted or an
+    inserted vertex has no such partner, so it is deleted or inserted.
+    """
+    total = (len(g1.vertices.keys() - g2.vertices.keys()) * cost.node_delete
+             + len(g2.vertices.keys() - g1.vertices.keys()) * cost.node_insert)
+    if cost.node_substitute:
+        total += cost.node_substitute * sum(
+            g1.vertices[v] != g2.vertices[v] for v in g1.vertices.keys() & g2.vertices.keys())
+    removed, added = g1.edges - g2.edges, g2.edges - g1.edges
+    substitutions = 0
+    if removed and added:
+        ends = Counter((source, target) for source, target, _ in removed)
+        ends &= Counter((source, target) for source, target, _ in added)
+        substitutions = sum(ends.values())
+    return total + (substitutions * cost.edge_substitute
+                    + (len(removed) - substitutions) * cost.edge_delete
+                    + (len(added) - substitutions) * cost.edge_insert)
+
+
 # ---------------------------------------------------------------------------
 # exact search
 
@@ -304,7 +345,9 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     """Optimal edit distance via best-first search over vertex mappings.
 
     The search starts from the anchored incumbent, the identity mapping
-    on shared ids costed under ``cost``, and expands only nodes whose
+    on shared ids costed under ``cost`` by ``_anchored_cost``, and no
+    script is built on the way: the result's ``script`` is built from
+    its mapping when a caller first reads it. It expands only nodes whose
     admissible bound stays below the best cost known. The bound is the
     vertex count difference plus an edge term over the edges not yet
     reconciled. A cross edge, with one placed endpoint, can only match a
@@ -345,8 +388,7 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     edge_delete, edge_insert = cost.edge_delete, cost.edge_insert
 
     best_mapping = {v: v if v in g2.vertices else None for v in g1.vertices}
-    script = _script_for_mapping(g1, g2, best_mapping, cost)
-    best_cost = script.cost
+    best_cost = _anchored_cost(g1, g2, cost)
     n1, n2 = len(g1.vertices), len(g2.vertices)
     total_e1, total_e2 = len(g1.edges), len(g2.edges)
 
@@ -365,8 +407,8 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     # nothing is placed at the root, so every edge is inner
     root_h = vertex_gap(n1, n2) + gap(total_e1, total_e2)
     if root_h >= best_cost:
-        return GedResult(distance=best_cost, complete=True, script=script,
-                         mapping=best_mapping)
+        return GedResult(distance=best_cost, complete=True, mapping=best_mapping,
+                         g1=g1, g2=g2, model=cost)
 
     degree = _degrees(g1)
     order = sorted(g1.vertices, key=lambda v: (-degree[v], v))
@@ -476,7 +518,6 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
                 if total < best_cost:
                     best_cost = total
                     best_mapping = dict(zip(order, assigned))
-                    script = None
                 continue
             # the placed positions' terms against the g1 counts once this
             # position is placed; a candidate changes only those it touches
@@ -521,10 +562,8 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
                 heapq.heappush(heap, (new_f, -(index + 1), number, n2, new_g,
                                       assigned + (None,), cross2 + (0, 0), inner2))
 
-    if script is None:  # the search replaced the seed mapping
-        script = _script_for_mapping(g1, g2, best_mapping, cost)
-    return GedResult(distance=best_cost, complete=complete, script=script,
-                     mapping=best_mapping)
+    return GedResult(distance=best_cost, complete=complete, mapping=best_mapping,
+                     g1=g1, g2=g2, model=cost)
 
 
 def _degrees(graph: PolicyGraph) -> Counter:
@@ -570,13 +609,13 @@ def ged_anchored(g1: PolicyGraph, g2: PolicyGraph,
 
     An upper bound on the exact distance; this is what scales to large
     machines where optimal search is pointless because element identity
-    is already known.
+    is already known. As for ``ged_exact``, the script is built on first
+    read.
     """
     cost = cost or GedCostModel()
     mapping = {v: v if v in g2.vertices else None for v in g1.vertices}
-    script = _script_for_mapping(g1, g2, mapping, cost)
-    return GedResult(distance=script.cost, complete=True, script=script,
-                     mapping=mapping)
+    return GedResult(distance=_anchored_cost(g1, g2, cost), complete=True,
+                     mapping=mapping, g1=g1, g2=g2, model=cost)
 
 
 # ---------------------------------------------------------------------------

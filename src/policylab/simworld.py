@@ -151,9 +151,12 @@ class Scenario:
         for path, skill in skills:
             if not (isinstance(skill, str) and skill in KNOWN_SKILLS):
                 raise DocumentError(f"{path}: unknown skill {skill!r}")
-        for index, station in enumerate(self.stations):
-            if not isinstance(station, str):
-                raise DocumentError(f"stations[{index}]: expected a string, got {station!r}")
+        names = [(f"stations[{index}]", station)
+                 for index, station in enumerate(self.stations)]
+        names += [(f"markers[{index}]", marker) for index, marker in enumerate(self.markers)]
+        for path, name in names:
+            if not isinstance(name, str):
+                raise DocumentError(f"{path}: expected a string, got {name!r}")
         if self.robot_location != TRANSIT and self.robot_location not in self.stations:
             raise DocumentError(f"robot_location {self.robot_location!r} not a station")
         if not 0 <= self.battery <= 100:
@@ -161,6 +164,12 @@ class Scenario:
         for item, station in self.items.items():
             if station not in self.stations:
                 raise DocumentError(f"item {item!r} placed at unknown station {station!r}")
+        if self.holding is not None:
+            if not isinstance(self.holding, str):
+                raise DocumentError(f"holding: expected a string or null, got {self.holding!r}")
+            if self.holding in self.items:
+                raise DocumentError(f"holding: {self.holding!r} is also placed at "
+                                    f"{self.items[self.holding]!r}")
         for index, p in enumerate(self.perturbations):
             self._validate_perturbation(f"perturbations[{index}]", p)
         ticks = [p.tick for p in self.perturbations]
@@ -447,6 +456,9 @@ class World:
         elif name in ("move_to", "safe_move_to"):
             if args[0] not in state.stations:
                 raise WorldError(f"{name} targets unknown station {args[0]!r}")
+        elif name in ("dock", "recharge"):
+            if name not in state.stations:
+                raise WorldError(f"{name} needs a {name!r} station the scenario lacks")
         return ""
 
     def _start_effects(self, name: str, args: tuple) -> None:

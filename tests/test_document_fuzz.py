@@ -4,19 +4,22 @@ Each of the 28 packaged documents is mutated one JSON path at a time:
 the whole document, every object field and the first three entries of
 every list, each replaced by one of nine values. A mutation must parse
 or fail with a ``DocumentError``, never with another exception; what
-parses must write the same bytes after another parse; and the CLI must
-report a sample of the failures as one ``error:`` line and exit 1.
+parses must write the same bytes after another parse and, if it is a
+policy or a scenario, run to an outcome or a ``PolicyError``; and the
+CLI must report a sample of the failures as one ``error:`` line and
+exit 1.
 """
 
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from conftest import codec, packaged_documents
-from policylab import cli, fixtures
-from policylab.core import DocumentError
+from policylab import cli, fixtures, simworld
+from policylab.core import DocumentError, PolicyError
 
 VALUES = (5, "x", [0], {}, None, -1, [[1]], 1.5, True)
 LIST_ENTRIES = 3
@@ -125,3 +128,26 @@ def test_cli_reports_a_sample_of_failures_on_one_line(outcomes, tmp_path, capsys
                 assert cli.main(command) == 1, (command[0], path.name, where, value)
                 err = capsys.readouterr().err
                 assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_parsed_policies_and_scenarios_run_to_an_outcome_or_a_policy_error(outcomes):
+    # each parsed policy on the baseline scenario, each parsed scenario under fetch_bt
+    results, _ = outcomes
+    baseline, fetch_bt = fixtures.load_scenario("baseline"), fixtures.load_policy("fetch_bt")
+    ends, escapes = Counter(), []
+    for path, where, value, parsed in results:
+        if parsed is None or path.stem.endswith(("_library", "_goal")):
+            continue
+        if path.parent.name == "scenarios":
+            policy, scenario = fetch_bt, parsed
+        else:
+            policy, scenario = parsed, baseline
+        try:
+            ends[simworld.run_episode(policy, scenario).outcome] += 1
+        except PolicyError as exc:
+            ends[type(exc).__name__] += 1
+        except Exception as exc:  # any other exception is what this test looks for
+            escapes.append(f"{path.name} {list(where)} = {value!r}: "
+                           f"{type(exc).__name__}: {exc}")
+    assert escapes == []
+    assert sum(ends.values()) == 799, ends

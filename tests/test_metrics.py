@@ -402,8 +402,7 @@ def reference_ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     edge_delete, edge_insert = cost.edge_delete, cost.edge_insert
 
     best_mapping = {v: v if v in g2.vertices else None for v in g1.vertices}
-    script = metrics._script_for_mapping(g1, g2, best_mapping, cost)
-    best_cost = script.cost
+    best_cost = metrics._script_for_mapping(g1, g2, best_mapping, cost).cost
     n1, n2 = len(g1.vertices), len(g2.vertices)
     total_e1, total_e2 = len(g1.edges), len(g2.edges)
 
@@ -422,8 +421,8 @@ def reference_ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     # nothing is placed at the root, so every edge is inner
     root_h = vertex_gap(n1, n2) + gap(total_e1, total_e2)
     if root_h >= best_cost:
-        return GedResult(distance=best_cost, complete=True, script=script,
-                         mapping=best_mapping)
+        return GedResult(distance=best_cost, complete=True, mapping=best_mapping,
+                         g1=g1, g2=g2, model=cost)
 
     degree = metrics._degrees(g1)
     order = sorted(g1.vertices, key=lambda v: (-degree[v], v))
@@ -519,7 +518,6 @@ def reference_ged_exact(g1: PolicyGraph, g2: PolicyGraph,
             if total < best_cost:
                 best_cost = total
                 best_mapping = dict(zip(order, assigned))
-                script = None
             continue
         if time.monotonic() > deadline:
             complete = False
@@ -561,10 +559,8 @@ def reference_ged_exact(g1: PolicyGraph, g2: PolicyGraph,
                 assigned + (candidate,), tuple(child), new_inner2,
             ))
 
-    if script is None:  # the search replaced the seed mapping
-        script = metrics._script_for_mapping(g1, g2, best_mapping, cost)
-    return GedResult(distance=best_cost, complete=complete, script=script,
-                     mapping=best_mapping)
+    return GedResult(distance=best_cost, complete=complete, mapping=best_mapping,
+                     g1=g1, g2=g2, model=cost)
 
 
 #: fractional costs whose sums stay exact in floating point
@@ -662,6 +658,46 @@ class TestAnchoredDistance:
         result = ged_anchored(base, other)
         assert isomorphic(apply_script(base, result.script), other)
         assert result.script.n_star == 4
+
+
+#: the models under which every sum of the anchored cost is exact in floating point
+EXACT_MODELS = (GedCostModel(), metrics.LABEL_SENSITIVE, ASYMMETRIC, DYADIC)
+
+
+class TestLazyScript:
+    """The anchored incumbent is costed without a script, and a result
+    builds its script from its mapping only when it is read."""
+
+    def assert_seed_cost(self, g1, g2, where):
+        anchored = {v: v if v in g2.vertices else None for v in g1.vertices}
+        for model in EXACT_MODELS:
+            want = metrics._script_for_mapping(g1, g2, anchored, model).cost
+            assert metrics._anchored_cost(g1, g2, model) == want, (where, model)
+        want = metrics._script_for_mapping(g1, g2, anchored, FRACTIONAL).cost
+        assert metrics._anchored_cost(g1, g2, FRACTIONAL) == \
+            pytest.approx(want, abs=1e-9), where
+
+    def test_the_seed_cost_is_the_anchored_scripts_cost(self):
+        for index, (g1, g2) in enumerate(report_pairs()):
+            self.assert_seed_cost(g1, g2, ("report", index))
+        rng = random.Random(53)
+        for index in range(500):
+            self.assert_seed_cost(random_graph(rng), random_graph(rng), index)
+
+    def test_the_report_builds_no_script(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("edit script built for a distance only")
+
+        monkeypatch.setattr(metrics, "_script_for_mapping", refuse)
+        for table in (2, 3):
+            assert report.build_report(table).ok, table
+
+    def test_the_script_is_built_once(self):
+        base = metrics.bt_to_graph(fixtures.load_policy("fetch_bt"))
+        tuck = metrics.bt_to_graph(fixtures.load_policy("fetch_bt_tuck"))
+        for result in (ged_exact(base, tuck), ged_anchored(base, tuck)):
+            assert result.script is result.script
+            assert result.script.cost == result.distance == 6
 
 
 def test_brute_force_size_limit():

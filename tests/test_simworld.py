@@ -136,6 +136,13 @@ class TestSkillLifecycle:
         with pytest.raises(WorldError, match="unknown skill"):
             fresh_world().start_skill("levitate", ())
 
+    @pytest.mark.parametrize("skill", ["dock", "recharge"])
+    def test_a_station_skill_needs_its_station(self, skill):
+        stations = tuple(s for s in fixtures.load_scenario("baseline").stations if s != skill)
+        world = fresh_world(stations=stations)
+        with pytest.raises(WorldError, match=f"^{skill} needs a '{skill}' station the scenario lacks$"):
+            world.start_skill(skill, ())
+
 
 class TestEvaluate:
     def test_battery_threshold(self):
@@ -506,10 +513,21 @@ class TestScenarioDocuments:
         ({"stations": ["center", "fetch1", [0], "delivery"]},
          r"^stations\[2\]: expected a string, got \[0\]$"),
         ({"stations": ["center", {}]}, r"^stations\[1\]: expected a string, got \{\}$"),
+        # unchecked, a marker that is not a string would end the episode in a
+        # TypeError, and a held item also placed at a station would be in two places
+        ({"markers": [[1]]}, r"^markers\[0\]: expected a string, got \[1\]$"),
+        ({"markers": ["a", {}]}, r"^markers\[1\]: expected a string, got \{\}$"),
+        ({"holding": [0]}, r"^holding: expected a string or null, got \[0\]$"),
+        ({"holding": 5}, r"^holding: expected a string or null, got 5$"),
+        ({"holding": "cube2"}, r"^holding: 'cube2' is also placed at 'fetch1'$"),
     ])
     def test_malformed_fields_are_named(self, fields, message):
         with pytest.raises(DocumentError, match=message):
             parse_scenario_document(self._baseline_with(**fields))
+
+    def test_a_held_item_placed_nowhere_is_legal(self):
+        scenario = parse_scenario_document(self._baseline_with(holding="x"))
+        assert scenario.holding == "x"
 
     def test_absent_fields_take_the_dataclass_defaults(self):
         assert parse_scenario_document('{"version": 1}') == Scenario()

@@ -6,7 +6,7 @@ report (reproduce the reference tables).
 
 Exit codes: 0 success, 1 input or parse error, 2 policy FAILURE (run) or
 report mismatch, 3 episode timeout, 4 edit distance budget exhausted.
-The environment variable POLICYLAB_GED_BUDGET (integer seconds)
+The environment variable POLICYLAB_GED_BUDGET (non-negative integer seconds)
 overrides the edit distance search budget.
 """
 
@@ -44,9 +44,12 @@ def _ged_budget() -> float:
     if raw is None:
         return metrics.DEFAULT_GED_BUDGET
     try:
-        return float(int(raw))
+        budget = int(raw)
+        if budget >= 0:
+            return float(budget)
     except ValueError:
-        raise PolicyError(f"POLICYLAB_GED_BUDGET must be an integer, got {raw!r}")
+        pass
+    raise PolicyError(f"POLICYLAB_GED_BUDGET must be a non-negative integer, got {raw!r}")
 
 
 def _read(path: str) -> str:
@@ -54,6 +57,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise PolicyError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise PolicyError(f"cannot read {path}: not UTF-8: {exc.reason} at byte {exc.start}")
 
 
 def _write(path: str | None, text: str) -> None:

@@ -5,12 +5,12 @@ is canonical (fixed key order, nodes sorted by id, two-space indent) so
 that parse/serialize round-trips are byte identical.
 
 Every document is written byte for byte as ``json.dumps(doc, indent=2)``
-plus a newline would write it, but not through ``json``: any ``indent``
-sends ``json`` to its pure-Python encoder, about twice as slow.
-Policies are written straight from the object, one text per node or
-state entry (``serialize_policy``); libraries, goals, scenarios and
-report JSON are built as dicts and written by the in-house ``_dump``.
-Differential tests pin both writers.
+plus a newline would write it. Libraries, goals and scenarios are built as
+dicts and written by ``json.dumps``. Policies are written straight from
+the object, one text per node or state entry (``serialize_policy``): any
+``indent`` sends ``json`` to its pure-Python encoder, about twice as slow,
+so only values outside the fixed entry layout go through ``json.dumps``.
+A differential test pins the policy writer.
 """
 
 from __future__ import annotations
@@ -41,7 +41,10 @@ VERSION = 1
 
 def _load(data) -> dict:
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DocumentError(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -51,65 +54,6 @@ def _load(data) -> dict:
     if doc.get("version", VERSION) != VERSION:
         raise DocumentError(f"version: unsupported value {doc.get('version')!r}")
     return doc
-
-
-#: how ``json`` spells the floats that ``float.__repr__`` writes as these
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _dump(doc) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte; dict keys must be strings."""
-    out: list = []
-    _write(doc, out.append, "\n")
-    out.append("\n")
-    return "".join(out)
-
-
-def _write(value, write, newline: str) -> None:
-    """Pass the JSON text of ``value`` to ``write`` in pieces.
-
-    ``newline`` is a line break plus the indent of the line ``value``
-    starts on; its items go one level deeper.
-    """
-    if isinstance(value, str):
-        write(_quote(value))
-    elif isinstance(value, dict):
-        if not value:
-            write("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            write(separator + _quote(key) + ": ")
-            _write(item, write, inner)
-            separator = "," + inner
-        write(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            write("[]")
-            return
-        inner = newline + "  "
-        separator = "[" + inner
-        for item in value:
-            write(separator)
-            _write(item, write, inner)
-            separator = "," + inner
-        write(newline + "]")
-    elif value is None:
-        write("null")
-    elif value is True:
-        write("true")
-    elif value is False:
-        write("false")
-    elif isinstance(value, int):
-        write(int.__repr__(value))
-    elif isinstance(value, float):
-        text = float.__repr__(value)
-        write(_NON_FINITE.get(text, text))
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _expect(value, kind: type, path: str):
@@ -279,27 +223,24 @@ def serialize_policy(policy: Policy) -> str:
     raise DocumentError(f"cannot serialize {type(policy).__name__}")
 
 
-# What the policy writer below writes is ``_dump`` of the document, byte
-# for byte; the fixed layout of a node or state entry puts each field at
-# a known indent, so a whole entry is one f-string. The newline constants
-# hold a line break plus the indent of the line they start.
+# What the policy writer below writes is ``json.dumps(doc, indent=2)`` of
+# the document, byte for byte; the fixed layout of a node or state entry
+# puts each field at a known indent, so a whole entry is one f-string. The
+# newline constants hold a line break plus the indent of the line they start.
 _N2, _N4, _N6, _N8 = ("\n" + " " * width for width in (2, 4, 6, 8))
 
 
 def _value(value, newline: str) -> str:
     """The JSON text of a scalar field or list entry on the line ``newline``
-    starts: exact strings and numbers inline, anything else as ``_dump`` writes it."""
+    starts: exact strings and integers inline, anything else as ``json.dumps``
+    writes it. JSON text holds no raw newline inside a string, so each
+    ``"\\n"`` in it is a line break of the structure."""
     kind = type(value)
     if kind is str:
         return _quote(value)
     if kind is int:
         return int.__repr__(value)
-    if kind is float:
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
-    out: list = []
-    _write(value, out.append, newline)
-    return "".join(out)
+    return json.dumps(value, indent=2).replace("\n", newline)
 
 
 def _join(items: list, newline: str) -> str:
@@ -603,7 +544,7 @@ def serialize_library(library: ActionLibrary) -> str:
             "post": [_literal_doc(lit) for lit in spec.postconditions],
             "skill": spec.skill,
         })
-    return _dump({"version": VERSION, "actions": actions})
+    return json.dumps({"version": VERSION, "actions": actions}, indent=2) + "\n"
 
 
 def parse_goal_document(data) -> Goal:
@@ -622,7 +563,7 @@ def serialize_goal(goal: Goal) -> str:
     }
     if goal.initially:
         doc["initially"] = [_literal_doc(lit) for lit in goal.initially]
-    return _dump(doc)
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -666,11 +607,11 @@ _SCENARIO_ENTRIES = {"failures": _failure_from, "perturbations": _perturbation_f
 
 
 def serialize_scenario(scenario: simworld.Scenario) -> str:
-    return _dump(_scenario_doc(scenario))
+    return json.dumps(_scenario_doc(scenario), indent=2) + "\n"
 
 
 def _scenario_doc(scenario: simworld.Scenario) -> dict:
-    """Every field in declaration order; ``_dump`` writes tuples as lists."""
+    """Every field in declaration order; ``json.dumps`` writes tuples as lists."""
     doc = {"version": VERSION, **{f.name: getattr(scenario, f.name) for f in fields(scenario)}}
     doc["items"], doc["durations"] = dict(scenario.items), dict(scenario.durations)
     doc["failures"] = [{"skill": skill, "args": args, "invocation": nth}

@@ -30,9 +30,12 @@ def policy_path(name: str) -> Path:
 
 def _load(path: Path, what: str, name: str, parse):
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as error:
         raise DocumentError(f"{what} {name!r} not found at {path}") from error
+    except UnicodeDecodeError as error:
+        raise DocumentError(f"{what} {name!r} at {path} is not UTF-8: {error.reason} "
+                            f"at byte {error.start}") from None
     return parse(text)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -147,8 +148,9 @@ class GedCostModel:
     def __post_init__(self):
         for name in ("node_insert", "node_delete", "node_substitute",
                      "edge_insert", "edge_delete", "edge_substitute"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative")
+            cost = getattr(self, name)
+            if not (math.isfinite(cost) and cost >= 0):
+                raise ValidationError(f"{name} must be finite and non-negative")
 
     def vertex_cost(self, label1: str, label2: Optional[str]) -> float:
         if label2 is None:

@@ -10,9 +10,10 @@ report matches.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
-from . import bt, documents, experiments, fsm, hfsm, metrics
+from . import bt, experiments, fsm, hfsm, metrics
 from .core import BudgetError
 from .fixtures import load_policy
 from .metrics import DEFAULT_GED_BUDGET
@@ -96,7 +97,7 @@ class Report:
             ],
             "notes": self.notes,
         }
-        return documents._dump(payload)
+        return json.dumps(payload, indent=2) + "\n"
 
 
 def _cell(row: str, column: str, computed, expected, documented=None, note="") -> Cell:

@@ -162,6 +162,8 @@ class Scenario:
         if not 0 <= self.battery <= 100:
             raise DocumentError("battery must be in [0, 100]")
         for item, station in self.items.items():
+            if not isinstance(item, str):
+                raise DocumentError(f"items: expected string keys, got {item!r}")
             if station not in self.stations:
                 raise DocumentError(f"item {item!r} placed at unknown station {station!r}")
         if self.holding is not None:

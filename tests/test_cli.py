@@ -459,6 +459,15 @@ class TestReport:
         monkeypatch.setattr(fixtures, "data_dir", lambda: tmp_path / "absent")
         assert cli.main(["report", "--table", "2"]) == 1
 
+    @pytest.mark.parametrize("value", ["-5", "abc"])
+    def test_malformed_budget_exits_one(self, value, capsys, monkeypatch):
+        monkeypatch.setenv("POLICYLAB_GED_BUDGET", value)
+        assert cli.main(["report", "--table", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: POLICYLAB_GED_BUDGET must be a non-negative "
+                                f"integer, got {value!r}\n")
+
     @pytest.mark.parametrize("table, cell", [
         ("2", "tuck_arm/fsm"), ("3", "development/docking/ed"),
     ])
@@ -481,3 +490,18 @@ def test_unwritable_output_path_exits_one(command, tmp_path, capsys):
     assert cli.main([*command, str(path)]) == 1
     assert capsys.readouterr().err == (f"error: cannot write {path}: "
                                        "No such file or directory\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["metrics", "--cc", "BAD"],
+    ["run", "BAD", scenario("baseline")],
+    ["run", data("fetch_bt"), "BAD"],
+], ids=["metrics", "run policy", "run scenario"])
+def test_a_file_that_is_not_utf8_exits_one(command, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert cli.main([str(path) if arg == "BAD" else arg for arg in command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot read {path}: not UTF-8: "
+                            "invalid start byte at byte 0\n")

@@ -131,6 +131,11 @@ def test_an_unreadable_fixture_is_a_document_error(tmp_path, monkeypatch):
     fixtures.policy_path("fetch_bt").mkdir()  # a directory where the file should be
     with pytest.raises(DocumentError, match="fixture 'fetch_bt' not found"):
         fixtures.load_policy("fetch_bt")
+    fixtures.policy_path("fetch_bt").rmdir()
+    fixtures.policy_path("fetch_bt").write_bytes(b"\xff\xfe{}")
+    with pytest.raises(DocumentError, match="fixture 'fetch_bt' at .* is not UTF-8: "
+                                            "invalid start byte at byte 0"):
+        fixtures.load_policy("fetch_bt")
 
 
 def test_a_rewritten_fixture_is_read_anew(tmp_path, monkeypatch):

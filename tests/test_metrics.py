@@ -2,6 +2,7 @@
 
 import heapq
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -167,8 +168,10 @@ class TestExactDistance:
         assert ged_exact(g1, g2, cost=metrics.LABEL_SENSITIVE).distance == 1
 
     def test_negative_costs_rejected(self):
-        with pytest.raises(ValidationError):
-            GedCostModel(node_insert=-1)
+        # an infinite or NaN cost would turn zero counts into NaN
+        for cost in (-1, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="finite and non-negative"):
+                GedCostModel(node_insert=cost)
 
 
 REFERENCE_DISTANCES = {  # table 2: (bt, fsm, hfsm)

@@ -443,6 +443,11 @@ class TestScenarioDocuments:
         with pytest.raises(Exception, match="unknown perturbation"):
             Scenario(perturbations=(Perturbation(1, "teleport", ()),))
 
+    def test_item_names_must_be_strings(self):
+        # json would write the key as "1", which reads back as another scenario
+        with pytest.raises(DocumentError, match="items: expected string keys, got 1"):
+            Scenario(items={1: "fetch1"})
+
     @staticmethod
     def _baseline_with(**fields) -> str:
         doc = json.loads(serialize_scenario(fixtures.load_scenario("baseline")))

@@ -23,6 +23,10 @@ CONTROL_KINDS = ("sequence", "fallback", "parallel", "memory_sequence")
 LEAF_KINDS = ("action", "condition")
 NODE_KINDS = CONTROL_KINDS + LEAF_KINDS
 
+#: most levels in a tree, root included: the engines, the nested machines
+#: and their == and repr recurse once per level (300 levels break repr)
+MAX_DEPTH = 100
+
 
 class TickWorld(Protocol):
     """What a tree needs from its environment during one tick."""
@@ -105,7 +109,7 @@ class PolicyTree:
         self.active_actions.clear()
 
     def validate(self) -> None:
-        """Check the structural invariants: single rooted tree, leaf kinds.
+        """Check the structural invariants: single rooted tree, bounded depth, leaf kinds.
 
         A parallel node may hold motion actions under one child only: the
         world runs one motion at a time.
@@ -135,7 +139,12 @@ class PolicyTree:
         # cannot meet a node twice, so a cycle cannot keep it going
         if self.root in parents:
             raise ValidationError("root must not be a child")
-        reachable = self.subtree_ids(self.root)
+        reachable, level, depth = set(), [self.root], 1
+        while level:
+            if depth > MAX_DEPTH:
+                raise ValidationError(f"node {level[0]}: more than {MAX_DEPTH} levels deep")
+            reachable.update(level)
+            level, depth = [c for nid in level for c in self.nodes[nid].children], depth + 1
         if reachable != set(self.nodes):
             orphans = sorted(set(self.nodes) - reachable)
             raise ValidationError(f"nodes unreachable from root: {orphans}")

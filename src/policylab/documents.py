@@ -49,6 +49,8 @@ def _load(data) -> dict:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise DocumentError("top level: nested too deeply") from None
     if not isinstance(doc, dict):
         raise DocumentError("top level: expected an object")
     if doc.get("version", VERSION) != VERSION:
@@ -355,8 +357,8 @@ def _fsm_text(machine: fsm.StateMachine) -> str:
 #: node ``type`` in a document -> tree node kind, for each node-list kind;
 #: a nested machine is read as the tree it mirrors node for node
 _TREE_TYPES = {kind: kind for kind in bt.NODE_KINDS}
-_NESTED_TYPES = {"sequence_container": "sequence", "fallback_container": "fallback",
-                 "action": "action", "condition": "condition"}
+_NESTED_TYPES = {container: kind for kind, container in hfsm.CONTAINERS.items()}
+_NESTED_TYPES.update((kind, kind) for kind in bt.LEAF_KINDS)
 
 
 def _parse_nodes(doc: dict, types: dict) -> bt.PolicyTree:

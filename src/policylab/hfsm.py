@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bt import PolicyTree, TickWorld
+from .bt import LEAF_KINDS, PolicyTree, TickWorld
 from .core import ConditionLiteral, FAILURE, RUNNING, SUCCESS, Status, ValidationError
 
-CONTAINER_KINDS = ("sequence_container", "fallback_container")
-LEAF_KINDS = ("action", "condition")
+#: tree control kind -> the container kind that plays its role
+CONTAINERS = {"sequence": "sequence_container", "fallback": "fallback_container"}
+CONTAINER_KINDS = tuple(CONTAINERS.values())
 
 
 @dataclass
@@ -65,19 +66,13 @@ def from_bt(tree: PolicyTree) -> HfsmContainer:
 
     def convert(node_id: int) -> HfsmContainer:
         node = tree.node(node_id)
-        if node.kind == "sequence":
-            kind = "sequence_container"
-        elif node.kind == "fallback":
-            kind = "fallback_container"
-        elif node.kind in LEAF_KINDS:
-            kind = node.kind
-        else:
+        if node.kind not in CONTAINERS and node.kind not in LEAF_KINDS:
             raise ValidationError(
                 f"cannot express {node.kind} node {node_id} as a nested machine"
             )
         return HfsmContainer(
             id=node.id,
-            kind=kind,
+            kind=CONTAINERS.get(node.kind, node.kind),
             name=node.name,
             children=[convert(child) for child in node.children],
             skill=node.skill,

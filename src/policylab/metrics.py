@@ -237,10 +237,7 @@ def apply_script(graph: PolicyGraph, script: EditScript) -> PolicyGraph:
 def _script_for_mapping(g1: PolicyGraph, g2: PolicyGraph, mapping: dict,
                         cost: GedCostModel) -> EditScript:
     """Edit script induced by a complete vertex mapping (g1 id -> g2 id | None).
-
-    Edges between matched vertices are compared as sets in g1 ids, so only
-    the triples on one side and not the other are sorted and grouped.
-    """
+    It reconciles every matched pair untuned, as no timed path builds a script."""
     ops = []
     total = 0.0
     inverse = {v2: v1 for v1, v2 in mapping.items() if v2 is not None}
@@ -259,39 +256,27 @@ def _script_for_mapping(g1: PolicyGraph, g2: PolicyGraph, mapping: dict,
     placed = {v2: new_ids[v2] for v2 in inserted}
     placed.update({v2: v1 for v2, v1 in inverse.items()})
 
-    # split each side's edges once: those touching a deleted or inserted
-    # vertex, and the rest as a set in g1 ids (all of g1's if none is deleted)
-    lost1, kept1 = [], g1.edges
-    if deleted:
-        kept1 = set()
-        for edge in g1.edges:
-            if edge[0] in deleted or edge[1] in deleted:
-                lost1.append(edge)
-            else:
-                kept1.add(edge)
-    new2, kept2 = [], set()
+    # edges touching a deleted or inserted vertex
+    for source, target, label in sorted(g1.edges):
+        if source in deleted or target in deleted:
+            ops.append(("delete_edge", source, target, label))
+            total += cost.edge_delete
+    for source, target, label in sorted(g2.edges):
+        if source not in inverse or target not in inverse:
+            ops.append(("insert_edge", placed[source], placed[target], label))
+            total += cost.edge_insert
+
+    # edges between matched pairs, reconciled per ordered pair
+    pairs = {}
+    for source, target, label in g1.edges:
+        if source not in deleted and target not in deleted:
+            pairs.setdefault((source, target), ([], []))[0].append(label)
     for source, target, label in g2.edges:
         if source in inverse and target in inverse:
-            kept2.add((inverse[source], inverse[target], label))
-        else:
-            new2.append((source, target, label))
-
-    for source, target, label in sorted(lost1):
-        ops.append(("delete_edge", source, target, label))
-        total += cost.edge_delete
-    for source, target, label in sorted(new2):
-        ops.append(("insert_edge", placed[source], placed[target], label))
-        total += cost.edge_insert
-
-    # edges between matched pairs: only the unmatched triples, per ordered pair
-    pairs = {}
-    for source, target, label in kept1 - kept2:
-        pairs.setdefault((source, target), ([], []))[0].append(label)
-    for source, target, label in kept2 - kept1:
-        pairs.setdefault((source, target), ([], []))[1].append(label)
-    for (source, target), (rest1, rest2) in sorted(pairs.items()):
-        rest1.sort()
-        rest2.sort()
+            pairs.setdefault((inverse[source], inverse[target]), ([], []))[1].append(label)
+    for (source, target), (labels1, labels2) in sorted(pairs.items()):
+        rest1 = sorted(set(labels1).difference(labels2))
+        rest2 = sorted(set(labels2).difference(labels1))
         while rest1 and rest2:
             old, new = rest1.pop(), rest2.pop()
             ops.append(("substitute_edge", source, target, old, new))

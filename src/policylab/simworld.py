@@ -166,6 +166,11 @@ class Scenario:
                 raise DocumentError(f"items: expected string keys, got {item!r}")
             if station not in self.stations:
                 raise DocumentError(f"item {item!r} placed at unknown station {station!r}")
+        for path, flag in (("arm_tucked", self.arm_tucked), ("docked", self.docked)):
+            if not isinstance(flag, bool):
+                raise DocumentError(f"{path}: expected true or false, got {flag!r}")
+        if self.docked and self.robot_location != "dock":
+            raise DocumentError("docked: true needs robot_location 'dock'")
         if self.holding is not None:
             if not isinstance(self.holding, str):
                 raise DocumentError(f"holding: expected a string or null, got {self.holding!r}")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from policylab import documents, experiments, fixtures, simworld
-from policylab.core import Status
+from policylab.core import MOTION_SKILLS, RUNNING, Status
 
 
 class ScriptedWorld:
@@ -62,6 +62,49 @@ class ScriptedWorld:
                 if self.running[key] <= 0:
                     del self.running[key]
                     self.finished[key] = self.results.get(key[0], Status.SUCCESS)
+
+
+def world_invariant_violations(world: simworld.World) -> list:
+    """The invariants of ``world``'s state that do not hold, in words."""
+    state, found = world.state, []
+    if state.holding is not None and state.holding in state.item_locations:
+        found.append(f"held {state.holding} is also at {state.item_locations[state.holding]}")
+    if state.robot_location != simworld.TRANSIT and state.robot_location not in state.stations:
+        found.append(f"robot at {state.robot_location!r}, not a station")
+    if state.docked and state.robot_location != "dock":
+        found.append(f"docked at {state.robot_location!r}")
+    motions = sorted(runtime.name for runtime in world.runtimes.values()
+                     if runtime.status is RUNNING and runtime.name in MOTION_SKILLS)
+    if len(motions) > 1:
+        found.append(f"motions {motions} run at once")
+    if not 0 <= state.battery <= 100:
+        found.append(f"battery {state.battery}")
+    found += [f"{item} at {station!r}, not a station"
+              for item, station in state.item_locations.items() if station not in state.stations]
+    return found
+
+
+class CheckedWorld(simworld.World):
+    """A world that asserts its invariants when it starts and after every advance."""
+
+    def __init__(self, scenario: simworld.Scenario):
+        super().__init__(scenario)
+        self.check("start")
+
+    def advance(self) -> None:
+        super().advance()
+        self.check("advance")
+
+    def check(self, when: str) -> None:
+        violations = world_invariant_violations(self)
+        if violations:
+            raise AssertionError(f"tick {self.state.tick} {when}: {'; '.join(violations)}")
+
+
+@pytest.fixture
+def checked_worlds(monkeypatch):
+    """Episodes run under this fixture check the world's invariants."""
+    monkeypatch.setattr(simworld, "World", CheckedWorld)
 
 
 @pytest.fixture

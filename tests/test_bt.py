@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from policylab import bt, experiments, fixtures, simworld
+from policylab import bt, documents, experiments, fixtures, hfsm, simworld
 from policylab.core import ConditionLiteral as L, EditError, Status, ValidationError
 
 
@@ -294,3 +294,38 @@ def test_runtime_bookkeeping_stays_out_of_equality_and_repr(fetch_tree):
     assert fetch_tree == experiments.fetch_bt()
     for name in ("last_tick_visited", "memory_marks", "active_actions"):
         assert name not in repr(fetch_tree)
+
+
+def chain(levels: int) -> tuple:
+    """A builder holding ``levels`` levels, one-child sequences over a
+    fallback that docks unless docked, and the root id; node ``levels - k + 1``
+    is at level k, down to the fallback."""
+    builder = bt.TreeBuilder()
+    node = builder.add("fallback", "dock unless docked",
+                       children=[builder.condition(L("docked")), builder.action("dock")])
+    for _ in range(levels - 2):
+        node = builder.add("sequence", "s", children=[node])
+    return builder, node
+
+
+def test_a_tree_deeper_than_the_limit_names_the_first_node_past_it():
+    builder, root = chain(bt.MAX_DEPTH + 5)
+    with pytest.raises(ValidationError, match=f"^node 5: more than {bt.MAX_DEPTH} levels deep$"):
+        builder.build(root)
+
+
+def test_a_tree_at_the_limit_converts_compares_round_trips_and_runs():
+    builder, root = chain(bt.MAX_DEPTH)
+    tree = builder.build(root)
+    nested = hfsm.from_bt(tree)
+    scenario = fixtures.load_scenario("baseline")
+    traces = []
+    for policy in (tree, nested):
+        text = documents.serialize_policy(policy)
+        assert documents.parse_policy_document(text) == policy == policy.copy()
+        assert repr(policy) == repr(policy.copy())
+        trace = simworld.run_episode(policy, scenario)
+        assert trace.outcome == "SUCCESS"
+        traces.append(trace.to_jsonl())
+    assert nested == hfsm.from_bt(tree.copy())
+    assert traces[0] == traces[1]

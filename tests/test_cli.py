@@ -505,3 +505,35 @@ def test_a_file_that_is_not_utf8_exits_one(command, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (f"error: cannot read {path}: not UTF-8: "
                             "invalid start byte at byte 0\n")
+
+
+def sequence_chain(kind: str, levels: int) -> str:
+    """A ``kind`` document of ``levels`` levels of one-child sequences, node i
+    at level i + 1, over a tuck action."""
+    sequence = "sequence" if kind == "bt" else "sequence_container"
+    nodes = [{"id": i, "type": sequence, "name": "s", "children": [i + 1]}
+             for i in range(levels - 1)]
+    nodes.append({"id": levels - 1, "type": "action", "name": "tuck", "skill": "tuck"})
+    return json.dumps({"version": 1, "kind": kind, "root": 0, "nodes": nodes})
+
+
+@pytest.mark.parametrize("command, text, message", [
+    (["metrics", "--cc", "DEEP"], "[" * 100_000, "top level: nested too deeply"),
+    (["run", "DEEP", scenario("baseline")], "[" * 100_000, "top level: nested too deeply"),
+    (["run", data("fetch_bt"), "DEEP"], "[" * 100_000, "top level: nested too deeply"),
+    (["metrics", "--cc", "DEEP"], sequence_chain("bt", 3000),
+     "node 100: more than 100 levels deep"),
+    (["to-hfsm", "DEEP"], sequence_chain("bt", 3000), "node 100: more than 100 levels deep"),
+    (["run", "DEEP", scenario("baseline")], sequence_chain("bt", 3000),
+     "node 100: more than 100 levels deep"),
+    (["metrics", "--cc", "DEEP"], sequence_chain("hfsm", 600),
+     "node 100: more than 100 levels deep"),
+], ids=["json metrics", "json run policy", "json run scenario", "tree metrics",
+        "tree to-hfsm", "tree run", "nested machine metrics"])
+def test_a_document_too_deep_exits_one(command, text, message, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert cli.main([str(path) if arg == "DEEP" else arg for arg in command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

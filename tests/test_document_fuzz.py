@@ -5,9 +5,9 @@ the whole document, every object field and the first three entries of
 every list, each replaced by one of nine values. A mutation must parse
 or fail with a ``DocumentError``, never with another exception; what
 parses must write the same bytes after another parse and, if it is a
-policy or a scenario, run to an outcome or a ``PolicyError``; and the
-CLI must report a sample of the failures as one ``error:`` line and
-exit 1.
+policy or a scenario, run to an outcome or a ``PolicyError`` in a world
+that keeps its invariants; and the CLI must report a sample of the
+failures as one ``error:`` line and exit 1.
 """
 
 import json
@@ -130,8 +130,10 @@ def test_cli_reports_a_sample_of_failures_on_one_line(outcomes, tmp_path, capsys
                 assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-def test_parsed_policies_and_scenarios_run_to_an_outcome_or_a_policy_error(outcomes):
-    # each parsed policy on the baseline scenario, each parsed scenario under fetch_bt
+def test_parsed_policies_and_scenarios_run_to_an_outcome_or_a_policy_error(outcomes,
+                                                                          checked_worlds):
+    # each parsed policy on the baseline scenario, each parsed scenario under
+    # fetch_bt, in a world that checks its invariants
     results, _ = outcomes
     baseline, fetch_bt = fixtures.load_scenario("baseline"), fixtures.load_policy("fetch_bt")
     ends, escapes = Counter(), []
@@ -150,4 +152,4 @@ def test_parsed_policies_and_scenarios_run_to_an_outcome_or_a_policy_error(outco
             escapes.append(f"{path.name} {list(where)} = {value!r}: "
                            f"{type(exc).__name__}: {exc}")
     assert escapes == []
-    assert sum(ends.values()) == 799, ends
+    assert sum(ends.values()) == 697, ends

@@ -162,6 +162,15 @@ def test_malformed_json_reports_position():
         documents.parse_policy_document("{not json")
 
 
+@pytest.mark.parametrize("parse", [documents.parse_policy_document,
+                                   documents.parse_library_document,
+                                   documents.parse_goal_document,
+                                   documents.parse_scenario_document])
+def test_json_nested_too_deeply_is_a_document_error(parse):
+    with pytest.raises(DocumentError, match="^top level: nested too deeply$"):
+        parse("[" * 100_000)
+
+
 def test_bytes_that_are_not_utf8_are_a_document_error():
     with pytest.raises(DocumentError, match="not UTF-8: invalid start byte at byte 0"):
         documents.parse_policy_document(b"\xff")

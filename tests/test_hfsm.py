@@ -35,11 +35,13 @@ class TestFromBt:
         builder = bt.TreeBuilder()
         children = [builder.condition(L("docked")), builder.condition(L("found"))]
         root = builder.add("parallel", "p", children=children, threshold=1)
-        with pytest.raises(ValidationError, match="parallel"):
+        with pytest.raises(ValidationError,
+                           match=f"^cannot express parallel node {root} as a nested machine$"):
             hfsm.from_bt(builder.build(root))
 
     def test_memory_sequence_rejected(self):
-        with pytest.raises(ValidationError, match="memory_sequence"):
+        with pytest.raises(ValidationError,
+                           match="^cannot express memory_sequence node 4 as a nested machine$"):
             hfsm.from_bt(fixtures.load_policy("fetch_bt_memory"))
 
     def test_distinct_trees_give_distinct_encodings(self, fetch_tree):

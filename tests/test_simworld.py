@@ -525,10 +525,25 @@ class TestScenarioDocuments:
         ({"holding": [0]}, r"^holding: expected a string or null, got \[0\]$"),
         ({"holding": 5}, r"^holding: expected a string or null, got 5$"),
         ({"holding": "cube2"}, r"^holding: 'cube2' is also placed at 'fetch1'$"),
+        # unchecked, a flag that is not a boolean would be written back as it
+        # came, and a world could start docked away from the dock
+        ({"docked": 5}, r"^docked: expected true or false, got 5$"),
+        ({"docked": None}, r"^docked: expected true or false, got None$"),
+        ({"arm_tucked": "x"}, r"^arm_tucked: expected true or false, got 'x'$"),
+        ({"arm_tucked": 1}, r"^arm_tucked: expected true or false, got 1$"),
+        ({"docked": True}, r"^docked: true needs robot_location 'dock'$"),
     ])
     def test_malformed_fields_are_named(self, fields, message):
         with pytest.raises(DocumentError, match=message):
             parse_scenario_document(self._baseline_with(**fields))
+
+    def test_a_robot_docked_at_the_dock_is_legal(self, checked_worlds):
+        scenario = parse_scenario_document(self._baseline_with(docked=True,
+                                                               robot_location="dock"))
+        assert scenario.docked and scenario.robot_location == "dock"
+        assert run_episode(fixtures.load_policy("fetch_bt"), scenario).outcome == "SUCCESS"
+        with pytest.raises(DocumentError, match="^docked: expected true or false, got 5$"):
+            replace(scenario, docked=5)
 
     def test_a_held_item_placed_nowhere_is_legal(self):
         scenario = parse_scenario_document(self._baseline_with(holding="x"))
@@ -795,7 +810,7 @@ class TestRunnerMatchesThePerTickLoop:
         assert got == want, where
         return got
 
-    def test_packaged_policies_and_scenarios(self):
+    def test_packaged_policies_and_scenarios(self, checked_worlds):
         scenarios = packaged_scenarios()
         runs = 0
         for name in packaged_policies():

@@ -139,12 +139,11 @@ class PolicyTree:
         # cannot meet a node twice, so a cycle cannot keep it going
         if self.root in parents:
             raise ValidationError("root must not be a child")
-        reachable, level, depth = set(), [self.root], 1
-        while level:
+        reachable = set()
+        for depth, level in enumerate(_walk_levels(self.nodes, self.root), 1):
             if depth > MAX_DEPTH:
                 raise ValidationError(f"node {level[0]}: more than {MAX_DEPTH} levels deep")
             reachable.update(level)
-            level, depth = [c for nid in level for c in self.nodes[nid].children], depth + 1
         if reachable != set(self.nodes):
             orphans = sorted(set(self.nodes) - reachable)
             raise ValidationError(f"nodes unreachable from root: {orphans}")
@@ -153,6 +152,18 @@ class PolicyTree:
             if moving > 1:
                 raise ValidationError(f"node {node.id}: parallel has motion actions under "
                                       f"{moving} children, but one motion runs at a time")
+
+
+def _walk_levels(nodes: dict, node_id: int):
+    """The ids of each level under ``node_id``, its own first, down to the
+    last level or to the first one past ``MAX_DEPTH``; a node met twice is
+    walked twice, so ``nodes`` must hold a tree below ``node_id``."""
+    level = [node_id]
+    for _ in range(MAX_DEPTH + 1):
+        if not level:
+            return
+        yield level
+        level = [child for nid in level for child in nodes[nid].children]
 
 
 def holds_motion(nodes: dict, node_id) -> bool:
@@ -317,11 +328,23 @@ def _check_disjoint(tree: PolicyTree, sub: PolicyTree) -> None:
         raise EditError(f"subtree ids collide with tree: {sorted(overlap)}")
 
 
+def _levels(tree: PolicyTree, node_id: int) -> int:
+    """Levels from ``node_id`` down, itself included, counted to one past MAX_DEPTH."""
+    return sum(1 for _ in _walk_levels(tree.nodes, node_id))
+
+
+def _check_depth(levels: int) -> None:
+    if levels > MAX_DEPTH:
+        raise EditError(f"the graft would make the tree more than {MAX_DEPTH} levels deep")
+
+
 def insert_subtree(tree: PolicyTree, parent: int, index: int, sub: PolicyTree) -> PolicyTree:
     """Graft ``sub`` as the index-th child of ``parent``.
 
     Only the parent node among pre-existing nodes is touched, whatever
-    the tree size.
+    the tree size. A graft that would make the tree more than
+    ``MAX_DEPTH`` levels deep raises ``EditError`` before anything
+    changes, like every other refused edit here.
     """
     node = tree.node(parent)
     if not node.is_control():
@@ -329,6 +352,9 @@ def insert_subtree(tree: PolicyTree, parent: int, index: int, sub: PolicyTree) -
     if not 0 <= index <= len(node.children):
         raise EditError(f"child index {index} out of range for node {parent}")
     _check_disjoint(tree, sub)
+    depth = next(depth for depth, level in enumerate(_walk_levels(tree.nodes, tree.root), 1)
+                 if parent in level)
+    _check_depth(depth + _levels(sub, sub.root))
     tree.nodes.update(sub.nodes)
     node.children.insert(index, sub.root)
     return tree
@@ -371,10 +397,13 @@ def append_subtree(tree: PolicyTree, sub: PolicyTree) -> PolicyTree:
 def _attach_at_root(tree: PolicyTree, sub: PolicyTree, first: bool) -> PolicyTree:
     _check_disjoint(tree, sub)
     root = tree.node(tree.root)
+    below = _levels(sub, sub.root)
     if root.kind == "sequence":
+        _check_depth(1 + below)
         tree.nodes.update(sub.nodes)
         root.children.insert(0 if first else len(root.children), sub.root)
         return tree
+    _check_depth(1 + max(below, _levels(tree, tree.root)))  # a new root over both
     new_id = max(tree.next_id(), max(sub.nodes) + 1)
     children = [sub.root, tree.root] if first else [tree.root, sub.root]
     tree.nodes.update(sub.nodes)

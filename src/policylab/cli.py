@@ -131,7 +131,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    if args.ged:
+    if args.ged is not None:
         (first, _), (second, _) = map(_graph_and_counts, args.ged)
         result = metrics.ged_exact(first, second, budget=_ged_budget())
         marker = "" if result.complete else " INCOMPLETE (upper bound)"
@@ -141,20 +141,20 @@ def cmd_metrics(args) -> int:
         for op in result.script.ops:
             print("  " + " ".join(str(part) for part in op))
         return EXIT_OK if result.complete else EXIT_INCOMPLETE
-    if args.cc:
+    if args.cc is not None:
         graph, _ = _graph_and_counts(args.cc)
         print(f"cyclomatic complexity: {metrics.cyclomatic(graph)}")
         return EXIT_OK
-    if args.counts:
+    if args.counts is not None:
         _, counts = _graph_and_counts(args.counts)
         for key in ("nodes", "edges", "graphical", "active"):
             print(f"{key}: {counts[key]}")
         return EXIT_OK
-    if args.effort:
+    if args.effort is not None:
         sequential, connected = args.effort
         print(f"effort: {metrics.effort(sequential, connected)}")
         return EXIT_OK
-    if args.estimate:
+    if args.estimate is not None:
         kind, actions, connected = args.estimate
         try:
             actions, connected = int(actions), int(connected)

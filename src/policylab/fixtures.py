@@ -5,6 +5,9 @@ builders in :mod:`policylab.experiments`, frozen with stable node ids so
 that identity-anchored comparisons and report regeneration stay
 deterministic; ``write_fixtures`` regenerates them. The hand-written
 trees and the scenarios have no builder: each file is its definition.
+
+Each packaged policy is parsed once per process, and each of its graphs
+is encoded once per process, both keyed by the file's whole text.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import functools
 from pathlib import Path
 
-from . import documents, experiments
+from . import bt, documents, experiments, fsm, hfsm, metrics
 from .core import DocumentError
 from .simworld import Scenario
 
@@ -49,6 +52,34 @@ def _parsed_policy(text: str):
 def load_policy(name: str):
     """A fresh copy of the packaged policy ``name``."""
     return _load(policy_path(name), "fixture", name, _parsed_policy).copy()
+
+
+@functools.cache
+def _policy_graph(text: str, representation: str):
+    """The ``representation`` graph of the policy ``text`` spells, encoded once
+    per process from the parsed original, which the encoders only read."""
+    policy = _parsed_policy(text)
+    if isinstance(policy, bt.PolicyTree):
+        if representation == "hfsm":
+            return metrics.hfsm_to_graph(hfsm.from_bt(policy))
+        kind, encode = "bt", metrics.bt_to_graph
+    elif isinstance(policy, fsm.StateMachine):
+        kind, encode = "fsm", metrics.fsm_to_graph
+    else:
+        kind, encode = "hfsm", metrics.hfsm_to_graph
+    if representation != kind:
+        raise ValueError(f"a {kind} policy has no {representation} graph")
+    return encode(policy)
+
+
+def policy_graphs(name: str, *representations: str) -> dict:
+    """Representation -> graph of the packaged policy ``name``, read once: a
+    policy has its own kind's graph (``bt``, ``fsm`` or ``hfsm``), and a tree
+    also ``hfsm``, the nested machine built from it. Every caller shares the
+    graphs, so none may change them."""
+    return _load(policy_path(name), "fixture", name, lambda text: {
+        representation: _policy_graph(text, representation)
+        for representation in representations})
 
 
 def load_library(name: str):

@@ -172,6 +172,9 @@ class GedCostModel:
                 + (rest2 - substitutions) * self.edge_insert)
 
 
+#: the model ``ged_exact`` and ``ged_anchored`` use when given none: it is
+#: frozen, so every call shares it
+DEFAULT_COST = GedCostModel()
 LABEL_SENSITIVE = GedCostModel(node_substitute=1.0, edge_substitute=1.0)
 
 
@@ -370,7 +373,7 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     incumbent, is returned with its cost as an upper bound and
     ``complete`` set to False; the result is never silently wrong.
     """
-    cost = cost or GedCostModel()
+    cost = cost or DEFAULT_COST
     deadline = time.monotonic() + budget
     edge_delete, edge_insert = cost.edge_delete, cost.edge_insert
 
@@ -599,7 +602,7 @@ def ged_anchored(g1: PolicyGraph, g2: PolicyGraph,
     is already known. As for ``ged_exact``, the script is built on first
     read.
     """
-    cost = cost or GedCostModel()
+    cost = cost or DEFAULT_COST
     mapping = {v: v if v in g2.vertices else None for v in g1.vertices}
     return GedResult(distance=_anchored_cost(g1, g2, cost), complete=True,
                      mapping=mapping, g1=g1, g2=g2, model=cost)

@@ -1,11 +1,14 @@
 """Reproduction of the two structure-metric tables.
 
 Every cell is computed from parsed fixtures, builders and the metrics
-module, then diffed against the recorded reference values. One
-reference inconsistency is known and documented: the docking machine's
-edit distance is recorded both as 6 (running text) and as 8 (table);
-the exact value under the stated cost model decides which one the
-report matches.
+module, then diffed against the recorded reference values. The
+modification-distance table reads its graphs from
+``fixtures.policy_graphs``, which encodes each fixture once per file
+text; the experiment table edits and counts policy objects, so it
+loads copies. One reference inconsistency is known and documented: the
+docking machine's edit distance is recorded both as 6 (running text)
+and as 8 (table); the exact value under the stated cost model decides
+which one the report matches.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from . import bt, experiments, fsm, hfsm, metrics
+from . import bt, experiments, fsm, metrics
 from .core import BudgetError
-from .fixtures import load_policy
+from .fixtures import load_policy, policy_graphs
 from .metrics import DEFAULT_GED_BUDGET
 
 
@@ -127,10 +130,9 @@ def _exact(g1, g2, budget: float, cell: str) -> int:
     return int(result.distance)
 
 
-def _encode(tree, machine) -> tuple:
+def _graphs(tree: str, machine: str) -> dict:
     """The tree, the machine and the nested machine built from the tree, as graphs."""
-    return (metrics.bt_to_graph(tree), metrics.fsm_to_graph(machine),
-            metrics.hfsm_to_graph(hfsm.from_bt(tree)))
+    return {**policy_graphs(tree, "bt", "hfsm"), **policy_graphs(machine, "fsm")}
 
 
 def modification_distance_report(budget: float = DEFAULT_GED_BUDGET) -> Report:
@@ -140,14 +142,13 @@ def modification_distance_report(budget: float = DEFAULT_GED_BUDGET) -> Report:
         row_label="modification",
         columns=["bt", "fsm", "hfsm"],
     )
-    baseline = _encode(load_policy("fetch_bt"), load_policy("fetch_fsm"))
+    baseline = _graphs("fetch_bt", "fetch_fsm")
     for row, (tree, machine, expected) in _DISTANCES.items():
-        changed = _encode(load_policy(tree), load_policy(machine))
+        changed = _graphs(tree, machine)
         report.rows.append((row, {
-            column: _cell(row, column, _exact(before, after, budget, f"{row}/{column}"),
-                          reference)
-            for column, before, after, reference
-            in zip(report.columns, baseline, changed, expected)
+            column: _cell(row, column, _exact(baseline[column], changed[column], budget,
+                                              f"{row}/{column}"), reference)
+            for column, reference in zip(report.columns, expected)
         }))
     return report
 

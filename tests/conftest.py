@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from policylab import documents, experiments, fixtures, simworld
+from policylab import bt, documents, experiments, fixtures, hfsm, metrics, simworld
 from policylab.core import MOTION_SKILLS, RUNNING, Status
 
 
@@ -132,6 +132,17 @@ def packaged_policies() -> list:
     """The names of the packaged policies."""
     return sorted(path.stem for path in fixtures.data_dir().glob("*.json")
                   if not path.stem.endswith(("_library", "_goal")))
+
+
+def encoded_afresh(name: str, representation: str):
+    """The ``representation`` graph of the packaged policy ``name``, encoded
+    from a new parse of its file: what ``fixtures.policy_graphs`` should hold."""
+    policy = documents.parse_policy_document(fixtures.policy_path(name).read_text())
+    if isinstance(policy, bt.PolicyTree) and representation == "hfsm":
+        policy = hfsm.from_bt(policy)
+    encoders = {"bt": metrics.bt_to_graph, "fsm": metrics.fsm_to_graph,
+                "hfsm": metrics.hfsm_to_graph}
+    return encoders[representation](policy)
 
 
 def packaged_scenarios() -> list:

@@ -296,11 +296,11 @@ def test_runtime_bookkeeping_stays_out_of_equality_and_repr(fetch_tree):
         assert name not in repr(fetch_tree)
 
 
-def chain(levels: int) -> tuple:
+def chain(levels: int, start: int = 0) -> tuple:
     """A builder holding ``levels`` levels, one-child sequences over a
     fallback that docks unless docked, and the root id; node ``levels - k + 1``
-    is at level k, down to the fallback."""
-    builder = bt.TreeBuilder()
+    is at level k, down to the fallback, with ids counted from ``start``."""
+    builder = bt.TreeBuilder(start)
     node = builder.add("fallback", "dock unless docked",
                        children=[builder.condition(L("docked")), builder.action("dock")])
     for _ in range(levels - 2):
@@ -329,3 +329,36 @@ def test_a_tree_at_the_limit_converts_compares_round_trips_and_runs():
         traces.append(trace.to_jsonl())
     assert nested == hfsm.from_bt(tree.copy())
     assert traces[0] == traces[1]
+
+
+def test_a_graft_past_the_limit_is_refused_and_changes_nothing():
+    builder, root = chain(bt.MAX_DEPTH)
+    tree = builder.build(root)
+    builder, root = chain(bt.MAX_DEPTH, start=1000)
+    sub = builder.build(root)
+    builder, root = chain(bt.MAX_DEPTH - 1, start=2000)
+    fallback_root = builder.build(builder.add("fallback", "f", children=[root]))
+    builder, root = chain(2, start=3000)
+    two_levels = builder.build(root)
+    leaf = bt.TreeBuilder(4000)
+    leaf = leaf.build(leaf.action("tuck"))
+    before = [documents.serialize_policy(policy) for policy in (tree, sub, fallback_root)]
+    edits = [lambda: bt.insert_subtree(tree, tree.root, 0, sub),
+             lambda: bt.insert_subtree(tree, 2, 0, two_levels),  # under the level-99 fallback
+             lambda: bt.prepend_priority_subtree(tree, sub),
+             lambda: bt.append_subtree(tree, sub),
+             lambda: bt.prepend_priority_subtree(fallback_root, leaf)]  # a new root on top
+    for edit in edits:
+        with pytest.raises(EditError, match=f"more than {bt.MAX_DEPTH} levels deep"):
+            edit()
+        after = [documents.serialize_policy(policy) for policy in (tree, sub, fallback_root)]
+        assert after == before
+
+
+def test_a_graft_up_to_the_limit_serializes_and_parses():
+    builder, root = chain(bt.MAX_DEPTH)
+    tree = builder.build(root)
+    builder, root = chain(bt.MAX_DEPTH - 1, start=1000)
+    bt.insert_subtree(tree, tree.root, 0, builder.build(root))
+    text = documents.serialize_policy(tree)
+    assert documents.parse_policy_document(text) == tree

@@ -324,6 +324,12 @@ class TestMetrics:
         assert cli.main(["metrics", "--counts", data("pick_place_hfsm")]) == 0
         assert capsys.readouterr().out == "nodes: 8\nedges: 16\ngraphical: 24\nactive: 24\n"
 
+    @pytest.mark.parametrize("option", ["--cc", "--counts"])
+    def test_an_empty_path_is_a_read_error(self, option, capsys):
+        # an option given an empty value still picks its mode
+        assert cli.main(["metrics", option, ""]) == 1
+        assert capsys.readouterr().err == "error: cannot read : Is a directory\n"
+
     def test_estimate_with_a_non_integer_count_exits_one(self, capsys):
         assert cli.main(["metrics", "--estimate", "bt", "x", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: --estimate: M and MFC must be")

@@ -1,6 +1,7 @@
 """The packaged-policy loader parses each document once per process, so every
 load must hand out a copy that equals a fresh parse and shares nothing
-mutable with the parsed original or with any other load."""
+mutable with the parsed original or with any other load; the graphs it
+encodes once per document must equal a fresh encoding."""
 
 import dataclasses
 import json
@@ -8,9 +9,9 @@ import shutil
 
 import pytest
 
-from conftest import packaged_policies
+from conftest import encoded_afresh, packaged_policies
 from policylab import bt, documents, experiments, fixtures, fsm, hfsm, planner
-from policylab.core import ConditionLiteral as L, DocumentError, Guard, Status
+from policylab.core import ConditionLiteral as L, DocumentError, Guard, Status, ValidationError
 
 
 def containers(value, found=None) -> dict:
@@ -95,6 +96,16 @@ def test_a_load_equals_a_fresh_parse():
         assert not containers(first).keys() & containers(second).keys(), name
 
 
+def test_the_graphs_of_a_policy_equal_a_fresh_encoding():
+    for name in packaged_policies():
+        kind = json.loads(fixtures.policy_path(name).read_text())["kind"]
+        assert fixtures.policy_graphs(name, kind) == {kind: encoded_afresh(name, kind)}, name
+    with pytest.raises(ValueError, match="^a fsm policy has no bt graph$"):
+        fixtures.policy_graphs("fetch_fsm", "bt")
+    with pytest.raises(ValidationError, match="memory_sequence"):
+        fixtures.policy_graphs("fetch_bt_memory", "hfsm")  # has no nested machine
+
+
 def test_mutating_a_load_leaves_the_next_load_unchanged():
     tree = fixtures.load_policy("fetch_bt")
     tree.nodes[tree.root].children.clear()
@@ -144,9 +155,13 @@ def test_a_rewritten_fixture_is_read_anew(tmp_path, monkeypatch):
     path = fixtures.policy_path("fetch_bt")
     doc = json.loads(path.read_text())
     assert fixtures.load_policy("fetch_bt").nodes[0].name == doc["nodes"][0]["name"]
+    graph = fixtures.policy_graphs("fetch_bt", "bt")["bt"]
+    assert graph.vertices[0] == f"{doc['nodes'][0]['type']}:{doc['nodes'][0]['name']}"
     doc["nodes"][0]["name"] = "renamed"
     path.write_text(json.dumps(doc))
     assert fixtures.load_policy("fetch_bt").nodes[0].name == "renamed"
+    assert fixtures.policy_graphs("fetch_bt", "bt")["bt"].vertices[0].endswith(":renamed")
     path.write_text("{")
-    with pytest.raises(DocumentError, match="line 1, column 2"):
-        fixtures.load_policy("fetch_bt")
+    for load in (fixtures.load_policy, lambda name: fixtures.policy_graphs(name, "bt")):
+        with pytest.raises(DocumentError, match="line 1, column 2"):
+            load("fetch_bt")

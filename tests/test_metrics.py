@@ -629,6 +629,7 @@ class TestLazyScript:
         for result in (ged_exact(base, tuck), ged_anchored(base, tuck)):
             assert result.script is result.script
             assert result.script.cost == result.distance == 6
+            assert result.model is metrics.DEFAULT_COST  # shared, not built per call
 
 
 def test_brute_force_size_limit():

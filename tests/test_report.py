@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from policylab import experiments, fixtures, planner, report
+from conftest import encoded_afresh
+from policylab import experiments, fixtures, metrics, planner, report
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -52,3 +53,31 @@ def test_experiment_table_expands_once_and_loads_four_fixtures(monkeypatch):
         assert len(loaded) == len(set(loaded)) == 4
         fixtures_per_build.append(sorted(loaded))
     assert fixtures_per_build[0] == fixtures_per_build[1]
+
+
+def test_the_distance_table_encodes_each_fixture_once(monkeypatch):
+    # its 15 graphs are encoded on the first table after a cleared memo and
+    # read back on later ones, and no policy is copied for them
+    encoded = []
+    for name in ("bt_to_graph", "fsm_to_graph", "hfsm_to_graph"):
+        def counting(policy, encode=getattr(metrics, name)):
+            encoded.append(encode)
+            return encode(policy)
+        monkeypatch.setattr(metrics, name, counting)
+
+    def no_load(name):
+        raise AssertionError(f"table 2 loaded a copy of {name}")
+
+    monkeypatch.setattr(report, "load_policy", no_load)
+    fixtures._policy_graph.cache_clear()
+    for encodings in (15, 0):
+        encoded.clear()
+        assert report.build_report(2).ok
+        assert len(encoded) == encodings
+    monkeypatch.undo()
+    graphs = [("fetch_bt", "bt"), ("fetch_bt", "hfsm"), ("fetch_fsm", "fsm")]
+    for tree, machine, _ in report._DISTANCES.values():
+        graphs += [(tree, "bt"), (tree, "hfsm"), (machine, "fsm")]
+    for name, representation in graphs:
+        assert fixtures.policy_graphs(name, representation)[representation] \
+            == encoded_afresh(name, representation), (name, representation)

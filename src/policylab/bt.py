@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Protocol
 
 from .core import (
-    ConditionLiteral, EditError, FAILURE, MOTION_SKILLS, RUNNING, SUCCESS, Status,
-    ValidationError,
+    ConditionLiteral, EditError, FAILURE, KNOWN_SKILLS, MOTION_SKILLS, RUNNING, SUCCESS,
+    Status, ValidationError, check_skill_args,
 )
 
 CONTROL_KINDS = ("sequence", "fallback", "parallel", "memory_sequence")
@@ -365,6 +365,9 @@ def remove_subtree(tree: PolicyTree, node_id: int) -> PolicyTree:
 
     Kept in the library though only tests call it: it is one of the
     paper's modification operations, the tree side of ``fsm.remove_state``.
+    A removal that would leave the parent fewer children than it needs
+    (one, or a parallel's threshold) raises ``EditError`` before anything
+    changes: that tree would not validate or read back.
     """
     if node_id == tree.root:
         raise EditError("cannot remove the root")
@@ -372,7 +375,12 @@ def remove_subtree(tree: PolicyTree, node_id: int) -> PolicyTree:
     parent = tree.parent_of(node_id)
     if parent is None:
         raise EditError(f"node {node_id} has no parent")
-    tree.node(parent).children.remove(node_id)
+    node = tree.node(parent)
+    needed = node.threshold if node.kind == "parallel" else 1
+    if len(node.children) <= needed:
+        raise EditError(f"cannot remove node {node_id}: {node.kind} {parent} needs "
+                        f"at least {needed} child{'ren' if needed > 1 else ''}")
+    node.children.remove(node_id)
     for nid in doomed:
         del tree.nodes[nid]
         tree.memory_marks.pop(nid, None)
@@ -445,6 +453,8 @@ class TreeBuilder:
         return self.add("condition", f"{literal.key()}?", literal=literal)
 
     def action(self, skill: str, args: tuple = (), name: str = "") -> int:
+        if skill in KNOWN_SKILLS:  # an in-code library may name a skill the simulator lacks
+            check_skill_args(skill, args, "action", ValidationError)
         label = name or f"{skill}({', '.join(str(a) for a in args)})!"
         return self.add("action", label, skill=skill, args=tuple(args))
 

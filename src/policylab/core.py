@@ -31,10 +31,20 @@ TRANSIT = "TRANSIT"
 #: skills that move the base; at most one may run at a time
 MOTION_SKILLS = frozenset({"move_to", "safe_move_to", "recharge", "dock", "search"})
 
-#: every skill the simulator can run; policy documents may name no other
-KNOWN_SKILLS = frozenset(
-    {"move_to", "safe_move_to", "pick", "place", "tuck", "recharge", "dock", "search"}
-)
+#: every skill the simulator can run, name -> expected argument count;
+#: policy documents may name no other, and the simulator reads a moving,
+#: picking or placing skill's one argument
+SKILL_ARITY = {
+    "move_to": 1,
+    "safe_move_to": 1,
+    "pick": 1,
+    "place": 1,
+    "search": 0,
+    "tuck": 0,
+    "dock": 0,
+    "recharge": 0,
+}
+KNOWN_SKILLS = frozenset(SKILL_ARITY)
 
 #: Closed set of world predicates, name -> expected argument count.
 #: Everything a policy may test must be here so that every document that
@@ -76,6 +86,14 @@ class WorldError(PolicyError):
 
 class BudgetError(PolicyError):
     """An exact edit distance search ran out of its time budget."""
+
+
+def check_skill_args(skill: str, args: tuple, where: str, error: type) -> None:
+    """Raise ``error`` naming ``where`` unless ``args`` holds as many
+    arguments as the known ``skill`` takes."""
+    arity = SKILL_ARITY[skill]
+    if len(args) != arity:
+        raise error(f"{where}: {skill} takes {arity} argument(s), got {len(args)}")
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,10 @@ from .core import (
     Goal,
     Guard,
     KNOWN_SKILLS,
+    SKILL_ARITY,
     Status,
     ValidationError,
+    check_skill_args,
     validate_action_library,
 )
 
@@ -404,6 +406,8 @@ def _parse_nodes(doc: dict, types: dict) -> bt.PolicyTree:
             args = _arg_tuple(entry.get("args", []))
             if args is None:
                 _args(entry, f"nodes[{index}]")
+            if len(args) != SKILL_ARITY[skill]:
+                check_skill_args(skill, args, f"nodes[{index}].args", DocumentError)
         elif kind == "condition":
             literal = (_literal(entry, "predicate")
                        or _literal_from(entry, f"nodes[{index}]", "predicate"))
@@ -473,6 +477,8 @@ def _parse_fsm(doc: dict) -> fsm.StateMachine:
         args = _arg_tuple(entry.get("args", []))
         if args is None:
             _args(entry, f"states[{index}]")
+        if stype == "skill" and len(args) != SKILL_ARITY[skill]:
+            check_skill_args(skill, args, f"states[{index}].args", DocumentError)
         pre = entry.get("pre", [])
         if type(pre) is not list:
             _expect(pre, list, f"states[{index}].pre")
@@ -522,14 +528,14 @@ def parse_library_document(data) -> ActionLibrary:
     for index, entry in enumerate(_expect(_require(doc, "actions", "top level"), list,
                                           "actions")):
         path = f"actions[{index}]"
-        specs.append(ActionSpec(
-            name=_string(_require(entry, "name", path), path, "name"),
-            params=_args(entry, path, "params"),
-            preconditions=_literals(entry.get("pre", []), f"{path}.pre"),
-            postconditions=_literals(entry.get("post", []), f"{path}.post"),
-            # an action without a skill runs the skill of its name
-            skill=_skill(entry, path, "skill" if "skill" in entry else "name"),
-        ))
+        name = _string(_require(entry, "name", path), path, "name")
+        params = _args(entry, path, "params")
+        preconditions = _literals(entry.get("pre", []), f"{path}.pre")
+        postconditions = _literals(entry.get("post", []), f"{path}.post")
+        # an action without a skill runs the skill of its name
+        skill = _skill(entry, path, "skill" if "skill" in entry else "name")
+        check_skill_args(skill, params, f"{path}.params", DocumentError)
+        specs.append(ActionSpec(name, params, preconditions, postconditions, skill))
     try:
         return validate_action_library(specs)
     except ValidationError as exc:

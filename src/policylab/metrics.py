@@ -3,20 +3,20 @@
 All three policy kinds encode into one labeled directed multigraph type,
 the substrate for graph edit distance, cyclomatic complexity and element
 counting. The exact edit distance is a best-first search over partial
-vertex mappings, started from the anchored mapping (identity on shared
-ids) as its incumbent. Its admissible bound prices the unreconciled
-edges per placed vertex (those to unplaced vertices, which only its
-image's can match) and among the unplaced vertices. The root bound,
-counts alone, is checked against the incumbent before any set-up; only
-a pair it does not prove gets its edges indexed into neighbour lists,
-from which each search step is costed sparsely. The bound is also
-consistent (no child's f below its parent's), so an expansion costs its
-candidates in order only until one ties its f, and the rest only if the
-search comes back to them. An incomplete result returns the best
-mapping's cost, at worst the incumbent's, as an upper bound. The
-incumbent is costed by set arithmetic on the two edge sets, and a
-result's edit script is built from its mapping only when it is first
-read, so a caller that needs only the distance builds none. A tiny
+vertex mappings of the graph with fewer edges, started from the anchored
+mapping (identity on shared ids) as its incumbent. Its admissible bound
+prices the unreconciled edges per placed vertex (those to unplaced
+vertices, which only its image's can match) and among the unplaced
+vertices. The root bound, counts alone, is checked against the incumbent
+before any set-up; only a pair it does not prove gets its edges indexed
+into neighbour lists, from which each search step is costed sparsely.
+The bound is also consistent (no child's f below its parent's), so an
+expansion costs its candidates in order only until one ties its f, and
+the rest only if the search comes back to them. An incomplete result
+returns the best mapping's cost, at worst the incumbent's, as an upper
+bound. The incumbent is costed by set arithmetic on the two edge sets,
+and a result's edit script is built from its mapping only when it is
+first read, so a caller that needs only the distance builds none. A tiny
 exhaustive solver serves as its ground-truth oracle on small graphs.
 """
 
@@ -27,7 +27,7 @@ import itertools
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -334,6 +334,15 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
               budget: float = DEFAULT_GED_BUDGET) -> GedResult:
     """Optimal edit distance via best-first search over vertex mappings.
 
+    The search places the vertices of the graph with fewer edges, ``g1``
+    on a tie: its bound settles edges as their endpoints are placed, so
+    the sparser side costs fewer steps. When ``g2`` has fewer edges the
+    search runs from ``g2`` to ``g1`` under the model with insertion and
+    deletion swapped, which prices every edit path the other way round
+    at the same cost, and its mapping is inverted. The distance is the
+    same either way; the mapping, and so the script, may be another one
+    of equal cost. What follows calls the graph placed ``g1``.
+
     The search starts from the anchored incumbent, the identity mapping
     on shared ids costed under ``cost`` by ``_anchored_cost``, and no
     script is built on the way: the result's ``script`` is built from
@@ -374,6 +383,28 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     ``complete`` set to False; the result is never silently wrong.
     """
     cost = cost or DEFAULT_COST
+    if len(g1.edges) <= len(g2.edges):
+        return _search(g1, g2, cost, budget)
+    result = _search(g2, g1, _reversed(cost), budget)
+    images = {v1: v2 for v2, v1 in result.mapping.items() if v1 is not None}
+    return GedResult(distance=result.distance, complete=result.complete,
+                     mapping={v1: images.get(v1) for v1 in g1.vertices},
+                     g1=g1, g2=g2, model=cost)
+
+
+def _reversed(cost: GedCostModel) -> GedCostModel:
+    """The model that prices each edit backwards: insertion and deletion
+    swap, substitution stays. ``replace`` keeps a subclass's own fields."""
+    if cost.node_insert == cost.node_delete and cost.edge_insert == cost.edge_delete:
+        return cost
+    return replace(cost, node_insert=cost.node_delete, node_delete=cost.node_insert,
+                   edge_insert=cost.edge_delete, edge_delete=cost.edge_insert)
+
+
+def _search(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel,
+            budget: float) -> GedResult:
+    """``ged_exact``'s search, placing ``g1``'s vertices whatever the edge
+    counts."""
     deadline = time.monotonic() + budget
     edge_delete, edge_insert = cost.edge_delete, cost.edge_insert
 

@@ -38,6 +38,7 @@ from .core import (
     SUCCESS,
     TRANSIT,
     WorldError,
+    check_skill_args,
 )
 
 DEFAULT_STATIONS = (
@@ -151,6 +152,9 @@ class Scenario:
         for path, skill in skills:
             if not (isinstance(skill, str) and skill in KNOWN_SKILLS):
                 raise DocumentError(f"{path}: unknown skill {skill!r}")
+        for index, (skill, args, _) in enumerate(self.failures):
+            if args is not None:
+                check_skill_args(skill, args, f"failures[{index}].args", DocumentError)
         names = [(f"stations[{index}]", station)
                  for index, station in enumerate(self.stations)]
         names += [(f"markers[{index}]", marker) for index, marker in enumerate(self.markers)]

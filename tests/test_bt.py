@@ -237,6 +237,35 @@ class TestEdits:
         with pytest.raises(EditError, match="root"):
             bt.remove_subtree(fetch_tree, fetch_tree.root)
 
+    def test_removing_a_last_child_is_refused_unchanged(self, fetch_tree):
+        # fallback 4 holds conditions 2 and 3: without both it would not read back
+        bt.remove_subtree(fetch_tree, 2)
+        before = documents.serialize_policy(fetch_tree)
+        with pytest.raises(EditError, match="fallback 4 needs at least 1 child"):
+            bt.remove_subtree(fetch_tree, 3)
+        assert documents.serialize_policy(fetch_tree) == before
+        assert documents.serialize_policy(documents.parse_policy_document(before)) == before
+
+    def test_removing_below_a_parallel_threshold_is_refused(self):
+        builder = bt.TreeBuilder()
+        children = [builder.condition(L("robot_at", ("a",))),
+                    builder.condition(L("robot_at", ("b",))),
+                    builder.condition(L("robot_at", ("c",)))]
+        tree = builder.build(builder.add("parallel", "p", children=children, threshold=2))
+        bt.remove_subtree(tree, children[0])
+        with pytest.raises(EditError, match="parallel 3 needs at least 2 children"):
+            bt.remove_subtree(tree, children[1])
+        tree.validate()
+
+    def test_the_builder_checks_skill_arguments(self):
+        builder = bt.TreeBuilder()
+        with pytest.raises(ValidationError, match=r"^action: pick takes 1 argument\(s\), got 0$"):
+            builder.action("pick")
+        with pytest.raises(ValidationError, match=r"^action: dock takes 0 argument\(s\), got 1$"):
+            builder.action("dock", ("dock",))
+        assert builder.nodes == {}
+        builder.action("pick", ("cube2",))
+
     def test_insert_under_leaf_rejected(self, fetch_tree):
         pick = experiments.find_action(fetch_tree, "pick")
         sub = experiments.tuck_subtree(fetch_tree.next_id())

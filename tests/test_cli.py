@@ -273,6 +273,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: max_ticks: must be at least 1")
 
+    def test_skill_without_its_argument_exits_one(self, tmp_path, capsys):
+        doc = json.loads(fixtures.policy_path("fetch_bt").read_text())
+        assert doc["nodes"][5]["skill"] == "pick"
+        doc["nodes"][5]["args"] = []
+        policy = tmp_path / "pick.json"
+        policy.write_text(json.dumps(doc))
+        assert cli.main(["run", str(policy), scenario("baseline")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: nodes[5].args: pick takes 1 argument(s), got 0\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("doc, message", [case[1:] for case in POLICY_DEFECTS],
                              ids=[case[0] for case in POLICY_DEFECTS])
     def test_policy_defect_exits_one_before_the_episode(self, doc, message, tmp_path,

@@ -2,7 +2,8 @@
 
 Each of the 28 packaged documents is mutated one JSON path at a time:
 the whole document, every object field and the first three entries of
-every list, each replaced by one of nine values. A mutation must parse
+every list, each replaced by one of nine values; an argument list is
+also cut by one entry and lengthened by one. A mutation must parse
 or fail with a ``DocumentError``, never with another exception; what
 parses must write the same bytes after another parse and, if it is a
 policy or a scenario, run to an outcome or a ``PolicyError`` in a world
@@ -55,11 +56,24 @@ def mutated(doc, path: tuple, value) -> str:
         parent[path[-1]] = kept
 
 
+def resized(doc, where: tuple) -> list:
+    """For a skill's or a literal's argument list, that list one entry
+    shorter and one entry longer; nothing for any other field."""
+    if not where or where[-1] not in ("args", "params"):
+        return []
+    value = doc
+    for key in where:
+        value = value[key]
+    if not isinstance(value, list):
+        return []
+    return [value[:-1], [*value, "extra"]] if value else [["extra"]]
+
+
 def mutations():
     for path in packaged_documents():
         doc = json.loads(path.read_text())
         for where in [(), *json_paths(doc)]:
-            for value in VALUES:
+            for value in (*VALUES, *resized(doc, where)):
                 yield path, where, value, mutated(doc, where, value)
 
 
@@ -83,7 +97,7 @@ def test_every_mutation_parses_or_raises_a_document_error(outcomes):
     results, escapes = outcomes
     assert escapes == []
     assert len(packaged_documents()) == 28
-    assert len(results) == 8676
+    assert len(results) == 8874
 
 
 def test_parsed_mutations_write_the_same_bytes_again(outcomes):

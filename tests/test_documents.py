@@ -241,7 +241,7 @@ def test_library_document_errors_carry_the_field_path():
 
 
 def test_library_level_defects_still_rejected():
-    doc = {"version": 1, "actions": [{"name": "pick"}]}
+    doc = {"version": 1, "actions": [{"name": "pick", "params": ["cube2"]}]}
     with pytest.raises(DocumentError, match="no postconditions"):
         documents.parse_library_document(json.dumps(doc))
 
@@ -385,6 +385,21 @@ def test_machine_entries_must_name_a_state(name, path, message):
 def test_action_skill_must_be_known(name, path, message):
     with pytest.raises(DocumentError, match=message):
         parser(name)(mutated(name, path, "fly"))
+
+
+@pytest.mark.parametrize("name, path, args, message", [
+    ("fetch_bt.json", ["nodes", 5, "args"], [], r"^nodes\[5\]\.args: pick takes 1 "),
+    ("fetch_bt.json", ["nodes", 3, "args"], ["fetch1", "extra", 3],
+     r"^nodes\[3\]\.args: move_to takes 1 argument\(s\), got 3$"),
+    ("pick_place_hfsm.json", ["nodes", 1, "args"], [],
+     r"^nodes\[1\]\.args: pick takes 1 argument\(s\), got 0$"),
+    ("fetch_fsm.json", ["states", 2, "args"], [], r"^states\[2\]\.args: pick takes 1 "),
+    ("fetch_library.json", ["actions", 1, "params"], ["cube2", "cube3"],
+     r"^actions\[1\]\.params: pick takes 1 argument\(s\), got 2$"),
+], ids=["bt_short", "bt_long", "hfsm", "fsm", "library"])
+def test_skill_arguments_must_match_the_skill(name, path, args, message):
+    with pytest.raises(DocumentError, match=message):
+        parser(name)(mutated(name, path, args))
 
 
 def test_library_action_without_a_skill_runs_the_skill_of_its_name():

@@ -517,21 +517,28 @@ def same_result(got: GedResult, want: GedResult) -> bool:
         (want.distance, want.mapping, want.script.ops, want.complete)
 
 
+def search(g1: PolicyGraph, g2: PolicyGraph, model: GedCostModel) -> GedResult:
+    """The search core, placing g1's vertices whatever the edge counts."""
+    return metrics._search(g1, g2, model, metrics.DEFAULT_GED_BUDGET)
+
+
 class TestLazyExpansion:
     """Costing candidates only as far as the search reaches them pops the
     same nodes in the same order as costing them all at once."""
 
+    # the eager reference places g1's vertices, so it is compared with the
+    # search core; ged_exact may place g2's (see TestOrientation)
     @pytest.mark.parametrize("model", [GedCostModel(), metrics.LABEL_SENSITIVE,
                                        ASYMMETRIC, DYADIC],
                              ids=["default", "label_sensitive", "asymmetric", "dyadic"])
     def test_same_result_as_the_eager_search(self, model):
         for index, (g1, g2) in enumerate(report_pairs()):
-            assert same_result(ged_exact(g1, g2, cost=model),
+            assert same_result(search(g1, g2, model),
                                reference_ged_exact(g1, g2, cost=model)), ("report", index)
         rng = random.Random(43)
         for index in range(1000):
             g1, g2 = random_graph(rng), random_graph(rng)
-            assert same_result(ged_exact(g1, g2, cost=model),
+            assert same_result(search(g1, g2, model),
                                reference_ged_exact(g1, g2, cost=model)), index
 
     def test_inexact_costs_agree_to_rounding(self):
@@ -630,6 +637,69 @@ class TestLazyScript:
             assert result.script is result.script
             assert result.script.cost == result.distance == 6
             assert result.model is metrics.DEFAULT_COST  # shared, not built per call
+
+
+def inverted(mapping: dict, vertices) -> dict:
+    """The mapping of ``vertices`` that ``mapping`` (onto them) inverts;
+    a vertex nothing maps onto gets None."""
+    return {v1: next((v2 for v2, image in mapping.items() if image == v1), None)
+            for v1 in vertices}
+
+
+def denser_first_pairs(count: int) -> list:
+    """Seeded random pairs whose first graph has more edges."""
+    rng = random.Random(59)
+    pairs = []
+    while len(pairs) < count:
+        g1, g2 = random_graph(rng, max_vertices=6), random_graph(rng, max_vertices=6)
+        if len(g1.edges) > len(g2.edges):
+            pairs.append((g1, g2))
+    return pairs
+
+
+class TestOrientation:
+    """``ged_exact`` places the vertices of the graph with fewer edges: a
+    denser first graph is searched from the second one under the model
+    with insertion and deletion swapped, and the mapping inverted."""
+
+    @pytest.mark.parametrize("model", [*EXACT_MODELS, CountingCandidates(node_insert=2,
+                                                                         edge_delete=3)],
+                             ids=["default", "label_sensitive", "asymmetric", "dyadic",
+                                  "counting"])
+    def test_denser_first_pairs_invert_the_reversed_search(self, model):
+        backwards = metrics._reversed(model)
+        for index, (g1, g2) in enumerate(denser_first_pairs(40)):
+            result = ged_exact(g1, g2, cost=model)
+            core = search(g2, g1, backwards)
+            assert result.mapping == inverted(core.mapping, g1.vertices), index
+            assert result.complete and result.distance == core.distance, index
+            assert result.distance == brute_force_ged(g1, g2, model), index
+            assert result.model is model and result.script.cost == result.distance, index
+            assert isomorphic(apply_script(g1, result.script), g2), index
+
+    def test_the_reversed_model_swaps_insertion_and_deletion(self):
+        for model in (metrics.DEFAULT_COST, metrics.LABEL_SENSITIVE):
+            assert metrics._reversed(model) is model
+        backwards = metrics._reversed(ASYMMETRIC)
+        assert backwards == GedCostModel(node_insert=1, node_delete=2, node_substitute=1,
+                                         edge_insert=1, edge_delete=3, edge_substitute=2)
+        assert metrics._reversed(backwards) == ASYMMETRIC
+        counting = CountingCandidates(node_insert=2)
+        backwards = metrics._reversed(counting)
+        assert isinstance(backwards, CountingCandidates)
+        assert backwards.costed is counting.costed  # still records what the search costs
+
+    def test_an_edge_tie_keeps_the_given_order(self):
+        # two edges each; searched the other way, every model maps them otherwise
+        g1 = PolicyGraph(vertices={0: "b", 1: "c", 2: "b", 3: "b"},
+                         edges={(1, 2, "y"), (2, 2, "x")})
+        g2 = PolicyGraph(vertices={0: "a", 1: "b", 2: "a", 3: "c"},
+                         edges={(2, 1, "y"), (0, 3, "y")})
+        for model in EXACT_MODELS:
+            backwards = search(g2, g1, metrics._reversed(model))
+            assert search(g1, g2, model).mapping != inverted(backwards.mapping,
+                                                             g1.vertices), model
+            assert same_result(ged_exact(g1, g2, cost=model), search(g1, g2, model)), model
 
 
 def test_brute_force_size_limit():

@@ -532,6 +532,11 @@ class TestScenarioDocuments:
         ({"arm_tucked": "x"}, r"^arm_tucked: expected true or false, got 'x'$"),
         ({"arm_tucked": 1}, r"^arm_tucked: expected true or false, got 1$"),
         ({"docked": True}, r"^docked: true needs robot_location 'dock'$"),
+        # unchecked, a pick without its cube would end the episode in an IndexError
+        ({"failures": [{"skill": "pick", "args": [], "invocation": 1}]},
+         r"^failures\[0\]\.args: pick takes 1 argument\(s\), got 0$"),
+        ({"failures": [{"skill": "tuck", "args": ["arm"], "invocation": 1}]},
+         r"^failures\[0\]\.args: tuck takes 0 argument\(s\), got 1$"),
     ])
     def test_malformed_fields_are_named(self, fields, message):
         with pytest.raises(DocumentError, match=message):

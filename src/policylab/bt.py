@@ -338,13 +338,29 @@ def _check_depth(levels: int) -> None:
         raise EditError(f"the graft would make the tree more than {MAX_DEPTH} levels deep")
 
 
+def _check_motions(tree: PolicyTree, parent: int, sub: PolicyTree) -> None:
+    """Refuse a graft of ``sub`` under ``parent`` that would leave a parallel
+    node at or above ``parent`` with motion actions under two children."""
+    if not holds_motion(sub.nodes, sub.root):
+        return
+    child, above = sub.root, parent
+    while above is not None:
+        node = tree.nodes[above]
+        if node.kind == "parallel" and any(holds_motion(tree.nodes, other)
+                                           for other in node.children if other != child):
+            raise EditError(f"cannot graft motion actions under parallel {above}: another "
+                            f"of its children moves, and one motion runs at a time")
+        child, above = above, tree.parent_of(above)
+
+
 def insert_subtree(tree: PolicyTree, parent: int, index: int, sub: PolicyTree) -> PolicyTree:
     """Graft ``sub`` as the index-th child of ``parent``.
 
     Only the parent node among pre-existing nodes is touched, whatever
     the tree size. A graft that would make the tree more than
-    ``MAX_DEPTH`` levels deep raises ``EditError`` before anything
-    changes, like every other refused edit here.
+    ``MAX_DEPTH`` levels deep, or give a parallel node motion actions
+    under two children, raises ``EditError`` before anything changes,
+    like every other refused edit here.
     """
     node = tree.node(parent)
     if not node.is_control():
@@ -355,6 +371,7 @@ def insert_subtree(tree: PolicyTree, parent: int, index: int, sub: PolicyTree) -
     depth = next(depth for depth, level in enumerate(_walk_levels(tree.nodes, tree.root), 1)
                  if parent in level)
     _check_depth(depth + _levels(sub, sub.root))
+    _check_motions(tree, parent, sub)
     tree.nodes.update(sub.nodes)
     node.children.insert(index, sub.root)
     return tree

@@ -120,7 +120,9 @@ class ConditionLiteral:
             )
         if self.predicate == "battery_above":
             level = self.args[0]
-            if not isinstance(level, (int, float)) or not 0 <= level <= 100:
+            # JSON ``true`` is no threshold, though ``bool`` is an ``int``
+            if (type(level) is bool or not isinstance(level, (int, float))
+                    or not 0 <= level <= 100):
                 raise ValidationError(
                     f"battery_above threshold must be a number in [0, 100], got {level!r}"
                 )

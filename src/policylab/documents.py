@@ -11,6 +11,13 @@ the object, one text per node or state entry (``serialize_policy``): any
 ``indent`` sends ``json`` to its pure-Python encoder, about twice as slow,
 so only values outside the fixed entry layout go through ``json.dumps``.
 A differential test pins the policy writer.
+
+Each rule of the readers lives in one function: ``_entry`` checks what a
+tree node and a machine state share, and ``_literal_from``, ``_args`` and
+the guard readers check literals, argument lists and guards wherever
+they appear. A checker takes its field path as pieces and joins them
+with ``_path`` only to raise, so reading a well-formed document builds
+no path.
 """
 
 from __future__ import annotations
@@ -60,47 +67,54 @@ def _load(data) -> dict:
     return doc
 
 
-def _expect(value, kind: type, path: str):
+def _path(*pieces) -> str:
+    """The field path ``pieces`` spell, as in ``states[2].pre[0]``: an
+    integer piece is a list index, a None piece is left out, and any other
+    piece is a field name. The checkers below take their path as pieces,
+    a list name, index, field and item, and join them only to raise."""
+    path = pieces[0]
+    for piece in pieces[1:]:
+        if piece is not None:
+            path += f"[{piece}]" if type(piece) is int else f".{piece}"
+    return path
+
+
+def _expect(value, kind: type, *where):
     """``value`` when it has the JSON container type ``kind`` (list or dict)."""
     if not isinstance(value, kind):
         expected = "a list" if kind is list else "an object"
-        raise DocumentError(f"{path}: expected {expected}, got {value!r}")
+        raise DocumentError(f"{_path(*where)}: expected {expected}, got {value!r}")
     return value
 
 
-def _id(value, path: str, key: str = ""):
-    """``value`` when it is an integer id (JSON ``true`` is not one).
-
-    The error names field ``key`` of ``path``, or ``path`` itself; the
-    string is only built for an error, as ids are checked on every node.
-    """
+def _id(value, *where):
+    """``value`` when it is an integer id (JSON ``true`` is not one)."""
     if type(value) is not int:
-        where = f"{path}.{key}" if key else path
-        raise DocumentError(f"{where}: expected an integer id, got {value!r}")
+        raise DocumentError(f"{_path(*where)}: expected an integer id, got {value!r}")
     return value
 
 
-def _ids(values, path: str) -> list:
+def _ids(values, name: str, index=None, field=None) -> list:
     """``values`` when it is a list of integer ids."""
-    for index, value in enumerate(_expect(values, list, path)):
-        if type(value) is not int:
-            _id(value, f"{path}[{index}]")
+    if type(values) is not list:
+        _expect(values, list, name, index, field)
+    for value in values:
+        if type(value) is not int:  # name the first entry that is no id
+            _id(value, name, index, field, [type(v) is int for v in values].index(False))
     return values
 
 
-def _integer(entry: dict, path: str, key: str) -> int:
-    """Field ``key`` of ``entry``, 0 when absent, when it is an integer
-    (JSON ``true`` is not one)."""
-    value = entry.get(key, 0)
+def _integer(value, *where) -> int:
+    """``value`` when it is an integer (JSON ``true`` is not one)."""
     if type(value) is not int:
-        raise DocumentError(f"{path}.{key}: expected an integer, got {value!r}")
+        raise DocumentError(f"{_path(*where)}: expected an integer, got {value!r}")
     return value
 
 
-def _string(value, path: str, key: str) -> str:
-    """``value`` when it is a string; the error names field ``key`` of ``path``."""
+def _string(value, *where) -> str:
+    """``value`` when it is a string."""
     if not isinstance(value, str):
-        raise DocumentError(f"{path}.{key}: expected a string, got {value!r}")
+        raise DocumentError(f"{_path(*where)}: expected a string, got {value!r}")
     return value
 
 
@@ -108,89 +122,68 @@ def _string(value, path: str, key: str) -> str:
 _ARG_TYPES = {str, int, float}
 
 
-def _args(entry: dict, path: str, key: str = "args") -> tuple:
-    """Field ``key`` of ``entry``: a list of strings and numbers.
-
-    Only an error builds the field's path, as ``_id`` does.
-    """
+def _args(entry: dict, name: str, index=None, field=None, item=None,
+          key: str = "args") -> tuple:
+    """Field ``key`` of ``entry``: a list of strings and numbers."""
     values = entry.get(key, [])
-    if not isinstance(values, list):
-        _expect(values, list, f"{path}.{key}")
-    for index, value in enumerate(values):
-        if type(value) not in _ARG_TYPES:
-            raise DocumentError(f"{path}.{key}[{index}]: expected a string or a number, "
-                                f"got {value!r}")
+    if type(values) is not list:
+        _expect(values, list, name, index, field, item, key)
+    for value in values:
+        if type(value) not in _ARG_TYPES:  # name the first entry of another type
+            position = [type(v) in _ARG_TYPES for v in values].index(False)
+            raise DocumentError(f"{_path(name, index, field, item, key, position)}: expected "
+                                f"a string or a number, got {value!r}")
     return tuple(values)
 
 
-def _skill(entry: dict, path: str, key: str = "skill") -> str:
+def _skill(entry: dict, *where, key: str = "skill") -> str:
     """Field ``key`` of ``entry`` when it names a skill in ``KNOWN_SKILLS``."""
     skill = entry.get(key, "")
     if not isinstance(skill, str) or skill not in KNOWN_SKILLS:
-        raise DocumentError(f"{path}.{key}: unknown skill {skill!r}")
+        raise DocumentError(f"{_path(*where, key)}: unknown skill {skill!r}")
     return skill
 
 
-def _require(mapping: dict, key: str, path: str):
+def _require(mapping: dict, key: str, *where):
     if not isinstance(mapping, dict):
-        raise DocumentError(f"{path}: expected an object")
+        raise DocumentError(f"{_path(*where)}: expected an object")
     if key not in mapping:
-        raise DocumentError(f"{path}: missing field {key!r}")
+        raise DocumentError(f"{_path(*where)}: missing field {key!r}")
     return mapping[key]
 
 
-def _literal_from(obj, path: str, key: str = "pred") -> ConditionLiteral:
+def _literal_from(obj, name: str, index=None, field=None, item=None,
+                  key: str = "pred") -> ConditionLiteral:
     """A literal object; condition nodes name the predicate ``predicate``."""
-    if not isinstance(obj, dict):
-        raise DocumentError(f"{path}: expected a literal object")
+    if type(obj) is not dict:
+        raise DocumentError(f"{_path(name, index, field, item)}: expected a literal object")
+    predicate = obj.get(key)
+    if type(predicate) is not str:
+        _string(_require(obj, key, name, index, field, item), name, index, field, item, key)
     try:
-        return ConditionLiteral(_string(_require(obj, key, path), path, key), _args(obj, path))
+        return ConditionLiteral(predicate, _args(obj, name, index, field, item))
     except ValidationError as exc:
-        raise DocumentError(f"{path}: {exc}") from None
+        raise DocumentError(f"{_path(name, index, field, item)}: {exc}") from None
 
 
-def _arg_tuple(values):
-    """``values`` as a tuple when it is a list of strings and numbers, else
-    None; ``_args`` then names the defect."""
+def _literals(values, name: str, index=None, field=None) -> tuple:
+    """A list of literal objects, each named by its item index."""
     if type(values) is not list:
-        return None
-    for value in values:
-        if type(value) not in _ARG_TYPES:
-            return None
-    return tuple(values)
-
-
-def _literal(obj, key: str = "pred"):
-    """The literal a well-formed literal object spells, else None;
-    ``_literal_from`` then names the defect."""
-    if type(obj) is dict:
-        predicate = obj.get(key)
-        args = _arg_tuple(obj.get("args", []))
-        if type(predicate) is str and args is not None:
-            try:
-                return ConditionLiteral(predicate, args)
-            except ValidationError:
-                pass
-    return None
-
-
-def _literals(values, path: str) -> tuple:
-    """A list of literal objects; entry ``i`` is named ``path[i]``."""
-    if type(values) is not list:
-        _expect(values, list, path)
-    return tuple([_literal(lit) or _literal_from(lit, f"{path}[{i}]")
-                  for i, lit in enumerate(values)])
+        _expect(values, list, name, index, field)
+    return tuple([_literal_from(literal, name, index, field, item)
+                  for item, literal in enumerate(values)])
 
 
 def _literal_doc(literal: ConditionLiteral) -> dict:
     return {"pred": literal.predicate, "args": list(literal.args)}
 
 
-def _guard_from(obj, path: str) -> Guard:
-    literal = _literal_from(obj, path)
+def _guard_from(obj, name: str, index=None, field=None, item=None) -> Guard:
+    literal = _literal_from(obj, name, index, field, item)
     negated = obj.get("negated", False)
     if type(negated) is not bool:
-        raise DocumentError(f"{path}.negated: expected true or false, got {negated!r}")
+        raise DocumentError(f"{_path(name, index, field, item, 'negated')}: expected true or "
+                            f"false, got {negated!r}")
     return Guard(literal, negated)
 
 
@@ -361,59 +354,68 @@ def _fsm_text(machine: fsm.StateMachine) -> str:
 _TREE_TYPES = {kind: kind for kind in bt.NODE_KINDS}
 _NESTED_TYPES = {container: kind for kind, container in hfsm.CONTAINERS.items()}
 _NESTED_TYPES.update((kind, kind) for kind in bt.LEAF_KINDS)
+#: state ``type`` in a document -> state kind
+_STATE_TYPES = {kind: kind for kind in fsm.STATE_KINDS}
+#: the node and state kinds that run a skill
+_SKILLED = frozenset({"action", "skill"})
+
+
+def _entry(entry, entries: str, index: int, types: dict, ids: dict) -> tuple:
+    """The id, kind, name, skill and arguments of entry ``index`` of the
+    ``entries`` list (``nodes`` or ``states``), for both policy readers.
+
+    ``types`` maps each ``type`` the list may hold to its kind, and ``ids``
+    holds the ids read so far. Only an action node or a skill state names
+    a skill, and its arguments must be as many as the skill takes; any
+    other entry gets no skill and no arguments.
+    """
+    nid = entry.get("id") if type(entry) is dict else None
+    if type(nid) is not int:
+        _id(_require(entry, "id", entries, index), entries, index, "id")
+    etype = entry.get("type")
+    kind = types.get(etype) if type(etype) is str else None
+    if kind is None:
+        etype = _require(entry, "type", entries, index)
+        raise DocumentError(f"{_path(entries, index, 'type')}: unknown {entries[:-1]} kind "
+                            f"{etype!r}")
+    if nid in ids:
+        raise DocumentError(f"{_path(entries, index, 'id')}: duplicate id {nid}")
+    name = entry.get("name", "")
+    if type(name) is not str:
+        _string(name, entries, index, "name")
+    skill, args = "", ()
+    if kind in _SKILLED:
+        skill = entry.get("skill", "")
+        if type(skill) is not str or skill not in KNOWN_SKILLS:
+            _skill(entry, entries, index)
+        args = _args(entry, entries, index)
+        if len(args) != SKILL_ARITY[skill]:
+            check_skill_args(skill, args, _path(entries, index, "args"), DocumentError)
+    return nid, kind, name, skill, args
 
 
 def _parse_nodes(doc: dict, types: dict) -> bt.PolicyTree:
     """The tree a ``nodes`` list and ``root`` spell.
 
-    Each entry is checked here with inline type tests; only an entry that
-    fails one builds its path and calls the helper that names the defect.
-    The structure (one parent per node, no cycle, nothing unreachable) is
-    checked by ``PolicyTree.validate``.
+    ``_entry`` checks what a node shares with a machine state; the
+    children, a condition's literal and a parallel threshold are checked
+    here. A well-formed field costs at most one checker call, and only a
+    defect builds its path. The structure (one parent per node, no cycle,
+    nothing unreachable) is checked by ``PolicyTree.validate``.
     """
-    entries = _require(doc, "nodes", "top level")
-    if type(entries) is not list:
-        _expect(entries, list, "nodes")
     nodes: dict[int, bt.BtNode] = {}
-    for index, entry in enumerate(entries):
-        nid = entry.get("id") if type(entry) is dict else None
-        if type(nid) is not int:
-            _id(_require(entry, "id", f"nodes[{index}]"), f"nodes[{index}]", "id")
-        ntype = entry.get("type")
-        kind = types.get(ntype) if type(ntype) is str else None
-        if kind is None:
-            ntype = _require(entry, "type", f"nodes[{index}]")
-            raise DocumentError(f"nodes[{index}].type: unknown node kind {ntype!r}")
-        children = entry.get("children", [])
-        if type(children) is not list:
-            _expect(children, list, f"nodes[{index}].children")
-        for child in children:
-            if type(child) is not int:
-                _ids(children, f"nodes[{index}].children")
+    for index, entry in enumerate(_expect(_require(doc, "nodes", "top level"), list, "nodes")):
+        nid, kind, name, skill, args = _entry(entry, "nodes", index, types, nodes)
+        children = _ids(entry.get("children", []), "nodes", index, "children")
         if kind in bt.LEAF_KINDS and children:
-            raise DocumentError(f"nodes[{index}]: {ntype} leaves cannot have children")
+            raise DocumentError(f"nodes[{index}]: {entry['type']} leaves cannot have children")
         if kind in bt.CONTROL_KINDS and not children:
-            raise DocumentError(f"nodes[{index}]: {ntype} needs at least one child")
-        if nid in nodes:
-            raise DocumentError(f"nodes[{index}].id: duplicate id {nid}")
-        name = entry.get("name", "")
-        if type(name) is not str:
-            _string(name, f"nodes[{index}]", "name")
-        skill, args, literal = entry.get("skill", ""), (), None
-        if kind == "action":
-            if type(skill) is not str or skill not in KNOWN_SKILLS:
-                _skill(entry, f"nodes[{index}]")
-            args = _arg_tuple(entry.get("args", []))
-            if args is None:
-                _args(entry, f"nodes[{index}]")
-            if len(args) != SKILL_ARITY[skill]:
-                check_skill_args(skill, args, f"nodes[{index}].args", DocumentError)
-        elif kind == "condition":
-            literal = (_literal(entry, "predicate")
-                       or _literal_from(entry, f"nodes[{index}]", "predicate"))
+            raise DocumentError(f"nodes[{index}]: {entry['type']} needs at least one child")
+        literal = (_literal_from(entry, "nodes", index, key="predicate")
+                   if kind == "condition" else None)
         threshold = entry.get("threshold", 0)
         if type(threshold) is not int:
-            _integer(entry, f"nodes[{index}]", "threshold")
+            _integer(threshold, "nodes", index, "threshold")
         nodes[nid] = bt.BtNode(nid, kind, name, children, skill, args, literal, threshold)
     for index, node in enumerate(nodes.values()):
         if node.kind == "parallel":
@@ -435,74 +437,53 @@ _STATUS_ORDER = ("SUCCESS", "FAILURE", "RUNNING")
 
 
 def _parse_fsm(doc: dict) -> fsm.StateMachine:
-    """The machine a ``states`` list spells; each entry is checked as
-    ``_parse_nodes`` checks a node."""
+    """The machine a ``states`` list spells.
+
+    ``_entry`` checks what a state shares with a tree node; the rest of a
+    state is checked here, as ``_parse_nodes`` checks the rest of a node.
+    Which states exist, and what the plan order, connected states and
+    edges name, is checked by ``StateMachine.validate``.
+    """
     machine = fsm.StateMachine(initial=_id(_require(doc, "initial", "top level"), "initial"))
     states = machine.states
-    entries = _require(doc, "states", "top level")
-    if type(entries) is not list:
-        _expect(entries, list, "states")
-    for index, entry in enumerate(entries):
-        sid = entry.get("id") if type(entry) is dict else None
-        if type(sid) is not int:
-            _id(_require(entry, "id", f"states[{index}]"), f"states[{index}]", "id")
-        stype = entry.get("type")
-        if stype not in fsm.STATE_KINDS:
-            stype = _require(entry, "type", f"states[{index}]")
-            raise DocumentError(f"states[{index}].type: unknown state kind {stype!r}")
-        if sid in states:
-            raise DocumentError(f"states[{index}].id: duplicate id {sid}")
+    for index, entry in enumerate(_expect(_require(doc, "states", "top level"), list,
+                                          "states")):
+        sid, kind, name, skill, args = _entry(entry, "states", index, _STATE_TYPES, states)
+        if kind != "skill":  # checked on every state, as its other fields are
+            args = _args(entry, "states", index)
         transitions = entry.get("transitions", {})
         if type(transitions) is not dict:
-            _expect(transitions, dict, f"states[{index}].transitions")
+            _expect(transitions, dict, "states", index, "transitions")
         for label, target in transitions.items():
             if label not in _STATUS_LABELS:
                 raise DocumentError(f"states[{index}].transitions: unknown label {label!r}")
             if type(target) is not int:
-                _id(target, f"states[{index}].transitions", label)
+                _id(target, "states", index, "transitions", label)
         outcome = None
-        if stype == "outcome":
+        if kind == "outcome":
             status = entry.get("status")
             if type(status) is not str or status not in _STATUS_LABELS:
-                status = _require(entry, "status", f"states[{index}]")
+                status = _require(entry, "status", "states", index)
                 raise DocumentError(f"states[{index}].status: expected SUCCESS, FAILURE or "
                                     f"RUNNING, got {status!r}")
             outcome = Status(status)
-        name = entry.get("name", "")
-        if type(name) is not str:
-            _string(name, f"states[{index}]", "name")
-        skill = entry.get("skill", "")
-        if stype == "skill" and (type(skill) is not str or skill not in KNOWN_SKILLS):
-            _skill(entry, f"states[{index}]")
-        args = _arg_tuple(entry.get("args", []))
-        if args is None:
-            _args(entry, f"states[{index}]")
-        if stype == "skill" and len(args) != SKILL_ARITY[skill]:
-            check_skill_args(skill, args, f"states[{index}].args", DocumentError)
-        pre = entry.get("pre", [])
-        if type(pre) is not list:
-            _expect(pre, list, f"states[{index}].pre")
-        dispatch_pre = tuple([_literal(lit) or _literal_from(lit, f"states[{index}].pre[{i}]")
-                              for i, lit in enumerate(pre)])
+        dispatch_pre = _literals(entry.get("pre", []), "states", index, "pre")
         post = entry.get("post")
-        achieves = (None if post is None
-                    else _literal(post) or _literal_from(post, f"states[{index}].post"))
+        achieves = None if post is None else _literal_from(post, "states", index, "post")
         interrupts = entry.get("interrupts", [])
         if type(interrupts) is not list:
-            _expect(interrupts, list, f"states[{index}].interrupts")
-        interrupts = [_interrupt_from(item, f"states[{index}].interrupts[{i}]")
+            _expect(interrupts, list, "states", index, "interrupts")
+        interrupts = [_interrupt_from(item, "states", index, "interrupts", i)
                       for i, item in enumerate(interrupts)]
         rank = entry.get("rank", 0)
         if type(rank) is not int:
-            _integer(entry, f"states[{index}]", "rank")
-        states[sid] = fsm.FsmState(sid, stype, name, skill, args, dispatch_pre, achieves,
+            _integer(rank, "states", index, "rank")
+        states[sid] = fsm.FsmState(sid, kind, name, skill, args, dispatch_pre, achieves,
                                    interrupts, transitions, rank, outcome)
     machine.plan_order = list(_ids(doc.get("plan_order", []), "plan_order"))
     machine.goal = _literals(doc.get("goal", []), "goal")
-    machine.connected = [
-        _connection_from(item, f"connected[{i}]")
-        for i, item in enumerate(_expect(doc.get("connected", []), list, "connected"))
-    ]
+    machine.connected = [_connection_from(item, "connected", i) for i, item
+                         in enumerate(_expect(doc.get("connected", []), list, "connected"))]
     try:
         machine.validate()
     except ValidationError as exc:
@@ -510,12 +491,12 @@ def _parse_fsm(doc: dict) -> fsm.StateMachine:
     return machine
 
 
-def _interrupt_from(item, path: str) -> tuple:
-    return _guard_from(item, path), _id(_require(item, "target", path), path, "target")
+def _interrupt_from(item, *where) -> tuple:
+    return _guard_from(item, *where), _id(_require(item, "target", *where), *where, "target")
 
 
-def _connection_from(item, path: str) -> tuple:
-    return _id(_require(item, "state", path), path, "state"), _guard_from(item, path)
+def _connection_from(item, *where) -> tuple:
+    return _id(_require(item, "state", *where), *where, "state"), _guard_from(item, *where)
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +508,13 @@ def parse_library_document(data) -> ActionLibrary:
     specs = []
     for index, entry in enumerate(_expect(_require(doc, "actions", "top level"), list,
                                           "actions")):
-        path = f"actions[{index}]"
-        name = _string(_require(entry, "name", path), path, "name")
-        params = _args(entry, path, "params")
-        preconditions = _literals(entry.get("pre", []), f"{path}.pre")
-        postconditions = _literals(entry.get("post", []), f"{path}.post")
+        name = _string(_require(entry, "name", "actions", index), "actions", index, "name")
+        params = _args(entry, "actions", index, key="params")
+        preconditions = _literals(entry.get("pre", []), "actions", index, "pre")
+        postconditions = _literals(entry.get("post", []), "actions", index, "post")
         # an action without a skill runs the skill of its name
-        skill = _skill(entry, path, "skill" if "skill" in entry else "name")
-        check_skill_args(skill, params, f"{path}.params", DocumentError)
+        skill = _skill(entry, "actions", index, key="skill" if "skill" in entry else "name")
+        check_skill_args(skill, params, _path("actions", index, "params"), DocumentError)
         specs.append(ActionSpec(name, params, preconditions, postconditions, skill))
     try:
         return validate_action_library(specs)
@@ -589,8 +569,7 @@ def parse_scenario_document(data) -> simworld.Scenario:
         value = doc[f.name]
         if f.name in _SCENARIO_ENTRIES:
             entries = enumerate(_expect(value, list, f.name))
-            value = tuple(_SCENARIO_ENTRIES[f.name](entry, f"{f.name}[{i}]")
-                          for i, entry in entries)
+            value = tuple(_SCENARIO_ENTRIES[f.name](entry, f.name, i) for i, entry in entries)
         elif isinstance(f.default, tuple):
             value = tuple(_expect(value, list, f.name))
         elif f.default_factory is dict:
@@ -599,15 +578,16 @@ def parse_scenario_document(data) -> simworld.Scenario:
     return simworld.Scenario(**values)
 
 
-def _failure_from(entry, path: str) -> tuple:
-    skill = _require(entry, "skill", path)
-    args = None if entry.get("args") is None else _args(entry, path)
+def _failure_from(entry, name: str, index: int) -> tuple:
+    skill = _require(entry, "skill", name, index)
+    args = None if entry.get("args") is None else _args(entry, name, index)
     return skill, args, entry.get("invocation", 1)
 
 
-def _perturbation_from(entry, path: str) -> simworld.Perturbation:
-    return simworld.Perturbation(_require(entry, "tick", path), _require(entry, "event", path),
-                                 tuple(_expect(entry.get("args", []), list, f"{path}.args")))
+def _perturbation_from(entry, name: str, index: int) -> simworld.Perturbation:
+    return simworld.Perturbation(_require(entry, "tick", name, index),
+                                 _require(entry, "event", name, index),
+                                 tuple(_expect(entry.get("args", []), list, name, index, "args")))
 
 
 #: scenario field -> reader of one entry of its list

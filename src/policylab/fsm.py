@@ -34,7 +34,7 @@ from typing import Iterator, Optional
 from .core import (
     ConditionLiteral, EditError, FAILURE, Guard, RUNNING, SUCCESS, Status, ValidationError,
 )
-from .planner import Plan, PlanStep
+from .planner import Plan
 
 STATE_KINDS = ("skill", "selector", "outcome")
 
@@ -140,11 +140,16 @@ class StateMachine:
         has_selector = bool(selectors)
         if self.initial not in self.states:
             raise ValidationError(f"initial state {self.initial} does not exist")
-        entries = [(f"plan_order[{index}]", sid) for index, sid in enumerate(self.plan_order)]
-        entries += [(f"connected[{index}]", sid) for index, (sid, _) in enumerate(self.connected)]
-        for path, sid in entries:
-            if sid not in self.states:
-                raise ValidationError(f"{path}: names missing state {sid}")
+        listed = (("plan_order", self.plan_order),
+                  ("connected", [sid for sid, _ in self.connected]))
+        for name, sids in listed:
+            seen = set()
+            for index, sid in enumerate(sids):
+                if sid not in self.states:
+                    raise ValidationError(f"{name}[{index}]: names missing state {sid}")
+                if sid in seen:
+                    raise ValidationError(f"{name}[{index}]: repeats state {sid}")
+                seen.add(sid)
         for sid in self.plan_order:
             if self.states[sid].kind != "skill":
                 raise ValidationError(f"plan order entry {sid} is not a skill state")
@@ -208,39 +213,34 @@ def count_elements(sm: StateMachine) -> dict:
 # builders
 
 
-def _skill_state(sid: int, step: PlanStep) -> FsmState:
-    spec = step.spec
-    return FsmState(
-        id=sid,
-        kind="skill",
-        name=spec.label(),
-        skill=spec.skill,
-        args=tuple(spec.params),
-        dispatch_pre=tuple(step.dispatch_pre),
-        achieves=step.achieves,
-    )
+def _chain(sm: StateMachine, plan: Plan, first: int) -> int:
+    """Add to ``sm`` a skill state per plan step, ids counting up from
+    ``first``, each with a SUCCESS edge to the next, then the SUCCESS
+    outcome that the last one leads to; the steps become the plan order.
+    Returns the outcome's id."""
+    if not plan.steps:
+        raise ValidationError("empty plan")
+    for sid, step in enumerate(plan.steps, first):
+        spec = step.spec
+        sm.states[sid] = FsmState(sid, "skill", spec.label(), spec.skill, tuple(spec.params),
+                                  tuple(step.dispatch_pre), step.achieves,
+                                  transitions={_SUCCESS: sid + 1})
+    outcome_id = first + len(plan.steps)
+    sm.states[outcome_id] = FsmState(outcome_id, "outcome", "SUCCESS", outcome=SUCCESS)
+    sm.plan_order = list(range(first, outcome_id))
+    return outcome_id
 
 
 def build_sequential(plan: Plan) -> StateMachine:
     """One state per plan step, success-chained to a single outcome.
 
-    There is no selector: any failure terminates the machine and the
-    whole sequence has to be restarted by the caller. The machine reports
-    what its last skill did, without checking the goal.
+    It is the chain ``_chain`` builds from id 0, where the machine
+    starts. There is no selector: any failure terminates the machine and
+    the whole sequence has to be restarted by the caller. The machine
+    reports what its last skill did, without checking the goal.
     """
-    if not plan.steps:
-        raise ValidationError("empty plan")
     sm = StateMachine(goal=tuple(plan.goal))
-    for index, step in enumerate(plan.steps):
-        sm.states[index] = _skill_state(index, step)
-    outcome_id = len(plan.steps)
-    sm.states[outcome_id] = FsmState(
-        id=outcome_id, kind="outcome", name="SUCCESS", outcome=SUCCESS
-    )
-    for index in range(len(plan.steps)):
-        sm.states[index].transitions[_SUCCESS] = index + 1
-    sm.initial = 0
-    sm.plan_order = list(range(len(plan.steps)))
+    _chain(sm, plan, 0)
     sm.validate()
     return sm
 
@@ -248,41 +248,22 @@ def build_sequential(plan: Plan) -> StateMachine:
 def build_fault_tolerant(plan: Plan) -> StateMachine:
     """The reactive design: selector hub plus fully wired skill states.
 
-    Every skill state has a RUNNING self-loop, a FAILURE edge to the
-    selector and a dispatch edge back from it; execution starts at the
-    selector so a partially solved task is resumed, not restarted.
+    The selector is state 0, where execution starts, so a partially
+    solved task is resumed, not restarted; ``_chain`` follows it from
+    id 1. Every skill state gains a RUNNING self-loop, a FAILURE edge to
+    the selector and a dispatch edge back from it.
     """
-    if not plan.steps:
-        raise ValidationError("empty plan")
     for step in plan.steps:
         if step.achieves is None:
             raise ValidationError(
                 f"{step.spec.label()} lacks a dispatch postcondition"
             )
     sm = StateMachine(goal=tuple(plan.goal))
-    selector_id = 0
-    first_skill = 1
-    outcome_id = len(plan.steps) + 1
-    sm.states[selector_id] = FsmState(
-        id=selector_id,
-        kind="selector",
-        name="SELECTOR",
-        transitions={_RUNNING: selector_id, _SUCCESS: outcome_id},
-    )
-    for offset, step in enumerate(plan.steps):
-        sid = first_skill + offset
-        state = _skill_state(sid, step)
-        state.transitions = {
-            _RUNNING: sid,
-            _FAILURE: selector_id,
-            _SUCCESS: sid + 1 if offset + 1 < len(plan.steps) else outcome_id,
-        }
-        sm.states[sid] = state
-    sm.states[outcome_id] = FsmState(
-        id=outcome_id, kind="outcome", name="SUCCESS", outcome=SUCCESS
-    )
-    sm.initial = selector_id
-    sm.plan_order = list(range(first_skill, first_skill + len(plan.steps)))
+    sm.states[0] = FsmState(0, "selector", "SELECTOR", transitions={_RUNNING: 0})
+    sm.states[0].transitions[_SUCCESS] = _chain(sm, plan, 1)
+    for sid in sm.plan_order:
+        state = sm.states[sid]
+        state.transitions = {_RUNNING: sid, _FAILURE: 0, **state.transitions}
     sm.validate()
     return sm
 

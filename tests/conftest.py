@@ -178,10 +178,22 @@ def _parallel_over_two(**threshold) -> dict:
          "args": []}]}
 
 
+def _packaged_policy(name: str, **fields) -> dict:
+    """The packaged policy document ``name`` with its top-level ``fields`` replaced."""
+    return {**json.loads(fixtures.policy_path(name).read_text()), **fields}
+
+
 def _fetch_fsm_with(index: int, **fields) -> dict:
     """The packaged fetch_fsm document with entry ``index`` of its states updated."""
-    doc = json.loads(fixtures.policy_path("fetch_fsm").read_text())
+    doc = _packaged_policy("fetch_fsm")
     doc["states"][index].update(fields)
+    return doc
+
+
+def _connected_twice() -> dict:
+    """The packaged fetch_fsm_recharge document with its connected list doubled."""
+    doc = _packaged_policy("fetch_fsm_recharge")
+    doc["connected"] *= 2
     return doc
 
 
@@ -197,4 +209,7 @@ POLICY_DEFECTS = [
      "state 0: SUCCESS transition unresolvable"),
     ("plan state without a post", _fetch_fsm_with(1, post=None),
      "plan state 1 has no post for the selector to dispatch on"),
+    ("plan order repeats a state", _packaged_policy("fetch_fsm", plan_order=[1, 1, 2, 3, 4]),
+     "plan_order[1]: repeats state 1"),
+    ("connected state listed twice", _connected_twice(), "connected[1]: repeats state 6"),
 ]

@@ -165,6 +165,23 @@ class TestParallel:
         children = [builder.action("move_to", ("fetch1",)), builder.action("pick", ("cube2",))]
         builder.build(builder.add("parallel", "p", children=children, threshold=1))
 
+    def test_a_motion_graft_beside_a_moving_child_is_refused_unchanged(self):
+        builder = bt.TreeBuilder()
+        moving = builder.add("sequence", "m", children=[builder.action("move_to", ("fetch1",))])
+        still = builder.add("sequence", "s", children=[builder.action("tuck")])
+        tree = builder.build(builder.add("parallel", "p", children=[moving, still], threshold=1))
+        before = documents.serialize_policy(tree)
+        for parent in (tree.root, still):  # under the parallel, and further down
+            graft = bt.TreeBuilder(10)
+            with pytest.raises(EditError, match=f"^cannot graft motion actions under parallel "
+                                                f"{tree.root}: another of its children moves"):
+                bt.insert_subtree(tree, parent, 0, graft.build(graft.action("dock")))
+            assert documents.serialize_policy(tree) == before
+        for parent, skill in ((moving, ("dock",)), (still, ("pick", ("cube2",)))):
+            graft = bt.TreeBuilder(tree.next_id())
+            bt.insert_subtree(tree, parent, 0, graft.build(graft.action(*skill)))
+        tree.validate()
+
     def one_of_docked_or_tuck(self):
         builder = bt.TreeBuilder()
         children = [builder.condition(L("docked")), builder.action("tuck")]

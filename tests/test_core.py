@@ -67,6 +67,12 @@ class TestConditionLiteral:
         with pytest.raises(ValidationError):
             L("battery_above", (threshold,))
 
+    @pytest.mark.parametrize("threshold", [True, False])
+    def test_battery_threshold_is_not_a_boolean(self, threshold):
+        # as the document reader, which reads JSON true as no number
+        with pytest.raises(ValidationError, match=rf"\[0, 100\], got {threshold}$"):
+            L("battery_above", (threshold,))
+
     def test_battery_threshold_ok(self):
         assert L("battery_above", (20,)).key() == "battery_above(20)"
 

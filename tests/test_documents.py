@@ -210,6 +210,25 @@ def test_machine_state_defects_name_the_field(field, value, message):
         documents.parse_policy_document(json.dumps(doc))
 
 
+def test_a_well_formed_policy_builds_no_error_path(monkeypatch):
+    # the checkers join a field path only to raise; one built eagerly would
+    # cost every read of a well-formed document
+    texts = [fixtures.policy_path(name).read_text() for name in packaged_policies()]
+    for cubes in range(1, 10):
+        tree, plan = planner.synthesize(*experiments.generated_task(range(1, cubes + 1)))
+        texts += [documents.serialize_policy(policy) for policy in (
+            tree, fsm.build_sequential(plan), fsm.build_fault_tolerant(plan), hfsm.from_bt(tree))]
+
+    def joined(*pieces):
+        raise AssertionError(f"the path of {pieces} was built")
+
+    monkeypatch.setattr(documents, "_path", joined)
+    for text in texts:
+        assert documents.serialize_policy(documents.parse_policy_document(text)) == text
+    with pytest.raises(AssertionError, match=r"the path of \('nodes', 0, 'name'\) was built"):
+        documents.parse_policy_document(mutated("fetch_bt.json", ["nodes", 0, "name"], 5))
+
+
 def test_library_and_goal_round_trip():
     library = fixtures.load_library("fetch")
     text = documents.serialize_library(library)

@@ -167,11 +167,13 @@ class StateMachine:
                     raise ValidationError(
                         f"state {state.id}: transition {label} targets missing {target}"
                     )
-            for _, target in state.interrupts:
-                if target not in self.states:
-                    raise ValidationError(
-                        f"state {state.id}: interrupt targets missing {target}"
-                    )
+            if state.interrupts:
+                # the engine returns at an outcome before it reads interrupts
+                if state.kind == "outcome":
+                    raise ValidationError(f"outcome state {state.id} cannot have interrupts")
+                fault = _interrupt_fault(self, state, state.interrupts)
+                if fault is not None:
+                    raise ValidationError(fault)
             # totality: a skill state's SUCCESS lands on a drawn edge or the
             # selector, and the selector's on a drawn edge; FAILURE always
             # resolves, to a drawn edge, the selector or machine failure
@@ -182,6 +184,30 @@ class StateMachine:
                 )
 
 
+def _interrupt_fault(sm: StateMachine, state: FsmState, interrupts) -> Optional[str]:
+    """Why ``state`` cannot watch ``interrupts`` in ``sm``, or None.
+
+    An interrupt leads to another state that exists, since the engine
+    never takes one to the state it is in, and draws an edge the state
+    does not have yet: the graph holds each edge once, so a repeat, or a
+    selector interrupt with a dispatch edge's target and label, would be
+    counted twice but drawn once.
+    """
+    drawn = ({(sid, sm.states[sid].dispatch_label()) for sid in sm.plan_order}
+             if state.kind == "selector" else set())
+    for index, (guard, target) in enumerate(interrupts):
+        if target == state.id:
+            return f"state {state.id}: interrupts[{index}] targets its own state"
+        if target not in sm.states:
+            return f"state {state.id}: interrupt targets missing {target}"
+        label = guard.key()
+        if (target, label) in drawn:
+            return (f"state {state.id}: interrupts[{index}] repeats the edge {label} "
+                    f"to state {target}")
+        drawn.add((target, label))
+    return None
+
+
 def iter_edges(sm: StateMachine) -> Iterator[tuple]:
     """All drawn edges as (source, target, label) triples.
 
@@ -189,7 +215,7 @@ def iter_edges(sm: StateMachine) -> Iterator[tuple]:
     dispatch edge to every plan state.
     """
     for state in sm.states.values():
-        for label, target in sorted(state.transitions.items()):
+        for label, target in state.transitions.items():
             yield (state.id, target, label)
         for guard, target in state.interrupts:
             yield (state.id, target, guard.key())
@@ -272,8 +298,9 @@ def build_fault_tolerant(plan: Plan) -> StateMachine:
 # edit operations
 
 
-def _check_new_state(sm: StateMachine, new_state: FsmState) -> int:
-    """The selector to wire the fresh skill state ``new_state`` to."""
+def _check_new_state(sm: StateMachine, new_state: FsmState, watched: list) -> int:
+    """The selector to wire the fresh skill state ``new_state`` to, which
+    will watch its own interrupts and then ``watched``."""
     if new_state.id in sm.states:
         raise EditError(f"state id {new_state.id} already in machine")
     if new_state.kind != "skill":
@@ -281,12 +308,15 @@ def _check_new_state(sm: StateMachine, new_state: FsmState) -> int:
     selector = sm.selector_id
     if selector is None:
         raise EditError("adding a state requires a selector machine")
+    fault = _interrupt_fault(sm, new_state, [*new_state.interrupts, *watched])
+    if fault is not None:
+        raise EditError(fault)
     return selector
 
 
 def _check_plan_insertion(sm: StateMachine, preceding: int, new_state: FsmState) -> tuple:
     """The selector and the plan state ``preceding``'s drawn SUCCESS target."""
-    selector = _check_new_state(sm, new_state)
+    selector = _check_new_state(sm, new_state, _watches(sm))
     if preceding not in sm.plan_order:
         raise EditError(f"state {preceding} is not in the plan order, which leaves out "
                         f"the selector, the outcomes and the connected states")
@@ -296,11 +326,16 @@ def _check_plan_insertion(sm: StateMachine, preceding: int, new_state: FsmState)
     return selector, following
 
 
+def _watches(sm: StateMachine) -> list:
+    """The interrupt to each connected state, which a new plan state watches."""
+    return [(guard, connected_id) for connected_id, guard in sm.connected]
+
+
 def _insert_plan_state(sm: StateMachine, preceding: int, new_state: FsmState,
                        transitions: dict) -> StateMachine:
     """Add ``new_state``, watching every connected state, after ``preceding``."""
     new_state.transitions = transitions
-    new_state.interrupts.extend((guard, connected_id) for connected_id, guard in sm.connected)
+    new_state.interrupts.extend(_watches(sm))
     sm.states[new_state.id] = new_state
     sm.plan_order.insert(sm.plan_order.index(preceding) + 1, new_state.id)
     sm.validate()
@@ -357,7 +392,7 @@ def add_connected_state(sm: StateMachine, new_state: FsmState,
     state keeps a RUNNING self-loop and a FAILURE edge back to the
     selector. A refused edit raises ``EditError`` and changes nothing.
     """
-    selector = _check_new_state(sm, new_state)
+    selector = _check_new_state(sm, new_state, [])
     for state in sm.states.values():
         if state.kind != "outcome":
             state.interrupts.append((condition, new_state.id))

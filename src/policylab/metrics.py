@@ -47,13 +47,11 @@ class PolicyGraph:
 
     vertices: dict
     edges: frozenset
-    sinks: frozenset = frozenset()
     kind: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", dict(self.vertices))
         object.__setattr__(self, "edges", frozenset(self.edges))
-        object.__setattr__(self, "sinks", frozenset(self.sinks))
         for source, target, _ in self.edges:
             if source not in self.vertices or target not in self.vertices:
                 raise ValidationError(f"edge ({source}, {target}) references missing vertex")
@@ -72,24 +70,15 @@ class PolicyGraph:
 def bt_to_graph(tree: bt.PolicyTree) -> PolicyGraph:
     """One vertex per node, one parent-to-child edge per link."""
     vertices = {nid: f"{node.kind}:{node.name}" for nid, node in tree.nodes.items()}
-    edges = set()
-    leaves = set()
-    for nid, node in tree.nodes.items():
-        if node.children:
-            for child in node.children:
-                edges.add((nid, child, "child"))
-        else:
-            leaves.add(nid)
-    return PolicyGraph(vertices=vertices, edges=edges, sinks=leaves, kind="bt")
+    edges = {(nid, child, "child") for nid, node in tree.nodes.items() for child in node.children}
+    return PolicyGraph(vertices=vertices, edges=edges, kind="bt")
 
 
 def fsm_to_graph(machine: fsm.StateMachine) -> PolicyGraph:
     """States and outcomes as vertices, every drawn transition as an edge."""
     vertices = {sid: f"{state.kind}:{state.name}"
                 for sid, state in machine.states.items()}
-    edges = set(fsm.iter_edges(machine))
-    return PolicyGraph(vertices=vertices, edges=edges,
-                       sinks=machine.outcome_ids(), kind="fsm")
+    return PolicyGraph(vertices=vertices, edges=fsm.iter_edges(machine), kind="fsm")
 
 
 def hfsm_to_graph(machine: hfsm.HfsmContainer) -> PolicyGraph:
@@ -121,8 +110,7 @@ def hfsm_to_graph(machine: hfsm.HfsmContainer) -> PolicyGraph:
             edges.add((node.id, running, "RUNNING"))
         if node.kind in hfsm.CONTAINER_KINDS:
             edges.add((node.id, node.children[0].id, "enter"))
-    return PolicyGraph(vertices=vertices, edges=edges,
-                       sinks=frozenset(OUTCOME_SINKS.values()), kind="hfsm")
+    return PolicyGraph(vertices=vertices, edges=edges, kind="hfsm")
 
 
 # ---------------------------------------------------------------------------
@@ -786,10 +774,15 @@ def isomorphic(g1: PolicyGraph, g2: PolicyGraph) -> bool:
 def cyclomatic(graph: PolicyGraph) -> int:
     """Arcs plus sinks minus nodes plus one.
 
+    The sinks are the outcome vertices, those labeled ``outcome:``, so a
+    graph rebuilt by ``apply_script`` measures like the one it matches.
     Tree graphs follow the single-exit convention (one sink regardless
     of leaf count), which pins their value at 1.
     """
-    sinks = 1 if graph.kind == "bt" else len(graph.sinks)
+    if graph.kind == "bt":
+        sinks = 1
+    else:
+        sinks = sum(label.startswith("outcome:") for label in graph.vertices.values())
     return graph.size() + sinks - graph.order() + 1
 
 

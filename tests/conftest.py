@@ -197,6 +197,19 @@ def _connected_twice() -> dict:
     return doc
 
 
+#: the packaged fetch_fsm_recharge document's interrupt to its recharge state
+RECHARGE_INTERRUPT = {"pred": "battery_above", "args": [20], "negated": True, "target": 6}
+
+
+def _recharge_fsm_interrupts(index: int, *interrupts: dict) -> dict:
+    """The packaged fetch_fsm_recharge document with ``interrupts`` appended
+    to those of its state entry ``index``."""
+    doc = _packaged_policy("fetch_fsm_recharge")
+    state = doc["states"][index]
+    state["interrupts"] = [*state.get("interrupts", []), *interrupts]
+    return doc
+
+
 #: (case, policy document, error) for the defects a policy document reaches
 #: only through ``PolicyTree.validate`` and ``StateMachine.validate``
 POLICY_DEFECTS = [
@@ -212,4 +225,13 @@ POLICY_DEFECTS = [
     ("plan order repeats a state", _packaged_policy("fetch_fsm", plan_order=[1, 1, 2, 3, 4]),
      "plan_order[1]: repeats state 1"),
     ("connected state listed twice", _connected_twice(), "connected[1]: repeats state 6"),
+    ("interrupt listed twice", _recharge_fsm_interrupts(2, RECHARGE_INTERRUPT),
+     "state 2: interrupts[1] repeats the edge !battery_above(20) to state 6"),
+    ("interrupt on an outcome", _recharge_fsm_interrupts(5, RECHARGE_INTERRUPT),
+     "outcome state 5 cannot have interrupts"),
+    ("interrupt to its own state", _recharge_fsm_interrupts(1, {**RECHARGE_INTERRUPT, "target": 1}),
+     "state 1: interrupts[1] targets its own state"),
+    ("selector interrupt on a dispatch edge",
+     _recharge_fsm_interrupts(0, {"pred": "robot_at", "args": ["fetch1"], "target": 2}),
+     "state 0: interrupts[1] repeats the edge robot_at(fetch1) to state 2"),
 ]

@@ -8,13 +8,14 @@ chains that would take the tree past ``bt.MAX_DEPTH`` levels. An edit
 that raises ``EditError`` must leave the serialized policy as it was.
 After any other edit the policy must serialize, parse back to the same
 bytes and run on the baseline scenario to an outcome or a
-``PolicyError``, in a world that keeps its invariants.
+``PolicyError``, in a world that keeps its invariants. A machine left
+after machine edits counts as many edges as its graph holds.
 """
 
 import random
 from collections import Counter
 
-from policylab import bt, documents, fixtures, fsm, simworld
+from policylab import bt, documents, fixtures, fsm, metrics, simworld
 from policylab.core import ConditionLiteral as L, EditError, Guard, PolicyError
 
 POLICIES = ("fetch_bt", "fetch_bt_recharge", "fetch_bt_memory", "fetch_bt_compact",
@@ -145,3 +146,19 @@ def test_an_edit_refuses_or_leaves_a_policy_that_reads_back_and_runs(checked_wor
     assert set(edits) == {"refused", "insert", "remove", "prepend", "append", "sequential",
                           "alternative", "connected"}, edits
     assert sum(ends.values()) == sum(edits.values()) - edits["refused"], ends
+
+
+def test_an_edited_machine_counts_the_edges_of_its_graph():
+    rng = random.Random(SEED)
+    names = [name for name in POLICIES if "_fsm" in name]
+    checked = 0
+    for _ in range(TRIALS):
+        machine = fixtures.load_policy(rng.choice(names))
+        for _ in range(rng.randint(1, 5)):
+            try:
+                machine_edit(rng, machine)
+            except EditError:
+                continue
+            assert fsm.count_elements(machine)["edges"] == metrics.fsm_to_graph(machine).size()
+            checked += 1
+    assert checked > TRIALS

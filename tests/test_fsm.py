@@ -272,6 +272,13 @@ def new_skill(machine, sid=None):
                         name="tuck()!", skill="tuck")
 
 
+def watching(machine, target=None):
+    """A new skill state with a low-battery interrupt to ``target``, or to itself."""
+    state = new_skill(machine)
+    state.interrupts.append((experiments.LOW_BATTERY, state.id if target is None else target))
+    return state
+
+
 #: (case, machine, edit): each edit is refused before it changes the machine
 REFUSED_EDITS = [
     ("sequential after the selector", experiments.fetch_fsm,
@@ -306,6 +313,12 @@ REFUSED_EDITS = [
      selector_succeeding_to_the_last_step, lambda m: fsm.remove_state(m, m.plan_order[-1])),
     ("remove a success target that loops, without a selector", looping_second_step,
      lambda m: fsm.remove_state(m, m.plan_order[1])),
+    ("connected state watching itself", experiments.fetch_fsm,
+     lambda m: fsm.add_connected_state(m, watching(m), experiments.LOW_BATTERY)),
+    ("alternative watching a connected state twice", recharge_machine,
+     lambda m: fsm.add_alternative_state(m, m.plan_order[0], watching(m, recharge(m)))),
+    ("alternative watching a missing state", experiments.fetch_fsm,
+     lambda m: fsm.add_alternative_state(m, m.plan_order[0], watching(m, 99))),
 ]
 
 

@@ -10,6 +10,7 @@ from typing import Optional
 
 import pytest
 
+from conftest import packaged_policies
 from policylab import bt, experiments, fixtures, fsm, hfsm, metrics, planner, report
 from policylab.core import ValidationError
 from policylab.metrics import (
@@ -63,12 +64,14 @@ class TestEncoders:
         graph = metrics.bt_to_graph(fetch_tree)
         assert (graph.order(), graph.size()) == (14, 13)
         assert graph.kind == "bt"
-        assert len(graph.sinks) == 8  # leaves: four conditions, four actions
+        # a tree has no outcome vertex; cyclomatic counts its one exit
+        assert not any(label.startswith("outcome:") for label in graph.vertices.values())
 
     def test_machine_graph_counts(self, fetch_machine):
         graph = metrics.fsm_to_graph(fetch_machine)
         assert (graph.order(), graph.size()) == (6, 18)
-        assert graph.sinks == frozenset(fetch_machine.outcome_ids())
+        assert {vid for vid, label in graph.vertices.items()
+                if label.startswith("outcome:")} == fetch_machine.outcome_ids()
 
     def test_sequential_machine_graph(self):
         graph = metrics.fsm_to_graph(experiments.fetch_fsm_sequential())
@@ -193,6 +196,35 @@ def reference_pairs():
                metrics.fsm_to_graph(machine), want_fsm)
         yield ("hfsm", name, metrics.hfsm_to_graph(hfsm.from_bt(base_bt)),
                metrics.hfsm_to_graph(hfsm.from_bt(tree)), want_h)
+
+
+def replayed_pairs():
+    """Each table-2 pair both ways, and each modified policy onto itself,
+    per representation: (representation, case, g1, g2)."""
+    for kind, name, base, changed, _ in reference_pairs():
+        for case, g1, g2 in (("forward", base, changed), ("backward", changed, base),
+                             ("itself", changed, changed)):
+            yield kind, f"{name} {case}", g1, g2
+
+
+def test_a_replayed_graph_measures_like_its_target():
+    cells = 0
+    for kind, case, g1, g2 in replayed_pairs():
+        replayed = apply_script(g1, ged_exact(g1, g2).script)
+        assert isomorphic(replayed, g2), (kind, case)
+        assert cyclomatic(replayed) == cyclomatic(g2), (kind, case)
+        cells += 1
+    assert cells == 36
+
+
+def test_machine_counts_agree_with_the_graph():
+    machines = [fixtures.load_policy(name) for name in packaged_policies() if "_fsm" in name]
+    assert len(machines) == 6
+    for cubes in range(1, 10):
+        _, plan = planner.synthesize(*experiments.generated_task(range(1, cubes + 1)))
+        machines += [fsm.build_sequential(plan), fsm.build_fault_tolerant(plan)]
+    for machine in machines:
+        assert fsm.count_elements(machine)["edges"] == metrics.fsm_to_graph(machine).size()
 
 
 class TestSeededSearch:

@@ -5,7 +5,8 @@ run (execute a policy in a scenario), metrics (structure measures) and
 report (reproduce the reference tables).
 
 Exit codes: 0 success, 1 input or parse error, 2 policy FAILURE (run) or
-report mismatch, 3 episode timeout, 4 edit distance budget exhausted.
+report mismatch, 3 episode timeout, 4 edit distance search stopped by its
+time budget or its heap cap.
 The environment variable POLICYLAB_GED_BUDGET (non-negative integer seconds)
 overrides the edit distance search budget.
 """

@@ -85,7 +85,7 @@ class WorldError(PolicyError):
 
 
 class BudgetError(PolicyError):
-    """An exact edit distance search ran out of its time budget."""
+    """An exact edit distance search ran out of its time budget or heap cap."""
 
 
 def check_skill_args(skill: str, args: tuple, where: str, error: type) -> None:

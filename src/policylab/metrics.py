@@ -26,7 +26,6 @@ import heapq
 import itertools
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
@@ -35,6 +34,10 @@ from . import bt, fsm, hfsm
 from .core import FAILURE, RUNNING, SUCCESS, ValidationError
 
 DEFAULT_GED_BUDGET = 60.0
+#: live entries at which the exact search's heap stops it, as its time
+#: budget does: about 120 MB, far above any heap a complete search of the
+#: packaged or benchmark pairs reaches (a few thousand entries at most)
+GED_HEAP_CAP = 2**18
 BRUTE_FORCE_LIMIT = 7
 
 #: shared sink ids for the nested-machine encoding, stable across graphs
@@ -123,7 +126,9 @@ class GedCostModel:
 
     This is the model under which the reference distances of all the
     modification case studies reproduce; set the substitution costs to
-    make matching label sensitive.
+    make matching label sensitive. Every label change on one vertex pair
+    is priced as a substitution, so an edge substitution may cost no more
+    than deleting the edge and inserting its replacement.
     """
 
     node_insert: float = 1.0
@@ -139,6 +144,8 @@ class GedCostModel:
             cost = getattr(self, name)
             if not (math.isfinite(cost) and cost >= 0):
                 raise ValidationError(f"{name} must be finite and non-negative")
+        if self.edge_substitute > self.edge_delete + self.edge_insert:
+            raise ValidationError("edge_substitute must not exceed edge_delete + edge_insert")
 
     def vertex_cost(self, label1: str, label2: Optional[str]) -> float:
         if label2 is None:
@@ -185,7 +192,9 @@ class GedResult:
     """An edit distance, whether it is proven, and the vertex mapping
     (g1 id -> g2 id | None) that attains it.
 
-    ``script`` is built from the mapping on its first read, once.
+    ``script`` is built from the mapping on its first read, once. An
+    incomplete result's ``exhausted`` names what stopped the search:
+    ``"budget"`` for its time budget, ``"heap"`` for ``GED_HEAP_CAP``.
     """
 
     distance: float
@@ -194,6 +203,7 @@ class GedResult:
     g1: PolicyGraph = field(repr=False, compare=False)
     g2: PolicyGraph = field(repr=False, compare=False)
     model: GedCostModel = field(repr=False, compare=False)
+    exhausted: str = ""
 
     @cached_property
     def script(self) -> EditScript:
@@ -305,9 +315,14 @@ def _anchored_cost(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel) -> floa
     removed, added = g1.edges - g2.edges, g2.edges - g1.edges
     substitutions = 0
     if removed and added:
-        ends = Counter((source, target) for source, target, _ in removed)
-        ends &= Counter((source, target) for source, target, _ in added)
-        substitutions = sum(ends.values())
+        ends: dict = {}  # (source, target) -> removed edges not yet paired
+        for source, target, _ in removed:
+            ends[source, target] = ends.get((source, target), 0) + 1
+        for source, target, _ in added:
+            unpaired = ends.get((source, target))
+            if unpaired:
+                ends[source, target] = unpaired - 1
+                substitutions += 1
     return total + (substitutions * cost.edge_substitute
                     + (len(removed) - substitutions) * cost.edge_delete
                     + (len(added) - substitutions) * cost.edge_insert)
@@ -346,9 +361,9 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     where the bound needs only the vertex and edge counts, so it is
     checked before any set-up: when it meets the incumbent, the
     incumbent is returned as proven optimal without building an index.
-    Otherwise the edges are indexed once, in time linear in their
-    number, into neighbour lists, and each step costs a candidate, and
-    the cross counts it changes, from the edges it shares with vertices
+    Otherwise each graph's edges are indexed in one pass, into self-loops,
+    neighbour lists and degrees, and each step costs a candidate, and the
+    cross counts it changes, from the edges it shares with vertices
     already placed, on either side, rather than from every placed pair.
 
     The bound is also consistent: no child's f (cost so far plus bound)
@@ -366,9 +381,11 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     below its parent's, and another mapping of equal cost, to rounding,
     may be returned.
 
-    When the time budget runs out the best mapping known, at worst the
-    incumbent, is returned with its cost as an upper bound and
-    ``complete`` set to False; the result is never silently wrong.
+    When the time budget runs out, or the heap holds ``GED_HEAP_CAP``
+    entries, the best mapping known, at worst the incumbent, is returned
+    with its cost as an upper bound, ``complete`` set to False and
+    ``exhausted`` naming which limit was reached; the result is never
+    silently wrong.
     """
     cost = cost or DEFAULT_COST
     if len(g1.edges) <= len(g2.edges):
@@ -377,7 +394,7 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     images = {v1: v2 for v2, v1 in result.mapping.items() if v1 is not None}
     return GedResult(distance=result.distance, complete=result.complete,
                      mapping={v1: images.get(v1) for v1 in g1.vertices},
-                     g1=g1, g2=g2, model=cost)
+                     g1=g1, g2=g2, model=cost, exhausted=result.exhausted)
 
 
 def _reversed(cost: GedCostModel) -> GedCostModel:
@@ -392,7 +409,9 @@ def _reversed(cost: GedCostModel) -> GedCostModel:
 def _search(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel,
             budget: float) -> GedResult:
     """``ged_exact``'s search, placing ``g1``'s vertices whatever the edge
-    counts."""
+    counts. Past the root bound, ``_index`` builds each graph's index in
+    one pass over its edges: ``g1``'s degrees order the placement, and
+    both graphs' self-loops and neighbour lists cost each step."""
     deadline = time.monotonic() + budget
     edge_delete, edge_insert = cost.edge_delete, cost.edge_insert
 
@@ -419,12 +438,11 @@ def _search(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel,
         return GedResult(distance=best_cost, complete=True, mapping=best_mapping,
                          g1=g1, g2=g2, model=cost)
 
-    degree = _degrees(g1)
+    loops1, neighbours1, degree = _index(g1)
+    loops2, neighbours2, _ = _index(g2)
     order = sorted(g1.vertices, key=lambda v: (-degree[v], v))
     position = {v: i for i, v in enumerate(order)}
     g2_ids = sorted(g2.vertices)
-    loops1, neighbours1 = _neighbours(g1)
-    loops2, neighbours2 = _neighbours(g2)
     # per position: the earlier positions it shares an edge with, and the
     # cost of deleting its vertex with every g1 edge that settles; per
     # depth: the g1 cross counts, out and in for each placed position in
@@ -505,7 +523,7 @@ def _search(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel,
     # keyed at that f, with the next position and the context the rest
     # of the scan needs. The bound is consistent, so no child costed
     # later sorts below that entry.
-    complete = True
+    exhausted = ""
     expansions = 0
     heap = [(root_h, 0, -1, 0, 0.0, (), (), total_e2)]
     while heap:
@@ -533,8 +551,11 @@ def _search(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel,
             base = sum(map(gap, cross1[index + 1], cross2))
             number, start = expansions, 0
             expansions += 1
+        if len(heap) >= GED_HEAP_CAP:
+            exhausted = "heap"
+            break
         if time.monotonic() > deadline:
-            complete = False
+            exhausted = "budget"
             break
 
         counts1 = cross1[index + 1]
@@ -571,41 +592,31 @@ def _search(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel,
                 heapq.heappush(heap, (new_f, -(index + 1), number, n2, new_g,
                                       assigned + (None,), cross2 + (0, 0), inner2))
 
-    return GedResult(distance=best_cost, complete=complete, mapping=best_mapping,
-                     g1=g1, g2=g2, model=cost)
+    return GedResult(distance=best_cost, complete=not exhausted, mapping=best_mapping,
+                     g1=g1, g2=g2, model=cost, exhausted=exhausted)
 
 
-def _degrees(graph: PolicyGraph) -> Counter:
-    """Edges incident to each vertex; a self-loop counts once."""
-    degree: Counter = Counter()
-    for source, target, _ in graph.edges:
-        degree[source] += 1
-        if target != source:
-            degree[target] += 1
-    return degree
-
-
-def _pair_index(graph: PolicyGraph) -> dict:
-    index: dict = {}
-    for source, target, label in graph.edges:
-        index.setdefault((source, target), []).append(label)
-    return index
-
-
-def _neighbours(graph: PolicyGraph) -> tuple:
-    """Self-loop labels per vertex, and per vertex ``v`` a map from each
-    other vertex ``w`` it shares an edge with to (labels v->w, labels w->v)."""
+def _index(graph: PolicyGraph) -> tuple:
+    """One pass over the edges: the self-loop labels per vertex; per vertex
+    ``v`` a map from each other vertex ``w`` it shares an edge with to
+    (labels v->w, labels w->v); and the edges incident to each vertex, a
+    self-loop counted once. ``w``'s entry for ``v`` holds the same two
+    lists the other way round, so each edge is appended once."""
     loops: dict = {}
     neighbours: dict = {v: {} for v in graph.vertices}
-    for (source, target), labels in _pair_index(graph).items():
+    degree = dict.fromkeys(graph.vertices, 0)
+    for source, target, label in graph.edges:
+        degree[source] += 1
         if source == target:
-            loops[source] = labels
+            loops.setdefault(source, []).append(label)
             continue
-        _, into = neighbours[source].get(target, ((), ()))
-        neighbours[source][target] = (labels, into)
-        out, _ = neighbours[target].get(source, ((), ()))
-        neighbours[target][source] = (out, labels)
-    return loops, neighbours
+        degree[target] += 1
+        pair = neighbours[source].get(target)
+        if pair is None:
+            pair = neighbours[source][target] = [], []
+            neighbours[target][source] = pair[1], pair[0]
+        pair[0].append(label)
+    return loops, neighbours, degree
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,9 @@ _DISTANCES = {
 def _exact(g1, g2, budget: float, cell: str) -> int:
     result = metrics.ged_exact(g1, g2, budget=budget)
     if not result.complete:
-        raise BudgetError(f"{cell}: edit distance search exhausted its {budget:g} s budget")
+        limit = (f"{metrics.GED_HEAP_CAP:,}-entry heap cap" if result.exhausted == "heap"
+                 else f"{budget:g} s budget")
+        raise BudgetError(f"{cell}: edit distance search exhausted its {limit}")
     return int(result.distance)
 
 

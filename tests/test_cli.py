@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import POLICY_DEFECTS
-from policylab import cli, documents, fixtures, report
+from policylab import cli, documents, fixtures, metrics, report
 from policylab.bt import PolicyTree
 from policylab.fsm import StateMachine
 from policylab.hfsm import HfsmContainer
@@ -314,6 +314,12 @@ class TestMetrics:
         assert code == 4
         assert "INCOMPLETE" in out
 
+    def test_ged_heap_cap_exits_four(self, capsys, monkeypatch):
+        monkeypatch.setattr(metrics, "GED_HEAP_CAP", 1)
+        code = cli.main(["metrics", "--ged", data("fetch_fsm"), data("fetch_fsm_tuck")])
+        assert code == 4
+        assert "INCOMPLETE" in capsys.readouterr().out
+
     @pytest.mark.parametrize("target", sorted(SEARCHED_PAIR_OUTPUT))
     def test_searched_pairs_print_the_pinned_script(self, target, capsys):
         assert cli.main(["metrics", "--ged", data("fetch_fsm"), data(target)]) == 0
@@ -495,6 +501,14 @@ class TestReport:
         assert captured.out == ""
         assert captured.err == (f"error: {cell}: edit distance search exhausted "
                                 "its 0 s budget\n")
+
+    def test_heap_cap_exits_four_and_is_named(self, capsys, monkeypatch):
+        monkeypatch.setattr(metrics, "GED_HEAP_CAP", 1)
+        assert cli.main(["report", "--table", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: tuck_arm/fsm: edit distance search exhausted "
+                                "its 1-entry heap cap\n")
 
 
 @pytest.mark.parametrize("command", [

@@ -175,6 +175,21 @@ class TestExactDistance:
             with pytest.raises(ValidationError, match="finite and non-negative"):
                 GedCostModel(node_insert=cost)
 
+    def test_edge_substitution_dearer_than_delete_and_insert_refused(self):
+        # every solver prices a label change on one pair as a substitution,
+        # so under such a model x -> y would cost 4 (the vertex deleted and
+        # reinserted) or 5 (substituted) where deleting and inserting costs 2
+        with pytest.raises(ValidationError, match="edge_substitute must not exceed"):
+            GedCostModel(edge_substitute=5)
+        with pytest.raises(ValidationError, match="edge_substitute must not exceed"):
+            GedCostModel(edge_insert=0.5, edge_delete=1, edge_substitute=1.75)
+        at_the_limit = GedCostModel(edge_substitute=2)
+        g1 = PolicyGraph(vertices={0: "a"}, edges={(0, 0, "x")})
+        g2 = PolicyGraph(vertices={0: "a"}, edges={(0, 0, "y")})
+        assert ged_exact(g1, g2, cost=at_the_limit).distance == 2
+        assert ged_anchored(g1, g2, cost=at_the_limit).distance == 2
+        assert brute_force_ged(g1, g2, at_the_limit) == 2
+
 
 REFERENCE_DISTANCES = {  # table 2: (bt, fsm, hfsm)
     "tuck": (6, 5, 12),
@@ -268,6 +283,32 @@ class EmptyGroupsRefused(GedCostModel):
         return super().edge_group_cost(labels1, labels2)
 
 
+class TestIndex:
+    def test_index_matches_a_naive_recount(self):
+        rng = random.Random(37)
+        for index in range(200):
+            n = rng.randint(1, 6)
+            # dense enough for self-loops, antiparallel pairs and several
+            # labels on one pair, with a vertex or two left isolated
+            edges = {(rng.randrange(n), rng.randrange(n), rng.choice("xyz"))
+                     for _ in range(rng.randint(0, 4 * n))}
+            graph = PolicyGraph(vertices={v: "v" for v in range(n + 2)}, edges=edges)
+            loops, neighbours, degree = metrics._index(graph)
+            looped = {s for s, t, _ in edges if s == t}
+            assert {v: sorted(labels) for v, labels in loops.items()} == {
+                v: sorted(l for s, t, l in edges if s == t == v) for v in looped}, index
+            for v in graph.vertices:
+                others = {t for s, t, _ in edges if s == v} | {s for s, t, _ in edges if t == v}
+                others.discard(v)
+                assert set(neighbours[v]) == others, index
+                for w, (to_w, from_w) in neighbours[v].items():
+                    assert sorted(to_w) == sorted(
+                        l for s, t, l in edges if (s, t) == (v, w)), index
+                    assert sorted(from_w) == sorted(
+                        l for s, t, l in edges if (s, t) == (w, v)), index
+                assert degree[v] == sum(v in (s, t) for s, t, _ in edges), index
+
+
 class TestSparseSearch:
     def test_asymmetric_model_matches_the_oracle(self):
         rng = random.Random(29)
@@ -283,13 +324,27 @@ class TestSparseSearch:
         def refuse(graph):
             raise AssertionError("index built for a pair the root bound proves")
 
-        monkeypatch.setattr(metrics, "_pair_index", refuse)
-        monkeypatch.setattr(metrics, "_degrees", refuse)
+        monkeypatch.setattr(metrics, "_index", refuse)
         base = metrics.bt_to_graph(fixtures.load_policy("fetch_bt"))
         tuck = metrics.bt_to_graph(fixtures.load_policy("fetch_bt_tuck"))
         result = ged_exact(base, tuck)
         assert result.complete
         assert result.distance == 6
+
+    def test_heap_cap_stops_the_search_with_an_upper_bound(self, monkeypatch):
+        # the search never improves on the anchored incumbent here, and its
+        # heap keeps growing while it tries
+        g1 = metrics.bt_to_graph(fixtures.load_policy("fetch_bt"))
+        g2 = metrics.fsm_to_graph(experiments.scalability_fsm())
+        root_bound = abs(g1.order() - g2.order()) + abs(g1.size() - g2.size())
+        monkeypatch.setattr(metrics, "GED_HEAP_CAP", 2000)
+        began = time.monotonic()
+        result = ged_exact(g1, g2, budget=600.0)
+        assert time.monotonic() - began < 1.0
+        assert not result.complete
+        assert result.exhausted == "heap"
+        assert root_bound <= result.distance <= ged_anchored(g1, g2).distance
+        assert result.script.cost == result.distance
 
     def test_empty_label_groups_are_never_reconciled(self):
         refusing = EmptyGroupsRefused()
@@ -387,12 +442,11 @@ def reference_ged_exact(g1: PolicyGraph, g2: PolicyGraph,
         return GedResult(distance=best_cost, complete=True, mapping=best_mapping,
                          g1=g1, g2=g2, model=cost)
 
-    degree = metrics._degrees(g1)
+    loops1, neighbours1, degree = metrics._index(g1)
+    loops2, neighbours2, _ = metrics._index(g2)
     order = sorted(g1.vertices, key=lambda v: (-degree[v], v))
     position = {v: i for i, v in enumerate(order)}
     g2_ids = sorted(g2.vertices)
-    loops1, neighbours1 = metrics._neighbours(g1)
-    loops2, neighbours2 = metrics._neighbours(g2)
     # per position: the earlier positions it shares an edge with, and the
     # cost of deleting its vertex with every g1 edge that settles; per
     # depth: the g1 cross counts, out and in for each placed position in

@@ -11,7 +11,7 @@ actually starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Protocol
 
 from .core import (
@@ -112,7 +112,8 @@ class PolicyTree:
         """Check the structural invariants: single rooted tree, bounded depth, leaf kinds.
 
         A parallel node may hold motion actions under one child only: the
-        world runs one motion at a time.
+        world runs one motion at a time. The document reader, the builder
+        and every graft check a tree here.
         """
         if self.root not in self.nodes:
             raise ValidationError(f"root id {self.root} not among nodes")
@@ -121,10 +122,11 @@ class PolicyTree:
         for nid, node in self.nodes.items():
             if node.kind not in NODE_KINDS:
                 raise ValidationError(f"node {nid}: unknown kind {node.kind!r}")
-            if node.children and not node.is_control():
+            if node.is_control():
+                if not node.children:
+                    raise ValidationError(f"node {nid}: {node.kind} needs at least one child")
+            elif node.children:
                 raise ValidationError(f"node {nid}: {node.kind} leaves cannot have children")
-            if node.kind in ("sequence", "fallback", "memory_sequence") and not node.children:
-                raise ValidationError(f"node {nid}: {node.kind} needs at least one child")
             if node.kind == "parallel":
                 if not 1 <= node.threshold <= len(node.children):
                     raise ValidationError(f"node {nid}: parallel threshold out of range")
@@ -147,8 +149,12 @@ class PolicyTree:
         if reachable != set(self.nodes):
             orphans = sorted(set(self.nodes) - reachable)
             raise ValidationError(f"nodes unreachable from root: {orphans}")
+        # a tree now, so each child's subtree can be walked
         for node in parallels:
-            moving = sum(holds_motion(self.nodes, child) for child in node.children)
+            moving = sum(any(self.nodes[nid].kind == "action"
+                             and self.nodes[nid].skill in MOTION_SKILLS
+                             for nid in self.subtree_ids(child))
+                         for child in node.children)
             if moving > 1:
                 raise ValidationError(f"node {node.id}: parallel has motion actions under "
                                       f"{moving} children, but one motion runs at a time")
@@ -164,20 +170,6 @@ def _walk_levels(nodes: dict, node_id: int):
             return
         yield level
         level = [child for nid in level for child in nodes[nid].children]
-
-
-def holds_motion(nodes: dict, node_id) -> bool:
-    """Whether a motion action is reachable from ``node_id`` in ``nodes``;
-    safe on the cycles and dangling ids that ``PolicyTree.validate`` rejects."""
-    seen, stack = set(), [node_id]
-    while stack:
-        node = nodes.get(stack.pop())
-        if node is not None and node.id not in seen:
-            seen.add(node.id)
-            if node.kind == "action" and node.skill in MOTION_SKILLS:
-                return True
-            stack.extend(node.children)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -338,42 +330,34 @@ def _check_depth(levels: int) -> None:
         raise EditError(f"the graft would make the tree more than {MAX_DEPTH} levels deep")
 
 
-def _check_motions(tree: PolicyTree, parent: int, sub: PolicyTree) -> None:
-    """Refuse a graft of ``sub`` under ``parent`` that would leave a parallel
-    node at or above ``parent`` with motion actions under two children."""
-    if not holds_motion(sub.nodes, sub.root):
-        return
-    child, above = sub.root, parent
-    while above is not None:
-        node = tree.nodes[above]
-        if node.kind == "parallel" and any(holds_motion(tree.nodes, other)
-                                           for other in node.children if other != child):
-            raise EditError(f"cannot graft motion actions under parallel {above}: another "
-                            f"of its children moves, and one motion runs at a time")
-        child, above = above, tree.parent_of(above)
+def _check_graft(tree: PolicyTree, sub: PolicyTree, where: str) -> None:
+    try:
+        tree.validate()
+    except ValidationError as exc:
+        raise EditError(f"cannot graft subtree {sub.root} {where}: {exc}") from None
 
 
 def insert_subtree(tree: PolicyTree, parent: int, index: int, sub: PolicyTree) -> PolicyTree:
     """Graft ``sub`` as the index-th child of ``parent``.
 
     Only the parent node among pre-existing nodes is touched, whatever
-    the tree size. A graft that would make the tree more than
-    ``MAX_DEPTH`` levels deep, or give a parallel node motion actions
-    under two children, raises ``EditError`` before anything changes,
-    like every other refused edit here.
+    the tree size. The tree the graft would make is checked by
+    ``PolicyTree.validate`` first, so a graft under a leaf, past
+    ``MAX_DEPTH`` levels, beside a moving child of a parallel node, or of
+    a subtree that does not validate raises ``EditError`` before anything
+    changes, like every other refused edit here.
     """
     node = tree.node(parent)
-    if not node.is_control():
-        raise EditError(f"cannot insert under {node.kind} leaf {parent}")
     if not 0 <= index <= len(node.children):
         raise EditError(f"child index {index} out of range for node {parent}")
     _check_disjoint(tree, sub)
-    depth = next(depth for depth, level in enumerate(_walk_levels(tree.nodes, tree.root), 1)
-                 if parent in level)
-    _check_depth(depth + _levels(sub, sub.root))
-    _check_motions(tree, parent, sub)
+    children = list(node.children)
+    children.insert(index, sub.root)
+    grafted = PolicyTree({**tree.nodes, **sub.nodes, parent: replace(node, children=children)},
+                         tree.root)
+    _check_graft(grafted, sub, f"under node {parent}")
     tree.nodes.update(sub.nodes)
-    node.children.insert(index, sub.root)
+    node.children = children
     return tree
 
 
@@ -420,7 +404,15 @@ def append_subtree(tree: PolicyTree, sub: PolicyTree) -> PolicyTree:
 
 
 def _attach_at_root(tree: PolicyTree, sub: PolicyTree, first: bool) -> PolicyTree:
+    """Attach ``sub`` under a sequence root, the tree's own or a new one.
+
+    ``sub`` is checked alone by ``PolicyTree.validate``. Above it is only a
+    sequence, so depth is the one rule the graft can break across the two
+    trees; that check walks ``sub`` and, under a new root, the old tree's
+    levels, which costs less than validating the whole tree it would make.
+    """
     _check_disjoint(tree, sub)
+    _check_graft(sub, sub, "at the root")
     root = tree.node(tree.root)
     below = _levels(sub, sub.root)
     if root.kind == "sequence":

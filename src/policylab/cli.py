@@ -131,11 +131,16 @@ def cmd_run(args) -> int:
     return EXIT_OK if trace.outcome == "SUCCESS" else EXIT_FAILURE
 
 
+#: what ``metrics --ged`` names as the limit that stopped an incomplete search
+_LIMITS = {"budget": "time budget exhausted", "heap": "heap cap exhausted"}
+
+
 def cmd_metrics(args) -> int:
     if args.ged is not None:
         (first, _), (second, _) = map(_graph_and_counts, args.ged)
         result = metrics.ged_exact(first, second, budget=_ged_budget())
-        marker = "" if result.complete else " INCOMPLETE (upper bound)"
+        marker = ("" if result.complete
+                  else f" INCOMPLETE (upper bound: {_LIMITS[result.exhausted]})")
         print(f"ged: {result.distance:g}{marker}")
         print(f"edit script ({len(result.script.ops)} ops, "
               f"{result.script.n_star} vertex ops):")

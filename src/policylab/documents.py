@@ -401,7 +401,9 @@ def _parse_nodes(doc: dict, types: dict) -> bt.PolicyTree:
     children, a condition's literal and a parallel threshold are checked
     here. A well-formed field costs at most one checker call, and only a
     defect builds its path. The structure (one parent per node, no cycle,
-    nothing unreachable) is checked by ``PolicyTree.validate``.
+    nothing unreachable, bounded depth) and the rule that a parallel node
+    holds motion actions under one child only are checked by
+    ``PolicyTree.validate``, whose finding names the node by its id.
     """
     nodes: dict[int, bt.BtNode] = {}
     for index, entry in enumerate(_expect(_require(doc, "nodes", "top level"), list, "nodes")):
@@ -417,12 +419,6 @@ def _parse_nodes(doc: dict, types: dict) -> bt.PolicyTree:
         if type(threshold) is not int:
             _integer(threshold, "nodes", index, "threshold")
         nodes[nid] = bt.BtNode(nid, kind, name, children, skill, args, literal, threshold)
-    for index, node in enumerate(nodes.values()):
-        if node.kind == "parallel":
-            moving = sum(bt.holds_motion(nodes, child) for child in node.children)
-            if moving > 1:
-                raise DocumentError(f"nodes[{index}]: parallel has motion actions under "
-                                    f"{moving} children, but one motion runs at a time")
     tree = bt.PolicyTree(nodes=nodes, root=_id(_require(doc, "root", "top level"), "root"))
     try:
         tree.validate()

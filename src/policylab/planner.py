@@ -139,7 +139,6 @@ class _Expansion:
         #: action identity -> (condition it was expanded for, plan index)
         self.expanded: dict[tuple, tuple] = {}
         self.stack: list[tuple] = []
-        self._closure_cache: dict[tuple, frozenset] = {}
 
     # -- dependency analysis -------------------------------------------------
 
@@ -151,15 +150,10 @@ class _Expansion:
         spec = achievers[0]
         if spec.identity in guard:
             return frozenset()
-        cached = self._closure_cache.get(spec.identity)
-        if cached is not None:
-            return cached
         posts = set(spec.postconditions)
         for pre in spec.preconditions:
             posts |= self._post_closure(pre, guard | {spec.identity})
-        result = frozenset(posts)
-        self._closure_cache[spec.identity] = result
-        return result
+        return frozenset(posts)
 
     def _order_preconditions(self, spec: ActionSpec) -> list[ConditionLiteral]:
         if self.ordering == "naive" or len(spec.preconditions) < 2:

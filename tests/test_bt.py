@@ -173,8 +173,9 @@ class TestParallel:
         before = documents.serialize_policy(tree)
         for parent in (tree.root, still):  # under the parallel, and further down
             graft = bt.TreeBuilder(10)
-            with pytest.raises(EditError, match=f"^cannot graft motion actions under parallel "
-                                                f"{tree.root}: another of its children moves"):
+            with pytest.raises(EditError, match=f"^cannot graft subtree 10 under node {parent}: "
+                                                f"node {tree.root}: parallel has motion actions "
+                                                f"under 2 children"):
                 bt.insert_subtree(tree, parent, 0, graft.build(graft.action("dock")))
             assert documents.serialize_policy(tree) == before
         for parent, skill in ((moving, ("dock",)), (still, ("pick", ("cube2",)))):
@@ -286,7 +287,9 @@ class TestEdits:
     def test_insert_under_leaf_rejected(self, fetch_tree):
         pick = experiments.find_action(fetch_tree, "pick")
         sub = experiments.tuck_subtree(fetch_tree.next_id())
-        with pytest.raises(EditError, match="leaf"):
+        with pytest.raises(EditError, match=f"^cannot graft subtree {sub.root} under node "
+                                            f"{pick}: node {pick}: action leaves cannot have "
+                                            f"children$"):
             bt.insert_subtree(fetch_tree, pick, 0, sub)
 
     def test_id_collision_rejected(self, fetch_tree):
@@ -332,6 +335,32 @@ def test_builder_rejects_a_malformed_node(add_root, message):
     root = add_root(builder)
     with pytest.raises(ValidationError, match=f"^node {root}: {message}$"):
         builder.build(root)
+
+
+#: (case, a subtree with ids from the given start that the builder would
+#: refuse, validate's finding on its root node)
+UNCHECKED_SUBTREES = [
+    ("empty sequence", lambda start: bt.PolicyTree({start: bt.BtNode(start, "sequence")}, start),
+     "sequence needs at least one child"),
+    ("missing child", lambda start: bt.PolicyTree(
+        {start: bt.BtNode(start, "sequence", children=[start + 1])}, start),
+     "dangling child reference {missing}"),
+]
+GRAFTS = {"insert": lambda tree, sub: bt.insert_subtree(tree, tree.root, 0, sub),
+          "prepend": bt.prepend_priority_subtree, "append": bt.append_subtree}
+
+
+@pytest.mark.parametrize("graft", GRAFTS)
+@pytest.mark.parametrize("make_sub, finding", [case[1:] for case in UNCHECKED_SUBTREES],
+                         ids=[case[0] for case in UNCHECKED_SUBTREES])
+def test_a_graft_of_a_subtree_that_does_not_validate_is_refused_unchanged(fetch_tree, graft,
+                                                                         make_sub, finding):
+    sub = make_sub(fetch_tree.next_id())
+    before = documents.serialize_policy(fetch_tree)
+    message = f"node {sub.root}: {finding.format(missing=sub.root + 1)}"
+    with pytest.raises(EditError, match=f"^cannot graft subtree {sub.root} .*: {message}$"):
+        GRAFTS[graft](fetch_tree, sub)
+    assert documents.serialize_policy(fetch_tree) == before
 
 
 def test_runtime_bookkeeping_stays_out_of_equality_and_repr(fetch_tree):

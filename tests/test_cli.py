@@ -262,7 +262,7 @@ class TestRun:
         assert cli.main(["run", str(policy), scenario("baseline"),
                          "--trace", str(trace)]) == 1
         captured = capsys.readouterr()
-        assert captured.err == ("error: nodes[0]: parallel has motion actions under "
+        assert captured.err == ("error: node 0: parallel has motion actions under "
                                 "2 children, but one motion runs at a time\n")
         assert captured.out == "" and not trace.exists()
 
@@ -312,13 +312,13 @@ class TestMetrics:
         code = cli.main(["metrics", "--ged", data("fetch_fsm"), data("fetch_fsm_tuck")])
         out = capsys.readouterr().out
         assert code == 4
-        assert "INCOMPLETE" in out
+        assert " INCOMPLETE (upper bound: time budget exhausted)\n" in out
 
     def test_ged_heap_cap_exits_four(self, capsys, monkeypatch):
         monkeypatch.setattr(metrics, "GED_HEAP_CAP", 1)
         code = cli.main(["metrics", "--ged", data("fetch_fsm"), data("fetch_fsm_tuck")])
         assert code == 4
-        assert "INCOMPLETE" in capsys.readouterr().out
+        assert " INCOMPLETE (upper bound: heap cap exhausted)\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("target", sorted(SEARCHED_PAIR_OUTPUT))
     def test_searched_pairs_print_the_pinned_script(self, target, capsys):

@@ -60,7 +60,7 @@ def test_parallel_over_two_motions_names_the_node():
         {"id": 1, "type": "action", "name": "go", "skill": "move_to", "args": ["fetch1"]},
         {"id": 2, "type": "sequence", "name": "s", "children": [3]},
         {"id": 3, "type": "action", "name": "look", "skill": "search", "args": []}]}
-    with pytest.raises(DocumentError, match=r"^nodes\[0\]: parallel has motion actions "
+    with pytest.raises(DocumentError, match=r"^node 0: parallel has motion actions "
                                             r"under 2 children"):
         documents.parse_policy_document(json.dumps(doc))
     doc["nodes"][3]["skill"] = "tuck"

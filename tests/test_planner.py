@@ -4,7 +4,7 @@ import logging
 
 import pytest
 
-from policylab import documents, experiments, metrics
+from policylab import documents, experiments, metrics, planner
 from policylab.core import ActionSpec, ConditionLiteral as L, Goal, PlanError, validate_action_library
 from policylab.planner import backchain, extract_plan, synthesize
 
@@ -262,3 +262,15 @@ class TestOrderPreconditions:
                 ]
                 ordered = order_preconditions(step.spec, plan, goal.initially)
                 assert expanded == ordered, step.spec.label()
+
+    def test_a_closure_does_not_depend_on_the_closures_computed_before_it(self):
+        # a and b achieve each other's precondition: the walk from either
+        # stops where it meets the action it started from
+        at, tucked = L("robot_at", ("fetch1",)), L("arm_tucked")
+        library = validate_action_library([
+            ActionSpec("a", preconditions=(at,), postconditions=(tucked,)),
+            ActionSpec("b", preconditions=(tucked,), postconditions=(at,))])
+        fresh = planner._Expansion(Goal((tucked,)), library, "safe")
+        expansion = planner._Expansion(Goal((tucked,)), library, "safe")
+        assert expansion._post_closure(tucked) == frozenset({tucked, at})
+        assert expansion._post_closure(at) == fresh._post_closure(at) == frozenset({tucked, at})

@@ -75,11 +75,11 @@ def _write(path: str | None, text: str) -> None:
 def _graph_and_counts(path: str) -> tuple[metrics.PolicyGraph, dict]:
     """The graph encoding and the element counts of a policy document."""
     policy = documents.parse_policy_document(_read(path))
-    if isinstance(policy, bt.PolicyTree):
-        return metrics.bt_to_graph(policy), bt.count_elements(policy)
-    if isinstance(policy, fsm.StateMachine):
-        return metrics.fsm_to_graph(policy), fsm.count_elements(policy)
-    graph = metrics.hfsm_to_graph(policy)
+    graph = metrics.policy_graph(policy)
+    if graph.kind == "bt":
+        return graph, bt.count_elements(policy)
+    if graph.kind == "fsm":
+        return graph, fsm.count_elements(policy)
     total = graph.order() + graph.size()
     return graph, {"nodes": graph.order(), "edges": graph.size(),
                    "graphical": total, "active": total}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from pathlib import Path
 
-from . import bt, documents, experiments, fsm, hfsm, metrics
+from . import bt, documents, experiments, hfsm, metrics
 from .core import DocumentError
 from .simworld import Scenario
 
@@ -59,17 +59,12 @@ def _policy_graph(text: str, representation: str):
     """The ``representation`` graph of the policy ``text`` spells, encoded once
     per process from the parsed original, which the encoders only read."""
     policy = _parsed_policy(text)
-    if isinstance(policy, bt.PolicyTree):
-        if representation == "hfsm":
-            return metrics.hfsm_to_graph(hfsm.from_bt(policy))
-        kind, encode = "bt", metrics.bt_to_graph
-    elif isinstance(policy, fsm.StateMachine):
-        kind, encode = "fsm", metrics.fsm_to_graph
-    else:
-        kind, encode = "hfsm", metrics.hfsm_to_graph
-    if representation != kind:
-        raise ValueError(f"a {kind} policy has no {representation} graph")
-    return encode(policy)
+    if representation == "hfsm" and isinstance(policy, bt.PolicyTree):
+        policy = hfsm.from_bt(policy)
+    graph = metrics.policy_graph(policy)
+    if graph.kind != representation:
+        raise ValueError(f"a {graph.kind} policy has no {representation} graph")
+    return graph
 
 
 def policy_graphs(name: str, *representations: str) -> dict:

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -116,61 +115,54 @@ def hfsm_to_graph(machine: hfsm.HfsmContainer) -> PolicyGraph:
     return PolicyGraph(vertices=vertices, edges=edges, kind="hfsm")
 
 
+def policy_graph(policy) -> PolicyGraph:
+    """The graph of a policy in its own kind: tree, machine or nested machine."""
+    if isinstance(policy, bt.PolicyTree):
+        return bt_to_graph(policy)
+    if isinstance(policy, fsm.StateMachine):
+        return fsm_to_graph(policy)
+    return hfsm_to_graph(policy)
+
+
 # ---------------------------------------------------------------------------
 # cost model and edit scripts
 
 
 @dataclass(frozen=True)
 class GedCostModel:
-    """Unit insert/delete, free substitution by default.
+    """Unit insertions and deletions; label changes free unless ``labels``.
 
-    This is the model under which the reference distances of all the
-    modification case studies reproduce; set the substitution costs to
-    make matching label sensitive. Every label change on one vertex pair
-    is priced as a substitution, so an edge substitution may cost no more
-    than deleting the edge and inserting its replacement.
+    Inserting or deleting a vertex or an edge costs 1. A label change
+    costs 0 by default, the model under which the reference distances of
+    all the modification case studies reproduce, and 1 when ``labels`` is
+    set (``LABEL_SENSITIVE``): relabelling a mapped vertex, or changing
+    the label of an edge between one mapped vertex pair. Every cost is a
+    whole number.
     """
 
-    node_insert: float = 1.0
-    node_delete: float = 1.0
-    node_substitute: float = 0.0
-    edge_insert: float = 1.0
-    edge_delete: float = 1.0
-    edge_substitute: float = 0.0
+    labels: bool = False
 
-    def __post_init__(self):
-        for name in ("node_insert", "node_delete", "node_substitute",
-                     "edge_insert", "edge_delete", "edge_substitute"):
-            cost = getattr(self, name)
-            if not (math.isfinite(cost) and cost >= 0):
-                raise ValidationError(f"{name} must be finite and non-negative")
-        if self.edge_substitute > self.edge_delete + self.edge_insert:
-            raise ValidationError("edge_substitute must not exceed edge_delete + edge_insert")
-
-    def vertex_cost(self, label1: str, label2: Optional[str]) -> float:
-        if label2 is None:
-            return self.node_delete
-        return 0.0 if label1 == label2 else self.node_substitute
+    def vertex_cost(self, label1: str, label2: str) -> float:
+        """Cost of mapping a vertex labeled ``label1`` onto one labeled ``label2``."""
+        return 1.0 if self.labels and label1 != label2 else 0.0
 
     def edge_group_cost(self, labels1, labels2) -> float:
         """Cost of reconciling parallel edges between one mapped pair.
 
         Each side lists distinct labels: an edge set holds a (source,
-        target, label) triple at most once.
+        target, label) triple at most once. A label on one side only is
+        substituted for one on the other while both have some left, and
+        the excess is deleted or inserted.
         """
-        matched = len(set(labels1).intersection(labels2))
-        rest1 = len(labels1) - matched
-        rest2 = len(labels2) - matched
-        substitutions = min(rest1, rest2)
-        return (substitutions * self.edge_substitute
-                + (rest1 - substitutions) * self.edge_delete
-                + (rest2 - substitutions) * self.edge_insert)
+        if not self.labels:
+            return abs(len(labels1) - len(labels2))
+        return max(len(labels1), len(labels2)) - len(set(labels1).intersection(labels2))
 
 
 #: the model ``ged_exact`` and ``ged_anchored`` use when given none: it is
 #: frozen, so every call shares it
 DEFAULT_COST = GedCostModel()
-LABEL_SENSITIVE = GedCostModel(node_substitute=1.0, edge_substitute=1.0)
+LABEL_SENSITIVE = GedCostModel(labels=True)
 
 
 @dataclass
@@ -238,20 +230,17 @@ def apply_script(graph: PolicyGraph, script: EditScript) -> PolicyGraph:
 def _script_for_mapping(g1: PolicyGraph, g2: PolicyGraph, mapping: dict,
                         cost: GedCostModel) -> EditScript:
     """Edit script induced by a complete vertex mapping (g1 id -> g2 id | None).
-    It reconciles every matched pair untuned, as no timed path builds a script."""
+    It reconciles every matched pair untuned, as no timed path builds a script.
+    Each op costs 1, but a substitution costs 0 unless ``cost.labels``."""
     ops = []
-    total = 0.0
     inverse = {v2: v1 for v1, v2 in mapping.items() if v2 is not None}
     deleted = {v1 for v1, v2 in mapping.items() if v2 is None}
     inserted = [v2 for v2 in g2.vertices if v2 not in inverse]
 
     # vertex phase
-    for v1 in deleted:
-        total += cost.node_delete
     for v1, v2 in mapping.items():
         if v2 is not None and g1.vertices[v1] != g2.vertices[v2]:
             ops.append(("substitute_vertex", v1, g2.vertices[v2]))
-            total += cost.node_substitute
     fresh = itertools.count(max([*g1.vertices, 0]) + 1)
     new_ids = {v2: next(fresh) for v2 in inserted}
     placed = {v2: new_ids[v2] for v2 in inserted}
@@ -261,11 +250,9 @@ def _script_for_mapping(g1: PolicyGraph, g2: PolicyGraph, mapping: dict,
     for source, target, label in sorted(g1.edges):
         if source in deleted or target in deleted:
             ops.append(("delete_edge", source, target, label))
-            total += cost.edge_delete
     for source, target, label in sorted(g2.edges):
         if source not in inverse or target not in inverse:
             ops.append(("insert_edge", placed[source], placed[target], label))
-            total += cost.edge_insert
 
     # edges between matched pairs, reconciled per ordered pair
     pairs = {}
@@ -281,21 +268,18 @@ def _script_for_mapping(g1: PolicyGraph, g2: PolicyGraph, mapping: dict,
         while rest1 and rest2:
             old, new = rest1.pop(), rest2.pop()
             ops.append(("substitute_edge", source, target, old, new))
-            total += cost.edge_substitute
         for label in rest1:
             ops.append(("delete_edge", source, target, label))
-            total += cost.edge_delete
         for label in rest2:
             ops.append(("insert_edge", source, target, label))
-            total += cost.edge_insert
 
     # vertex deletions go after their incident edge deletions
     for v1 in sorted(deleted):
         ops.append(("delete_vertex", v1))
     for v2 in inserted:
         ops.insert(0, ("insert_vertex", new_ids[v2], g2.vertices[v2]))
-        total += cost.node_insert
-    return EditScript(ops=ops, cost=total)
+    free = 0 if cost.labels else sum(op[0].startswith("substitute_") for op in ops)
+    return EditScript(ops=ops, cost=float(len(ops) - free))
 
 
 def _anchored_cost(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel) -> float:
@@ -307,11 +291,10 @@ def _anchored_cost(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel) -> floa
     ``edge_group_cost`` pairs them; an edge that touches a deleted or an
     inserted vertex has no such partner, so it is deleted or inserted.
     """
-    total = (len(g1.vertices.keys() - g2.vertices.keys()) * cost.node_delete
-             + len(g2.vertices.keys() - g1.vertices.keys()) * cost.node_insert)
-    if cost.node_substitute:
-        total += cost.node_substitute * sum(
-            g1.vertices[v] != g2.vertices[v] for v in g1.vertices.keys() & g2.vertices.keys())
+    total = len(g1.vertices.keys() ^ g2.vertices.keys())  # deleted and inserted
+    if cost.labels:
+        total += sum(g1.vertices[v] != g2.vertices[v]
+                     for v in g1.vertices.keys() & g2.vertices.keys())
     removed, added = g1.edges - g2.edges, g2.edges - g1.edges
     substitutions = 0
     if removed and added:
@@ -323,9 +306,9 @@ def _anchored_cost(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel) -> floa
             if unpaired:
                 ends[source, target] = unpaired - 1
                 substitutions += 1
-    return total + (substitutions * cost.edge_substitute
-                    + (len(removed) - substitutions) * cost.edge_delete
-                    + (len(added) - substitutions) * cost.edge_insert)
+    # a substitution stands for one deletion and one insertion
+    saved = substitutions if cost.labels else 2 * substitutions
+    return float(total + len(removed) + len(added) - saved)
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +323,11 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     The search places the vertices of the graph with fewer edges, ``g1``
     on a tie: its bound settles edges as their endpoints are placed, so
     the sparser side costs fewer steps. When ``g2`` has fewer edges the
-    search runs from ``g2`` to ``g1`` under the model with insertion and
-    deletion swapped, which prices every edit path the other way round
-    at the same cost, and its mapping is inverted. The distance is the
-    same either way; the mapping, and so the script, may be another one
-    of equal cost. What follows calls the graph placed ``g1``.
+    search runs from ``g2`` to ``g1`` under the same model, where each
+    insertion is a deletion at the same unit cost and the other way
+    round, and its mapping is inverted. The distance is the same either
+    way; the mapping, and so the script, may be another one of equal
+    cost. What follows calls the graph placed ``g1``.
 
     The search starts from the anchored incumbent, the identity mapping
     on shared ids costed under ``cost`` by ``_anchored_cost``, and no
@@ -367,7 +350,7 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     already placed, on either side, rather than from every placed pair.
 
     The bound is also consistent: no child's f (cost so far plus bound)
-    is below its parent's. Each bound term is a weighted count gap, and
+    is below its parent's. Each bound term is a count gap, and
     gap(a + x, b + y) <= gap(a, b) + gap(x, y); a step takes x edges of
     g1 and y of g2 out of one counted pool and charges at least
     gap(x, y) for settling them (vertices likewise). So an expansion
@@ -375,11 +358,7 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     child ties the parent's f: nothing it has not costed can pop before
     that child, and the rest waits in a resume entry until the search
     reaches it. Nodes pop in the same order as when every candidate is
-    costed at once, with the same mapping and script, wherever the cost
-    sums are exact in floating point (integer costs, or halves and
-    quarters); with costs such as 0.1 a child's f can round a few ulps
-    below its parent's, and another mapping of equal cost, to rounding,
-    may be returned.
+    costed at once, with the same mapping and script.
 
     When the time budget runs out, or the heap holds ``GED_HEAP_CAP``
     entries, the best mapping known, at worst the incumbent, is returned
@@ -390,20 +369,11 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     cost = cost or DEFAULT_COST
     if len(g1.edges) <= len(g2.edges):
         return _search(g1, g2, cost, budget)
-    result = _search(g2, g1, _reversed(cost), budget)
+    result = _search(g2, g1, cost, budget)
     images = {v1: v2 for v2, v1 in result.mapping.items() if v1 is not None}
     return GedResult(distance=result.distance, complete=result.complete,
                      mapping={v1: images.get(v1) for v1 in g1.vertices},
                      g1=g1, g2=g2, model=cost, exhausted=result.exhausted)
-
-
-def _reversed(cost: GedCostModel) -> GedCostModel:
-    """The model that prices each edit backwards: insertion and deletion
-    swap, substitution stays. ``replace`` keeps a subclass's own fields."""
-    if cost.node_insert == cost.node_delete and cost.edge_insert == cost.edge_delete:
-        return cost
-    return replace(cost, node_insert=cost.node_delete, node_delete=cost.node_insert,
-                   edge_insert=cost.edge_delete, edge_delete=cost.edge_insert)
 
 
 def _search(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel,
@@ -413,27 +383,19 @@ def _search(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel,
     one pass over its edges: ``g1``'s degrees order the placement, and
     both graphs' self-loops and neighbour lists cost each step."""
     deadline = time.monotonic() + budget
-    edge_delete, edge_insert = cost.edge_delete, cost.edge_insert
 
     best_mapping = {v: v if v in g2.vertices else None for v in g1.vertices}
     best_cost = _anchored_cost(g1, g2, cost)
     n1, n2 = len(g1.vertices), len(g2.vertices)
     total_e1, total_e2 = len(g1.edges), len(g2.edges)
 
-    def vertex_gap(rem1: int, rem2: int) -> float:
-        if rem1 > rem2:
-            return (rem1 - rem2) * cost.node_delete
-        return (rem2 - rem1) * cost.node_insert
-
-    def gap(open1: int, open2: int) -> float:
-        """Least cost of reconciling two edge counts that pair up only
-        with each other: the excess is deleted or inserted."""
-        if open1 > open2:
-            return (open1 - open2) * edge_delete
-        return (open2 - open1) * edge_insert
+    def gap(open1: int, open2: int) -> int:
+        """Least cost of reconciling two vertex or edge counts that pair up
+        only with each other: the excess is deleted or inserted."""
+        return abs(open1 - open2)
 
     # nothing is placed at the root, so every edge is inner
-    root_h = vertex_gap(n1, n2) + gap(total_e1, total_e2)
+    root_h = gap(n1, n2) + gap(total_e1, total_e2)
     if root_h >= best_cost:
         return GedResult(distance=best_cost, complete=True, mapping=best_mapping,
                          g1=g1, g2=g2, model=cost)
@@ -465,14 +427,14 @@ def _search(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel,
                 out += len(to_w)
                 into += len(from_w)
         earlier1.append(earlier)
-        deleting.append(cost.vertex_cost(g1.vertices[v], None) + settled * edge_delete)
+        deleting.append(1 + settled)
         cross1.append((*counts, out, into))
         inner1.append(inner1[i] - len(loops1.get(v, ())) - out - into)
 
     def group_cost(labels1, labels2) -> float:
         if labels1 and labels2:
             return cost.edge_group_cost(labels1, labels2)
-        return len(labels1) * edge_delete + len(labels2) * edge_insert
+        return len(labels1) + len(labels2)
 
     def assignment_cost(index: int, candidate, assigned: tuple, placed: dict,
                         cross2: tuple) -> tuple:
@@ -492,11 +454,11 @@ def _search(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel,
         for j, (out1, into1) in earlier.items():
             labels2 = around.get(assigned[j])  # None: deleted, or no edge in g2
             if labels2 is None:
-                increment += (len(out1) + len(into1)) * edge_delete
+                increment += len(out1) + len(into1)
             else:
                 increment += group_cost(out1, labels2[0]) + group_cost(into1, labels2[1])
         counts1 = cross1[index + 1]
-        change = 0.0
+        change = 0
         changed = []
         out2 = in2 = 0
         for other2, (to_other, from_other) in around.items():
@@ -506,7 +468,7 @@ def _search(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel,
                 in2 += len(from_other)
                 continue
             if j not in earlier:
-                increment += (len(to_other) + len(from_other)) * edge_insert
+                increment += len(to_other) + len(from_other)
             # other2 -> candidate leaves j's out count, candidate -> other2 its in count
             for slot, settled in ((2 * j, len(from_other)), (2 * j + 1, len(to_other))):
                 if settled:
@@ -540,8 +502,7 @@ def _search(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel,
             placed = {v2: j for j, v2 in enumerate(assigned) if v2 is not None}
             if index == n1:
                 # g2 vertices left unplaced are inserted with every edge touching them
-                total = g_cost + ((n2 - len(placed)) * cost.node_insert
-                                  + (inner2 + sum(cross2)) * edge_insert)
+                total = g_cost + (n2 - len(placed)) + inner2 + sum(cross2)
                 if total < best_cost:
                     best_cost = total
                     best_mapping = dict(zip(order, assigned))
@@ -562,7 +523,7 @@ def _search(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel,
         out1, in1 = counts1[-2:]
         inner = inner1[index + 1]
         rem1, rem2 = n1 - index - 1, n2 - len(placed)
-        mapped_h = vertex_gap(rem1, rem2 - 1) + base
+        mapped_h = gap(rem1, rem2 - 1) + base
         for position in range(start, n2):
             candidate = g2_ids[position]
             if candidate in placed:
@@ -586,8 +547,7 @@ def _search(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel,
                     break
         else:
             new_g = g_cost + deleting[index]
-            new_f = new_g + (vertex_gap(rem1, rem2) + base + (out1 + in1) * edge_delete
-                             + gap(inner, inner2))
+            new_f = new_g + (gap(rem1, rem2) + base + out1 + in1 + gap(inner, inner2))
             if new_f < best_cost:
                 heapq.heappush(heap, (new_f, -(index + 1), number, n2, new_g,
                                       assigned + (None,), cross2 + (0, 0), inner2))
@@ -660,11 +620,12 @@ def brute_force_ged(g1: PolicyGraph, g2: PolicyGraph,
 
     Independent of the best-first solver: plain recursion over every
     map-or-delete choice, pruned only by the incumbent, with its own
-    vertex and edge costing on the label sets of ``_label_sets``. The
-    costs of every vertex and vertex-pair choice are tabled before the
-    recursion starts.
+    vertex and edge costing on the label sets of ``_label_sets``. It
+    reads only ``cost.labels``, the price of a substitution (0 or 1), and
+    prices every insertion and deletion at 1 itself. The costs of every
+    vertex and vertex-pair choice are tabled before the recursion starts.
     """
-    cost = cost or GedCostModel()
+    substitute = 1 if (cost or DEFAULT_COST).labels else 0
     if g1.order() > BRUTE_FORCE_LIMIT or g2.order() > BRUTE_FORCE_LIMIT:
         raise ValidationError(
             f"brute force limited to {BRUTE_FORCE_LIMIT} vertices per graph"
@@ -685,13 +646,12 @@ def brute_force_ged(g1: PolicyGraph, g2: PolicyGraph,
         only1 = len(labels1 - labels2)
         only2 = len(labels2 - labels1)
         paired = min(only1, only2)
-        return (paired * cost.edge_substitute + (only1 - paired) * cost.edge_delete
-                + (only2 - paired) * cost.edge_insert)
+        return paired * substitute + (only1 - paired) + (only2 - paired)
 
     # vertex[i][k]: order1[i] onto candidate k, its self-loops included;
     # edges[i][k][j][m]: the edges between order1[i] on k and order1[j] on m
-    vertex = [[(cost.node_delete if c is None else
-                cost.node_substitute if g1.vertices[v1] != g2.vertices[c] else 0.0)
+    vertex = [[(1 if c is None else
+                substitute if g1.vertices[v1] != g2.vertices[c] else 0)
                + labels_cost(pair1.get((v1, v1), none), pair2.get((c, c), none))
                for c in targets] for v1 in order1]
     edges = [[[[labels_cost(pair1.get((v1, w1), none), pair2.get((c, w2), none))
@@ -709,8 +669,7 @@ def brute_force_ged(g1: PolicyGraph, g2: PolicyGraph,
         if index == len(order1):
             unmapped = sum(source not in used or target not in used
                            for source, target in edges2)
-            best[0] = min(best[0], running + (len(ids2) - len(used)) * cost.node_insert
-                          + unmapped * cost.edge_insert)
+            best[0] = min(best[0], running + (len(ids2) - len(used)) + unmapped)
             return
         for k in range(deleted + 1):
             if k in used:

@@ -211,8 +211,7 @@ class _Expansion:
                     "keeping a reference check only", literal, spec.label(),
                 )
                 if primary:
-                    stored = prior[1]
-                    achiever_index = stored if stored is not None and stored >= 0 else None
+                    achiever_index = prior[1]
                 continue
             subtree, index = self.expand_action(spec, literal, depth,
                                                 on_plan and primary)

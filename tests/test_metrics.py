@@ -2,7 +2,6 @@
 
 import heapq
 import itertools
-import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -29,11 +28,6 @@ from policylab.metrics import (
     ged_hfsm_formula,
     isomorphic,
 )
-
-
-#: insert and delete prices differ, so a swapped one-sided charge shows
-ASYMMETRIC = GedCostModel(node_insert=2, node_delete=1, node_substitute=1,
-                          edge_insert=3, edge_delete=1, edge_substitute=2)
 
 
 def random_graph(rng, max_vertices=7):
@@ -127,11 +121,10 @@ class TestExactDistance:
             g1, g2 = random_graph(rng, max_vertices=6), random_graph(rng, max_vertices=6)
             assert ged_exact(g1, g2).distance == brute_force_ged(g1, g2)
 
-    @pytest.mark.parametrize("model", [metrics.LABEL_SENSITIVE, ASYMMETRIC],
-                             ids=["label_sensitive", "asymmetric"])
+    @pytest.mark.parametrize("model", [metrics.LABEL_SENSITIVE], ids=["label_sensitive"])
     def test_oracle_agreement_under_label_models(self, model):
         # the default model prices parallel edges by count alone, so a
-        # label-matching or one-sided charge shows only under these
+        # label-matching charge shows only under this one
         rng = random.Random(13)
         for index in range(60):
             g1, g2 = random_graph(rng, max_vertices=6), random_graph(rng, max_vertices=6)
@@ -143,9 +136,9 @@ class TestExactDistance:
         rng = random.Random(37)
         for index in range(30):
             g1, g2 = dense_graph(rng, 6), dense_graph(rng, 6)
-            result = ged_exact(g1, g2, cost=ASYMMETRIC)
+            result = ged_exact(g1, g2, cost=metrics.LABEL_SENSITIVE)
             assert result.complete, index
-            assert result.distance == brute_force_ged(g1, g2, ASYMMETRIC), index
+            assert result.distance == brute_force_ged(g1, g2, metrics.LABEL_SENSITIVE), index
 
     def test_scripts_reproduce_the_target(self):
         rng = random.Random(17)
@@ -168,27 +161,6 @@ class TestExactDistance:
         g2 = PolicyGraph(vertices={0: "b"}, edges=set())
         assert ged_exact(g1, g2).distance == 0
         assert ged_exact(g1, g2, cost=metrics.LABEL_SENSITIVE).distance == 1
-
-    def test_negative_costs_rejected(self):
-        # an infinite or NaN cost would turn zero counts into NaN
-        for cost in (-1, math.inf, math.nan):
-            with pytest.raises(ValidationError, match="finite and non-negative"):
-                GedCostModel(node_insert=cost)
-
-    def test_edge_substitution_dearer_than_delete_and_insert_refused(self):
-        # every solver prices a label change on one pair as a substitution,
-        # so under such a model x -> y would cost 4 (the vertex deleted and
-        # reinserted) or 5 (substituted) where deleting and inserting costs 2
-        with pytest.raises(ValidationError, match="edge_substitute must not exceed"):
-            GedCostModel(edge_substitute=5)
-        with pytest.raises(ValidationError, match="edge_substitute must not exceed"):
-            GedCostModel(edge_insert=0.5, edge_delete=1, edge_substitute=1.75)
-        at_the_limit = GedCostModel(edge_substitute=2)
-        g1 = PolicyGraph(vertices={0: "a"}, edges={(0, 0, "x")})
-        g2 = PolicyGraph(vertices={0: "a"}, edges={(0, 0, "y")})
-        assert ged_exact(g1, g2, cost=at_the_limit).distance == 2
-        assert ged_anchored(g1, g2, cost=at_the_limit).distance == 2
-        assert brute_force_ged(g1, g2, at_the_limit) == 2
 
 
 REFERENCE_DISTANCES = {  # table 2: (bt, fsm, hfsm)
@@ -310,16 +282,6 @@ class TestIndex:
 
 
 class TestSparseSearch:
-    def test_asymmetric_model_matches_the_oracle(self):
-        rng = random.Random(29)
-        for index in range(100):
-            g1, g2 = random_graph(rng, max_vertices=6), random_graph(rng, max_vertices=6)
-            result = ged_exact(g1, g2, cost=ASYMMETRIC)
-            assert result.complete, index
-            assert result.distance == brute_force_ged(g1, g2, ASYMMETRIC), index
-            assert result.script.cost == result.distance, index
-            assert isomorphic(apply_script(g1, result.script), g2), index
-
     def test_pairs_proven_at_the_root_build_no_index(self, monkeypatch):
         def refuse(graph):
             raise AssertionError("index built for a pair the root bound proves")
@@ -382,16 +344,12 @@ def random_injective_mapping(rng, g1, g2):
     return dict(zip(g1.vertices, targets))
 
 
-#: fractional and asymmetric, so a change in summation order shows in the cost
-FRACTIONAL = GedCostModel(node_insert=0.7, node_delete=1.3, node_substitute=0.1,
-                          edge_insert=0.3, edge_delete=1.1, edge_substitute=0.45)
-SCRIPT_MODELS = (GedCostModel(), metrics.LABEL_SENSITIVE, FRACTIONAL)
+MODELS = (GedCostModel(), metrics.LABEL_SENSITIVE)
 
 
-#: the price of each op tag under a cost model
-OP_PRICES = {"delete_vertex": "node_delete", "insert_vertex": "node_insert",
-             "substitute_vertex": "node_substitute", "delete_edge": "edge_delete",
-             "insert_edge": "edge_insert", "substitute_edge": "edge_substitute"}
+def op_price(op: tuple, model: GedCostModel) -> int:
+    """Each insertion and deletion costs 1, a substitution 1 only under ``labels``."""
+    return 0 if op[0] in ("substitute_vertex", "substitute_edge") and not model.labels else 1
 
 
 class TestScriptForMapping:
@@ -403,41 +361,34 @@ class TestScriptForMapping:
         for index in range(1200):
             g1, g2 = random_graph(rng), random_graph(rng)
             mapping = random_injective_mapping(rng, g1, g2)
-            for model in SCRIPT_MODELS:
+            for model in MODELS:
                 script = metrics._script_for_mapping(g1, g2, mapping, model)
                 assert isomorphic(apply_script(g1, script), g2), (index, model)
-                priced = sum(getattr(model, OP_PRICES[op[0]]) for op in script.ops)
-                assert script.cost == pytest.approx(priced), (index, model)
+                assert script.cost == sum(op_price(op, model) for op in script.ops), \
+                    (index, model)
 
 
 def reference_ged_exact(g1: PolicyGraph, g2: PolicyGraph,
                         cost: Optional[GedCostModel] = None,
                         budget: float = metrics.DEFAULT_GED_BUDGET) -> GedResult:
-    """The previous ``ged_exact``, kept verbatim as the reference: each
-    expansion costs every candidate, sorts them and pushes them all."""
+    """The previous ``ged_exact``, kept as the reference with only its
+    prices written as units: each expansion costs every candidate, sorts
+    them and pushes them all."""
     cost = cost or GedCostModel()
     deadline = time.monotonic() + budget
-    edge_delete, edge_insert = cost.edge_delete, cost.edge_insert
 
     best_mapping = {v: v if v in g2.vertices else None for v in g1.vertices}
     best_cost = metrics._script_for_mapping(g1, g2, best_mapping, cost).cost
     n1, n2 = len(g1.vertices), len(g2.vertices)
     total_e1, total_e2 = len(g1.edges), len(g2.edges)
 
-    def vertex_gap(rem1: int, rem2: int) -> float:
-        if rem1 > rem2:
-            return (rem1 - rem2) * cost.node_delete
-        return (rem2 - rem1) * cost.node_insert
-
-    def gap(open1: int, open2: int) -> float:
-        """Least cost of reconciling two edge counts that pair up only
-        with each other: the excess is deleted or inserted."""
-        if open1 > open2:
-            return (open1 - open2) * edge_delete
-        return (open2 - open1) * edge_insert
+    def gap(open1: int, open2: int) -> int:
+        """Least cost of reconciling two vertex or edge counts that pair up
+        only with each other: the excess is deleted or inserted."""
+        return abs(open1 - open2)
 
     # nothing is placed at the root, so every edge is inner
-    root_h = vertex_gap(n1, n2) + gap(total_e1, total_e2)
+    root_h = gap(n1, n2) + gap(total_e1, total_e2)
     if root_h >= best_cost:
         return GedResult(distance=best_cost, complete=True, mapping=best_mapping,
                          g1=g1, g2=g2, model=cost)
@@ -469,14 +420,14 @@ def reference_ged_exact(g1: PolicyGraph, g2: PolicyGraph,
                 out += len(to_w)
                 into += len(from_w)
         earlier1.append(earlier)
-        deleting.append(cost.vertex_cost(g1.vertices[v], None) + settled * edge_delete)
+        deleting.append(1 + settled)
         cross1.append((*counts, out, into))
         inner1.append(inner1[i] - len(loops1.get(v, ())) - out - into)
 
     def group_cost(labels1, labels2) -> float:
         if labels1 and labels2:
             return cost.edge_group_cost(labels1, labels2)
-        return len(labels1) * edge_delete + len(labels2) * edge_insert
+        return len(labels1) + len(labels2)
 
     def assignment_cost(index: int, candidate, assigned: tuple, placed: dict,
                         cross2: tuple) -> tuple:
@@ -496,11 +447,11 @@ def reference_ged_exact(g1: PolicyGraph, g2: PolicyGraph,
         for j, (out1, into1) in earlier.items():
             labels2 = around.get(assigned[j])  # None: deleted, or no edge in g2
             if labels2 is None:
-                increment += (len(out1) + len(into1)) * edge_delete
+                increment += len(out1) + len(into1)
             else:
                 increment += group_cost(out1, labels2[0]) + group_cost(into1, labels2[1])
         counts1 = cross1[index + 1]
-        change = 0.0
+        change = 0
         changed = []
         out2 = in2 = 0
         for other2, (to_other, from_other) in around.items():
@@ -510,7 +461,7 @@ def reference_ged_exact(g1: PolicyGraph, g2: PolicyGraph,
                 in2 += len(from_other)
                 continue
             if j not in earlier:
-                increment += (len(to_other) + len(from_other)) * edge_insert
+                increment += len(to_other) + len(from_other)
             # other2 -> candidate leaves j's out count, candidate -> other2 its in count
             for slot, settled in ((2 * j, len(from_other)), (2 * j + 1, len(to_other))):
                 if settled:
@@ -530,8 +481,7 @@ def reference_ged_exact(g1: PolicyGraph, g2: PolicyGraph,
         placed = {v2: j for j, v2 in enumerate(assigned) if v2 is not None}
         if index == n1:
             # g2 vertices left unplaced are inserted with every edge touching them
-            total = g_cost + ((n2 - len(placed)) * cost.node_insert
-                              + (inner2 + sum(cross2)) * edge_insert)
+            total = g_cost + (n2 - len(placed)) + inner2 + sum(cross2)
             if total < best_cost:
                 best_cost = total
                 best_mapping = dict(zip(order, assigned))
@@ -547,7 +497,7 @@ def reference_ged_exact(g1: PolicyGraph, g2: PolicyGraph,
         inner = inner1[index + 1]
         base = sum(map(gap, counts1, cross2))
         rem1, rem2 = n1 - index - 1, n2 - len(placed)
-        mapped_h = vertex_gap(rem1, rem2 - 1) + base
+        mapped_h = gap(rem1, rem2 - 1) + base
         scored = []
         for candidate in g2_ids:
             if candidate in placed:
@@ -561,8 +511,7 @@ def reference_ged_exact(g1: PolicyGraph, g2: PolicyGraph,
             if new_f < best_cost:
                 scored.append((new_f, candidate, new_g, changed, out2, in2, new_inner2))
         new_g = g_cost + deleting[index]
-        new_f = new_g + (vertex_gap(rem1, rem2) + base + (out1 + in1) * edge_delete
-                         + gap(inner, inner2))
+        new_f = new_g + (gap(rem1, rem2) + base + out1 + in1 + gap(inner, inner2))
         if new_f < best_cost:
             scored.append((new_f, None, new_g, (), 0, 0, inner2))
         scored.sort(key=lambda item: item[0])  # stable: ties keep g2 id order, deletion last
@@ -580,21 +529,15 @@ def reference_ged_exact(g1: PolicyGraph, g2: PolicyGraph,
                      g1=g1, g2=g2, model=cost)
 
 
-#: fractional costs whose sums stay exact in floating point
-DYADIC = GedCostModel(node_insert=1.5, node_delete=0.75, node_substitute=0.25,
-                      edge_insert=0.625, edge_delete=1.25, edge_substitute=0.375)
-
-
 @dataclass(frozen=True)
 class CountingCandidates(GedCostModel):
     """A model that records each candidate the search costs: the one
-    vertex costing with a g2 label."""
+    vertex costing."""
 
     costed: list = field(default_factory=list, compare=False)
 
-    def vertex_cost(self, label1: str, label2: Optional[str]) -> float:
-        if label2 is not None:
-            self.costed.append((label1, label2))
+    def vertex_cost(self, label1: str, label2: str) -> float:
+        self.costed.append((label1, label2))
         return super().vertex_cost(label1, label2)
 
 
@@ -614,9 +557,7 @@ class TestLazyExpansion:
 
     # the eager reference places g1's vertices, so it is compared with the
     # search core; ged_exact may place g2's (see TestOrientation)
-    @pytest.mark.parametrize("model", [GedCostModel(), metrics.LABEL_SENSITIVE,
-                                       ASYMMETRIC, DYADIC],
-                             ids=["default", "label_sensitive", "asymmetric", "dyadic"])
+    @pytest.mark.parametrize("model", MODELS, ids=["default", "label_sensitive"])
     def test_same_result_as_the_eager_search(self, model):
         for index, (g1, g2) in enumerate(report_pairs()):
             assert same_result(search(g1, g2, model),
@@ -626,18 +567,6 @@ class TestLazyExpansion:
             g1, g2 = random_graph(rng), random_graph(rng)
             assert same_result(search(g1, g2, model),
                                reference_ged_exact(g1, g2, cost=model)), index
-
-    def test_inexact_costs_agree_to_rounding(self):
-        # a child's f can round a few ulps below its parent's, so another
-        # mapping of equal cost may win, never a costlier one
-        rng = random.Random(47)
-        for index in range(200):
-            g1, g2 = random_graph(rng), random_graph(rng)
-            got = ged_exact(g1, g2, cost=FRACTIONAL)
-            want = reference_ged_exact(g1, g2, cost=FRACTIONAL)
-            assert got.complete == want.complete, index
-            assert got.distance == pytest.approx(want.distance, abs=1e-9), index
-            assert got.script.cost == pytest.approx(got.distance, abs=1e-9), index
 
     def test_searching_report_pairs_cost_fewer_candidates(self):
         # fetch_fsm to tuck and to dock, and recharge to docking, search;
@@ -684,22 +613,15 @@ class TestAnchoredDistance:
         assert result.script.n_star == 4
 
 
-#: the models under which every sum of the anchored cost is exact in floating point
-EXACT_MODELS = (GedCostModel(), metrics.LABEL_SENSITIVE, ASYMMETRIC, DYADIC)
-
-
 class TestLazyScript:
     """The anchored incumbent is costed without a script, and a result
     builds its script from its mapping only when it is read."""
 
     def assert_seed_cost(self, g1, g2, where):
         anchored = {v: v if v in g2.vertices else None for v in g1.vertices}
-        for model in EXACT_MODELS:
+        for model in MODELS:
             want = metrics._script_for_mapping(g1, g2, anchored, model).cost
             assert metrics._anchored_cost(g1, g2, model) == want, (where, model)
-        want = metrics._script_for_mapping(g1, g2, anchored, FRACTIONAL).cost
-        assert metrics._anchored_cost(g1, g2, FRACTIONAL) == \
-            pytest.approx(want, abs=1e-9), where
 
     def test_the_seed_cost_is_the_anchored_scripts_cost(self):
         for index, (g1, g2) in enumerate(report_pairs()):
@@ -745,35 +667,20 @@ def denser_first_pairs(count: int) -> list:
 
 class TestOrientation:
     """``ged_exact`` places the vertices of the graph with fewer edges: a
-    denser first graph is searched from the second one under the model
-    with insertion and deletion swapped, and the mapping inverted."""
+    denser first graph is searched from the second one under the same
+    model, and the mapping inverted."""
 
-    @pytest.mark.parametrize("model", [*EXACT_MODELS, CountingCandidates(node_insert=2,
-                                                                         edge_delete=3)],
-                             ids=["default", "label_sensitive", "asymmetric", "dyadic",
-                                  "counting"])
+    @pytest.mark.parametrize("model", [*MODELS, CountingCandidates(labels=True)],
+                             ids=["default", "label_sensitive", "counting"])
     def test_denser_first_pairs_invert_the_reversed_search(self, model):
-        backwards = metrics._reversed(model)
         for index, (g1, g2) in enumerate(denser_first_pairs(40)):
             result = ged_exact(g1, g2, cost=model)
-            core = search(g2, g1, backwards)
+            core = search(g2, g1, model)
             assert result.mapping == inverted(core.mapping, g1.vertices), index
             assert result.complete and result.distance == core.distance, index
             assert result.distance == brute_force_ged(g1, g2, model), index
             assert result.model is model and result.script.cost == result.distance, index
             assert isomorphic(apply_script(g1, result.script), g2), index
-
-    def test_the_reversed_model_swaps_insertion_and_deletion(self):
-        for model in (metrics.DEFAULT_COST, metrics.LABEL_SENSITIVE):
-            assert metrics._reversed(model) is model
-        backwards = metrics._reversed(ASYMMETRIC)
-        assert backwards == GedCostModel(node_insert=1, node_delete=2, node_substitute=1,
-                                         edge_insert=1, edge_delete=3, edge_substitute=2)
-        assert metrics._reversed(backwards) == ASYMMETRIC
-        counting = CountingCandidates(node_insert=2)
-        backwards = metrics._reversed(counting)
-        assert isinstance(backwards, CountingCandidates)
-        assert backwards.costed is counting.costed  # still records what the search costs
 
     def test_an_edge_tie_keeps_the_given_order(self):
         # two edges each; searched the other way, every model maps them otherwise
@@ -781,8 +688,8 @@ class TestOrientation:
                          edges={(1, 2, "y"), (2, 2, "x")})
         g2 = PolicyGraph(vertices={0: "a", 1: "b", 2: "a", 3: "c"},
                          edges={(2, 1, "y"), (0, 3, "y")})
-        for model in EXACT_MODELS:
-            backwards = search(g2, g1, metrics._reversed(model))
+        for model in MODELS:
+            backwards = search(g2, g1, model)
             assert search(g1, g2, model).mapping != inverted(backwards.mapping,
                                                              g1.vertices), model
             assert same_result(ged_exact(g1, g2, cost=model), search(g1, g2, model)), model

@@ -14,7 +14,6 @@ overrides the edit distance search budget.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from dataclasses import replace
@@ -28,16 +27,6 @@ EXIT_INPUT = 1
 EXIT_FAILURE = 2
 EXIT_TIMEOUT = 3
 EXIT_INCOMPLETE = 4
-
-
-class _WarningLines(logging.Handler):
-    """Print the library's log records as ``warning: <message>`` on stderr."""
-
-    def emit(self, record: logging.LogRecord) -> None:
-        print(f"warning: {record.getMessage()}", file=sys.stderr)
-
-
-_WARNINGS = _WarningLines(logging.WARNING)
 
 
 def _ged_budget() -> float:
@@ -92,16 +81,17 @@ def _graph_and_counts(path: str) -> tuple[metrics.PolicyGraph, dict]:
 def cmd_build(args) -> int:
     goal = documents.parse_goal_document(_read(args.goal))
     library = documents.parse_library_document(_read(args.library))
+    if args.kind != "bt" and args.ordering != "safe":
+        raise PolicyError("--ordering applies to behavior tree synthesis only")
+    tree, plan = planner.synthesize(goal, library, args.ordering)
+    for note in plan.notes:
+        print(f"warning: {note}", file=sys.stderr)
     if args.kind == "bt":
-        policy = planner.backchain(goal, library, ordering=args.ordering)
+        policy = tree
+    elif args.kind == "fsm-seq":
+        policy = fsm.build_sequential(plan)
     else:
-        if args.ordering != "safe":
-            raise PolicyError("--ordering applies to behavior tree synthesis only")
-        plan = planner.extract_plan(goal, library)
-        if args.kind == "fsm-seq":
-            policy = fsm.build_sequential(plan)
-        else:
-            policy = fsm.build_fault_tolerant(plan)
+        policy = fsm.build_fault_tolerant(plan)
     _write(args.output, documents.serialize_policy(policy))
     return EXIT_OK
 
@@ -235,7 +225,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    logging.getLogger("policylab").addHandler(_WARNINGS)  # a no-op once attached
     try:
         return args.func(args)
     except PolicyError as exc:

@@ -6,7 +6,9 @@ sequence nodes. The same walk yields the linear plan handed to the state
 machine builders, together with each step's dispatch context: the
 conditions achieved earlier in the plan that the step still relies on.
 ``synthesize`` returns both from one expansion; ``backchain`` and
-``extract_plan`` keep one of the two.
+``extract_plan`` keep one of the two. A condition that an already
+expanded action achieves as a side effect stays a reference check in
+the tree, and the plan's ``notes`` say so; the module writes nothing.
 
 Precondition ordering is where chattering is decided. The ``safe``
 ordering expands an action's preconditions in plan-execution order so
@@ -17,14 +19,11 @@ two navigation goals preempt each other forever.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Optional
 
 from .bt import PolicyTree, TreeBuilder
 from .core import ActionLibrary, ActionSpec, ConditionLiteral, Goal, PlanError
-
-log = logging.getLogger(__name__)
 
 DEPTH_LIMIT = 10
 
@@ -45,10 +44,16 @@ class PlanStep:
 
 @dataclass
 class Plan:
-    """Ordered ground steps whose execution satisfies the goal."""
+    """Ordered ground steps whose execution satisfies the goal.
+
+    ``notes`` holds one message per condition that the expansion kept as
+    a reference check because an already expanded action achieves it as
+    a side effect; the CLI prints each as a ``warning:`` line.
+    """
 
     steps: list[PlanStep]
     goal: tuple = ()
+    notes: tuple = ()
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -139,6 +144,7 @@ class _Expansion:
         #: action identity -> (condition it was expanded for, plan index)
         self.expanded: dict[tuple, tuple] = {}
         self.stack: list[tuple] = []
+        self.notes: list[str] = []
 
     # -- dependency analysis -------------------------------------------------
 
@@ -206,10 +212,9 @@ class _Expansion:
                 # The action was already expanded to achieve another of its
                 # postconditions; re-expanding it here would duplicate the
                 # subtree, so this occurrence keeps the condition check only.
-                log.warning(
-                    "condition %s is a side effect of already expanded %s; "
-                    "keeping a reference check only", literal, spec.label(),
-                )
+                self.notes.append(
+                    f"condition {literal} is a side effect of already expanded "
+                    f"{spec.label()}; keeping a reference check only")
                 if primary:
                     achiever_index = prior[1]
                 continue
@@ -270,7 +275,8 @@ class _Expansion:
         tree = self.builder.build(root)
 
         steps = self._steps_with_context()
-        plan = Plan(steps=steps, goal=tuple(self.goal.conditions))
+        plan = Plan(steps=steps, goal=tuple(self.goal.conditions),
+                    notes=tuple(self.notes))
         if self.ordering == "safe":
             self._validate(plan)
         return tree, plan

@@ -116,6 +116,8 @@ class Scenario:
     #: (skill name, args or None, nth invocation that fails)
     failures: tuple = ()
     drain_per_motion_tick: float = 2.0
+    #: checked and written back but never read: ``battery_above(N)`` in the
+    #: policy carries the threshold the world compares the battery with
     battery_threshold: float = 20.0
     perturbations: tuple = ()
     max_ticks: int = 200

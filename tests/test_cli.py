@@ -143,7 +143,7 @@ class TestBuild:
 
     def side_effect_task(self, tmp_path) -> list:
         # one action achieves both goal conditions, so the planner keeps the
-        # second as a reference check and warns through logging
+        # second as a reference check and the plan carries a note saying so
         post = [{"pred": "object_at", "args": ["cube2", "delivery"]},
                 {"pred": "docked", "args": []}]
         goal = tmp_path / "goal.json"
@@ -168,6 +168,24 @@ class TestBuild:
         for _ in range(2):
             assert cli.main(argv) == 0
             assert capsys.readouterr().err == self.SIDE_EFFECT_WARNING
+
+    def test_side_effect_warning_is_printed_once_per_machine_build(self, tmp_path, capsys):
+        argv = self.side_effect_task(tmp_path) + ["--kind", "fsm-ft"]
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == self.SIDE_EFFECT_WARNING
+            assert isinstance(documents.parse_policy_document(captured.out), StateMachine)
+
+    def test_failed_build_prints_only_its_error(self, tmp_path, capsys):
+        argv = self.side_effect_task(tmp_path)
+        goal = json.loads(Path(argv[1]).read_text())
+        goal["goal"].append({"pred": "found", "args": []})
+        Path(argv[1]).write_text(json.dumps(goal))
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unachievable condition found()\n"
 
     def test_ordering_rejected_for_machines(self, capsys):
         goal, library = goal_and_library()

@@ -1,7 +1,5 @@
 """Backchaining synthesis, plan extraction and precondition ordering."""
 
-import logging
-
 import pytest
 
 from policylab import documents, experiments, metrics, planner
@@ -108,17 +106,19 @@ class TestBackchain:
         with pytest.raises(PlanError, match="depth limit 10"):
             backchain(Goal(conditions=(L("docked"),)), library)
 
-    def test_side_effect_condition_becomes_a_reference_check(self, caplog):
+    def test_side_effect_condition_becomes_a_reference_check(self):
         both = ActionSpec("deliver_and_dock", (),
                           postconditions=(L("object_at", ("cube2", "delivery")),
                                           L("docked")))
         library = validate_action_library([both])
         goal = Goal(conditions=(L("object_at", ("cube2", "delivery")), L("docked")))
-        with caplog.at_level(logging.WARNING):
-            tree = backchain(goal, library)
-        assert "reference check" in caplog.text
+        notes = ("condition docked() is a side effect of already expanded "
+                 "deliver_and_dock()!; keeping a reference check only",)
+        tree, plan = synthesize(goal, library)
+        assert plan.notes == notes
         assert [skill for skill, _ in leaf_actions(tree)] == ["deliver_and_dock"]
         plan = extract_plan(goal, library)
+        assert plan.notes == notes
         assert len(plan.steps) == 1
 
 
@@ -128,6 +128,7 @@ class TestExtractPlan:
         assert [step.spec.label() for step in plan.steps] == [
             "move_to(fetch1)!", "pick(cube2)!", "move_to(delivery)!", "place(cube2)!",
         ]
+        assert plan.notes == ()
 
     def test_plan_equals_the_tree_leaf_sequence(self):
         for goal, library in (

@@ -2,10 +2,11 @@
 
     python3 .github/pass0_gate.py
 
-Runs ``perfbench/worker.py --seed 1 --passes 1`` once per workload and
-exits 1 if an operation failed, or if a pass-0 count or the input hash
-differs from the values below. A change that moves one of them changes
-what the benchmark measures, and has to say so here.
+Runs ``perfbench/worker.py --seed 1 --passes 1`` once per workload, and
+once more with ``--trace 1`` for each workload in ``EXPECTED_CALLS``, and
+exits 1 if an operation failed, or if a pass-0 count, a traced call count
+or the input hash differs from the values below. A change that moves one
+of them changes what the benchmark measures, and has to say so here.
 """
 
 from __future__ import annotations
@@ -30,24 +31,46 @@ EXPECTED = {
                   {"documents_sha256": "8f88245a0552b48a", "document_bytes": 302028}),
 }
 
+#: per workload: the traced pass-0 call counts that must match, so a change
+#: to the exact search's work fails here even where its results do not move
+EXPECTED_CALLS = {
+    "ged_search": {"metrics.GedCostModel.edge_group_cost": 1381, "metrics.ged_exact": 216},
+    "tables": {"metrics.GedCostModel.edge_group_cost": 113, "metrics.ged_exact": 18},
+}
 
-def check(workload: str) -> list:
+
+def run_worker(workload: str, *extra: str) -> tuple:
+    """(the worker's JSON result, the problems it reported) for pass 0."""
     command = [sys.executable, str(WORKER), "--workload", workload, "--seed", "1",
-               "--passes", "1"]
+               "--passes", "1", *extra]
     done = subprocess.run(command, capture_output=True, text=True, timeout=600)
     if done.returncode != 0:
-        return [f"worker exited with {done.returncode}: {done.stderr.strip()}"]
+        return None, [f"worker exited with {done.returncode}: {done.stderr.strip()}"]
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    inputs, counts = EXPECTED[workload]
     problems = [f"failed operation: {problem}" for problem in result["problems"]]
     if result["failed"]:
         problems.append(f"{result['failed']} failed operations")
+    return result, problems
+
+
+def mismatches(got: dict, want: dict, where: str = "") -> list:
+    return [f"{where}{name} {got.get(name)!r}, expected {value!r}"
+            for name, value in want.items() if got.get(name) != value]
+
+
+def check(workload: str) -> list:
+    result, problems = run_worker(workload)
+    if result is None:
+        return problems
+    inputs, counts = EXPECTED[workload]
     if result["inputs_sha256"] != inputs:
         problems.append(f"inputs {result['inputs_sha256']}, expected {inputs}")
-    for name, want in counts.items():
-        got = result["counts"].get(name)
-        if got != want:
-            problems.append(f"{name} {got!r}, expected {want!r}")
+    problems += mismatches(result["counts"], counts)
+    if workload in EXPECTED_CALLS:
+        result, traced = run_worker(workload, "--trace", "1")
+        problems += [f"traced: {problem}" for problem in traced]
+        if result is not None:
+            problems += mismatches(result["calls"], EXPECTED_CALLS[workload], "traced calls ")
     return problems
 
 

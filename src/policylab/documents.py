@@ -556,10 +556,13 @@ def serialize_goal(goal: Goal) -> str:
 
 def parse_scenario_document(data) -> simworld.Scenario:
     """The scenario ``data`` spells, checked as it is made; absent fields
-    keep their defaults."""
+    keep their defaults, and a field the scenario does not have is refused,
+    so a misspelt one is not silently left at its default."""
     doc = _load(data)
+    scenario_fields = fields(simworld.Scenario)
+    _known_fields(doc, {"version", *(f.name for f in scenario_fields)})
     values = {}
-    for f in fields(simworld.Scenario):
+    for f in scenario_fields:
         if f.name not in doc:
             continue
         value = doc[f.name]
@@ -574,15 +577,24 @@ def parse_scenario_document(data) -> simworld.Scenario:
     return simworld.Scenario(**values)
 
 
+def _known_fields(mapping: dict, known, *where) -> None:
+    """Raise naming the first key of ``mapping`` that is not in ``known``."""
+    for key in mapping:
+        if key not in known:
+            raise DocumentError(f"{_path(*where, key)}: unknown field")
+
+
 def _failure_from(entry, name: str, index: int) -> tuple:
     skill = _require(entry, "skill", name, index)
+    _known_fields(entry, ("skill", "args", "invocation"), name, index)
     args = None if entry.get("args") is None else _args(entry, name, index)
     return skill, args, entry.get("invocation", 1)
 
 
 def _perturbation_from(entry, name: str, index: int) -> simworld.Perturbation:
-    return simworld.Perturbation(_require(entry, "tick", name, index),
-                                 _require(entry, "event", name, index),
+    tick = _require(entry, "tick", name, index)
+    _known_fields(entry, ("tick", "event", "args"), name, index)
+    return simworld.Perturbation(tick, _require(entry, "event", name, index),
                                  tuple(_expect(entry.get("args", []), list, name, index, "args")))
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -345,15 +346,18 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     checked before any set-up: when it meets the incumbent, the
     incumbent is returned as proven optimal without building an index.
     Otherwise each graph's edges are indexed in one pass, into self-loops,
-    neighbour lists and degrees, and each step costs a candidate, and the
-    cross counts it changes, from the edges it shares with vertices
-    already placed, on either side, rather than from every placed pair.
+    neighbour lists and degrees. The expansion loop then costs each
+    candidate in place, with the cross counts it changes, from the edges
+    it shares with vertices already placed, on either side, rather than
+    from every placed pair. It asks ``cost`` for one ``vertex_cost`` per
+    candidate and one ``edge_group_cost`` per pair of non-empty label
+    groups, so the model sets every price.
 
     The bound is also consistent: no child's f (cost so far plus bound)
-    is below its parent's. Each bound term is a count gap, and
-    gap(a + x, b + y) <= gap(a, b) + gap(x, y); a step takes x edges of
+    is below its parent's. Each bound term is a count gap |a - b|, and
+    |(a + x) - (b + y)| <= |a - b| + |x - y|; a step takes x edges of
     g1 and y of g2 out of one counted pool and charges at least
-    gap(x, y) for settling them (vertices likewise). So an expansion
+    |x - y| for settling them (vertices likewise). So an expansion
     costs its candidates in order, g2 ids then deletion, only until a
     child ties the parent's f: nothing it has not costed can pop before
     that child, and the rest waits in a resume entry until the search
@@ -364,8 +368,12 @@ def ged_exact(g1: PolicyGraph, g2: PolicyGraph,
     entries, the best mapping known, at worst the incumbent, is returned
     with its cost as an upper bound, ``complete`` set to False and
     ``exhausted`` naming which limit was reached; the result is never
-    silently wrong.
+    silently wrong. A budget that is NaN or negative raises
+    ``ValidationError``: NaN would never compare past the deadline.
     """
+    if not budget >= 0:
+        raise ValidationError(f"edit distance budget must be a non-negative number "
+                              f"of seconds, got {budget!r}")
     cost = cost or DEFAULT_COST
     if len(g1.edges) <= len(g2.edges):
         return _search(g1, g2, cost, budget)
@@ -381,7 +389,13 @@ def _search(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel,
     """``ged_exact``'s search, placing ``g1``'s vertices whatever the edge
     counts. Past the root bound, ``_index`` builds each graph's index in
     one pass over its edges: ``g1``'s degrees order the placement, and
-    both graphs' self-loops and neighbour lists cost each step."""
+    both graphs' self-loops and neighbour lists cost each step.
+
+    Every bound term is the gap ``abs(a - b)`` between two vertex or edge
+    counts that pair up only with each other: the excess is deleted or
+    inserted. One expansion loop costs each candidate in place, asking
+    the model as ``ged_exact`` says; a label group facing an empty one
+    costs its length, deleted or inserted, without asking it."""
     deadline = time.monotonic() + budget
 
     best_mapping = {v: v if v in g2.vertices else None for v in g1.vertices}
@@ -389,22 +403,21 @@ def _search(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel,
     n1, n2 = len(g1.vertices), len(g2.vertices)
     total_e1, total_e2 = len(g1.edges), len(g2.edges)
 
-    def gap(open1: int, open2: int) -> int:
-        """Least cost of reconciling two vertex or edge counts that pair up
-        only with each other: the excess is deleted or inserted."""
-        return abs(open1 - open2)
-
     # nothing is placed at the root, so every edge is inner
-    root_h = gap(n1, n2) + gap(total_e1, total_e2)
+    root_h = abs(n1 - n2) + abs(total_e1 - total_e2)
     if root_h >= best_cost:
         return GedResult(distance=best_cost, complete=True, mapping=best_mapping,
                          g1=g1, g2=g2, model=cost)
 
+    vertex_cost, edge_group_cost = cost.vertex_cost, cost.edge_group_cost
     loops1, neighbours1, degree = _index(g1)
     loops2, neighbours2, _ = _index(g2)
     order = sorted(g1.vertices, key=lambda v: (-degree[v], v))
     position = {v: i for i, v in enumerate(order)}
-    g2_ids = sorted(g2.vertices)
+    # per candidate position, g2 ids in order: the id, its label, its
+    # self-loop labels and their count, and its neighbour lists
+    candidates = [(v2, g2.vertices[v2], loops2.get(v2, ()), len(loops2.get(v2, ())),
+                   neighbours2[v2]) for v2 in sorted(g2.vertices)]
     # per position: the earlier positions it shares an edge with, and the
     # cost of deleting its vertex with every g1 edge that settles; per
     # depth: the g1 cross counts, out and in for each placed position in
@@ -431,56 +444,10 @@ def _search(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel,
         cross1.append((*counts, out, into))
         inner1.append(inner1[i] - len(loops1.get(v, ())) - out - into)
 
-    def group_cost(labels1, labels2) -> float:
-        if labels1 and labels2:
-            return cost.edge_group_cost(labels1, labels2)
-        return len(labels1) + len(labels2)
-
-    def assignment_cost(index: int, candidate, assigned: tuple, placed: dict,
-                        cross2: tuple) -> tuple:
-        """(incremental cost, bound change, changed counts, out2, in2).
-
-        ``placed`` maps g2 ids to positions and ``cross2`` holds their g2
-        cross counts. The candidate's edges to placed vertices leave those
-        counts, which changes their bound terms (against the g1 counts
-        once ``index`` is placed); its edges to unplaced vertices become
-        its own cross counts, out2 and in2.
-        """
-        v1 = order[index]
-        increment = cost.vertex_cost(g1.vertices[v1], g2.vertices[candidate])
-        increment += group_cost(loops1.get(v1, ()), loops2.get(candidate, ()))
-        earlier = earlier1[index]
-        around = neighbours2[candidate]
-        for j, (out1, into1) in earlier.items():
-            labels2 = around.get(assigned[j])  # None: deleted, or no edge in g2
-            if labels2 is None:
-                increment += len(out1) + len(into1)
-            else:
-                increment += group_cost(out1, labels2[0]) + group_cost(into1, labels2[1])
-        counts1 = cross1[index + 1]
-        change = 0
-        changed = []
-        out2 = in2 = 0
-        for other2, (to_other, from_other) in around.items():
-            j = placed.get(other2)
-            if j is None:
-                out2 += len(to_other)
-                in2 += len(from_other)
-                continue
-            if j not in earlier:
-                increment += len(to_other) + len(from_other)
-            # other2 -> candidate leaves j's out count, candidate -> other2 its in count
-            for slot, settled in ((2 * j, len(from_other)), (2 * j + 1, len(to_other))):
-                if settled:
-                    was = cross2[slot]
-                    change += gap(counts1[slot], was - settled) - gap(counts1[slot], was)
-                    changed.append((slot, was - settled))
-        return increment, change, changed, out2, in2
-
     # A node is keyed (f, -depth, the number of the expansion that made
     # it, its candidate position), with g2 vertices at their places in
-    # g2_ids and deletion at n2: among equal f, deeper first, then earlier
-    # expansions, then candidate order. An expansion stops costing
+    # the sorted ids and deletion at n2: among equal f, deeper first, then
+    # earlier expansions, then candidate order. An expansion stops costing
     # candidates right after a child ties its f and leaves a resume entry
     # keyed at that f, with the next position and the context the rest
     # of the scan needs. The bound is consistent, so no child costed
@@ -509,7 +476,7 @@ def _search(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel,
                 continue
             # the placed positions' terms against the g1 counts once this
             # position is placed; a candidate changes only those it touches
-            base = sum(map(gap, cross1[index + 1], cross2))
+            base = sum(map(abs, map(operator.sub, cross1[index + 1], cross2)))
             number, start = expansions, 0
             expansions += 1
         if len(heap) >= GED_HEAP_CAP:
@@ -519,21 +486,68 @@ def _search(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel,
             exhausted = "budget"
             break
 
+        v1 = order[index]
+        label1, loops_v1 = g1.vertices[v1], loops1.get(v1, ())
+        earlier = earlier1[index]
         counts1 = cross1[index + 1]
         out1, in1 = counts1[-2:]
         inner = inner1[index + 1]
         rem1, rem2 = n1 - index - 1, n2 - len(placed)
-        mapped_h = gap(rem1, rem2 - 1) + base
+        mapped_h = abs(rem1 - rem2 + 1) + base
         for position in range(start, n2):
-            candidate = g2_ids[position]
+            candidate, label2, loops_c, looped, around = candidates[position]
             if candidate in placed:
                 continue
-            increment, change, changed, out2, in2 = assignment_cost(
-                index, candidate, assigned, placed, cross2)
+            # the candidate's own cost: its label, its self-loops, and its
+            # edges to the earlier positions v1 shares an edge with
+            increment = vertex_cost(label1, label2)
+            if loops_v1 and loops_c:
+                increment += edge_group_cost(loops_v1, loops_c)
+            else:
+                increment += len(loops_v1) + looped
+            for j, (out_j, into_j) in earlier.items():
+                labels2 = around.get(assigned[j])  # None: deleted, or no edge in g2
+                if labels2 is None:
+                    increment += len(out_j) + len(into_j)
+                    continue
+                to_j, from_j = labels2
+                if out_j and to_j:
+                    increment += edge_group_cost(out_j, to_j)
+                else:
+                    increment += len(out_j) + len(to_j)
+                if into_j and from_j:
+                    increment += edge_group_cost(into_j, from_j)
+                else:
+                    increment += len(into_j) + len(from_j)
+            # its edges to placed vertices leave their cross counts, which
+            # changes their terms against counts1; its edges to unplaced
+            # vertices become its own cross counts, out2 and in2
+            change = 0
+            changed = []
+            out2 = in2 = 0
+            for other2, (to_other, from_other) in around.items():
+                j = placed.get(other2)
+                if j is None:
+                    out2 += len(to_other)
+                    in2 += len(from_other)
+                    continue
+                if j not in earlier:
+                    increment += len(to_other) + len(from_other)
+                # other2 -> candidate leaves j's out count, candidate -> other2 its in count
+                if from_other:
+                    slot = 2 * j
+                    was, now = cross2[slot], cross2[slot] - len(from_other)
+                    change += abs(counts1[slot] - now) - abs(counts1[slot] - was)
+                    changed.append((slot, now))
+                if to_other:
+                    slot = 2 * j + 1
+                    was, now = cross2[slot], cross2[slot] - len(to_other)
+                    change += abs(counts1[slot] - now) - abs(counts1[slot] - was)
+                    changed.append((slot, now))
             new_g = g_cost + increment
-            new_inner2 = inner2 - len(loops2.get(candidate, ())) - out2 - in2
-            new_f = new_g + (mapped_h + change + gap(out1, out2) + gap(in1, in2)
-                             + gap(inner, new_inner2))
+            new_inner2 = inner2 - looped - out2 - in2
+            new_f = new_g + (mapped_h + change + abs(out1 - out2) + abs(in1 - in2)
+                             + abs(inner - new_inner2))
             if new_f < best_cost:
                 child = list(cross2)
                 for slot, count in changed:
@@ -547,7 +561,7 @@ def _search(g1: PolicyGraph, g2: PolicyGraph, cost: GedCostModel,
                     break
         else:
             new_g = g_cost + deleting[index]
-            new_f = new_g + (gap(rem1, rem2) + base + out1 + in1 + gap(inner, inner2))
+            new_f = new_g + (abs(rem1 - rem2) + base + out1 + in1 + abs(inner - inner2))
             if new_f < best_cost:
                 heapq.heappush(heap, (new_f, -(index + 1), number, n2, new_g,
                                       assigned + (None,), cross2 + (0, 0), inner2))

@@ -237,6 +237,22 @@ class TestRun:
         path.write_text("{]")
         assert cli.main(["run", data("fetch_bt"), str(path)]) == 1
 
+    def test_misspelt_scenario_field_exits_one(self, tmp_path, capsys):
+        scenario_doc = json.loads(fixtures.scenario_path("baseline").read_text())
+        scenario_doc["max_tick"] = scenario_doc.pop("max_ticks")
+        path = tmp_path / "misspelt.json"
+        path.write_text(json.dumps(scenario_doc))
+        assert cli.main(["run", data("fetch_bt"), str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: max_tick: unknown field\n"
+        assert captured.out == ""
+
+    def test_a_policy_given_as_the_scenario_exits_one(self, capsys):
+        assert cli.main(["run", data("fetch_bt"), data("fetch_fsm")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: kind: unknown field\n"
+        assert captured.out == ""
+
     def test_perturbation_without_args_exits_one(self, tmp_path, capsys):
         scenario_doc = json.loads(fixtures.scenario_path("recharge").read_text())
         scenario_doc["perturbations"][0].pop("args")

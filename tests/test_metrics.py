@@ -156,6 +156,17 @@ class TestExactDistance:
         assert not result.complete
         assert result.distance >= 5  # an upper bound on the true distance
 
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0], ids=["nan", "negative"])
+    def test_a_nan_or_negative_budget_is_refused(self, budget):
+        # a NaN deadline never compares as passed, so the search would run
+        # until its heap cap stopped it
+        g1 = metrics.bt_to_graph(fixtures.load_policy("fetch_bt"))
+        g2 = metrics.fsm_to_graph(experiments.scalability_fsm())
+        with pytest.raises(ValidationError, match="budget must be a non-negative number"):
+            ged_exact(g1, g2, budget=budget)
+        with pytest.raises(ValidationError, match="budget must be a non-negative number"):
+            report.build_report(2, budget=budget)
+
     def test_label_sensitive_model_charges_substitutions(self):
         g1 = PolicyGraph(vertices={0: "a"}, edges=set())
         g2 = PolicyGraph(vertices={0: "b"}, edges=set())
@@ -531,14 +542,19 @@ def reference_ged_exact(g1: PolicyGraph, g2: PolicyGraph,
 
 @dataclass(frozen=True)
 class CountingCandidates(GedCostModel):
-    """A model that records each candidate the search costs: the one
-    vertex costing."""
+    """A model that records each candidate the search costs, its one
+    vertex costing, and each pair of edge label groups it reconciles."""
 
     costed: list = field(default_factory=list, compare=False)
+    grouped: list = field(default_factory=list, compare=False)
 
     def vertex_cost(self, label1: str, label2: str) -> float:
         self.costed.append((label1, label2))
         return super().vertex_cost(label1, label2)
+
+    def edge_group_cost(self, labels1, labels2) -> float:
+        self.grouped.append((labels1, labels2))
+        return super().edge_group_cost(labels1, labels2)
 
 
 def same_result(got: GedResult, want: GedResult) -> bool:
@@ -579,6 +595,33 @@ class TestLazyExpansion:
             if model.costed:
                 costed[index] = len(model.costed)
         assert costed == {1: 12, 7: 10, 15: 16}
+
+
+def criterion_10_pairs(count: int) -> list:
+    """Seeded pairs of the acceptance gate's criterion-10 shape: 2-7
+    vertices, each with up to 2n edge draws."""
+    rng = random.Random(67)
+    return [(random_graph(rng), random_graph(rng)) for _ in range(count)]
+
+
+class TestSearchWork:
+    """The search's work, pinned as counts: the candidates it costs and
+    the edge label groups it hands the cost model. A change that moves
+    either changes which nodes the search expands, not only its speed."""
+
+    @pytest.mark.parametrize("labels, want", [
+        (False, {"random": (5138, 1956), "report": (38, 113)}),
+        (True, {"random": (39147, 6889), "report": (84, 197)}),
+    ], ids=["default", "label_sensitive"])
+    def test_candidates_and_groups(self, labels, want):
+        pairs = {"random": criterion_10_pairs(300), "report": report_pairs()}
+        got = {}
+        for name, graphs in pairs.items():
+            model = CountingCandidates(labels=labels)
+            for index, (g1, g2) in enumerate(graphs):
+                assert ged_exact(g1, g2, cost=model).complete, (name, index)
+            got[name] = len(model.costed), len(model.grouped)
+        assert got == want
 
 
 class TestAnchoredDistance:

@@ -494,12 +494,6 @@ class TestScenarioDocuments:
         ({"max_ticks": 0}, r"max_ticks: must be at least 1"),
         ({"max_ticks": -5}, r"max_ticks: must be at least 1"),
         ({"version": 7}, r"version: unsupported value 7"),
-        # unchecked, a misspelt field would run with its default
-        ({"max_tick": 5}, r"^max_tick: unknown field$"),
-        ({"failures": [{"skill": "pick", "args": ["cube2"], "invocaton": 2}]},
-         r"^failures\[0\]\.invocaton: unknown field$"),
-        ({"perturbations": [{"tick": 3, "event": "set_battery", "args": [5], "at": 4}]},
-         r"^perturbations\[0\]\.at: unknown field$"),
         ({"failures": [{"skill": "pick", "args": [[1]], "invocation": 1}]},
          r"failures\[0\]\.args\[0\]: expected a string or a number, got \[1\]"),
         ({"failures": [{"skill": "pick", "args": [True], "invocation": 1}]},
@@ -543,6 +537,12 @@ class TestScenarioDocuments:
          r"^failures\[0\]\.args: pick takes 1 argument\(s\), got 0$"),
         ({"failures": [{"skill": "tuck", "args": ["arm"], "invocation": 1}]},
          r"^failures\[0\]\.args: tuck takes 0 argument\(s\), got 1$"),
+        # unchecked, a misspelt field would run with its default
+        ({"max_tick": 5}, r"^max_tick: unknown field$"),
+        ({"failures": [{"skill": "pick", "args": ["cube2"], "invocaton": 2}]},
+         r"^failures\[0\]\.invocaton: unknown field$"),
+        ({"perturbations": [{"tick": 3, "event": "set_battery", "args": [5], "at": 4}]},
+         r"^perturbations\[0\]\.at: unknown field$"),
     ])
     def test_malformed_fields_are_named(self, fields, message):
         with pytest.raises(DocumentError, match=message):
